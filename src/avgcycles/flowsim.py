@@ -120,19 +120,14 @@ def _breakpoints(spec: SystemSpec, t0: float, t1: float):
     return pts if t0 <= t1 else pts[::-1]
 
 
-def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span, dense: bool = False):
-    """Integrate from theta_span[0] to theta_span[1]; returns FlowState.
-
-    With ``dense=True`` also returns a list of (theta, state) samples taken at
-    the integrator's internal steps.
-    """
+def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span):
+    """Integrate from theta_span[0] to theta_span[1]; returns FlowState."""
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     x = np.asarray(z0, dtype=float).copy()
     if x.shape != (spec.d + 1,):
         raise ValueError(f"state has shape {x.shape}, expected ({spec.d + 1},)")
     if x[0] <= 0.0:
         raise RCrossedZeroError(f"initial r = {x[0]:.3e} must be positive")
-    samples = [(t0, x.copy())] if dense else None
     knots = [t0] + _breakpoints(spec, t0, t1) + [t1]
     for a, b in zip(knots[:-1], knots[1:]):
         if a == b:
@@ -144,11 +139,8 @@ def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span, dense: bool = 
         )
         if not sol.success:
             raise RuntimeError(f"integration failed on [{a:.6f}, {b:.6f}]: {sol.message}")
-        if dense:
-            samples.extend(zip(sol.t[1:], sol.y[:, 1:].T.copy()))
         x = sol.y[:, -1].copy()
-    state = FlowState(t1, x)
-    return (state, samples) if dense else state
+    return FlowState(t1, x)
 
 
 def return_map(spec: SystemSpec, eps: float, z0) -> np.ndarray:
@@ -232,10 +224,3 @@ def write_cycle_csv(path, records, d: int):
         for rec in records:
             writer.writerow(rec.as_row())
 
-
-def write_trajectory_csv(path, samples, d: int):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "r"] + [f"z{k}" for k in range(1, d + 1)])
-        for theta, x in samples:
-            writer.writerow([f"{theta:.12g}"] + [f"{v:.12g}" for v in x])

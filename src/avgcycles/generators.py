@@ -495,9 +495,8 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0, starts=8,
     return spec, rf2, misfit
 
 
-def _certify(result_sys: PolyVec, box: SearchBox, expected: int):
-    records = [rec for rec in find_simple_zeros(result_sys, box) if rec.simple]
-    return records
+def _certify(result_sys: PolyVec, box: SearchBox):
+    return [rec for rec in find_simple_zeros(result_sys, box) if rec.simple]
 
 
 def _second_order_slots(n, m, d=None, radial_z=False, slave=False):
@@ -595,7 +594,7 @@ def _second_order_generator(n, m, phi, expected, target, uslots, vslots,
             last_exc = exc
             continue
         box = default_box(m)
-        records = _certify(rf2, box, expected)
+        records = _certify(rf2, box)
         if len(records) >= expected:
             zeros = [rec.nu for rec in records]
             return GeneratorResult(spec, 2, rf2, expected, box, zeros,

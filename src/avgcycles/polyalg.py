@@ -3,6 +3,10 @@
 Variables are ordered (r, z_1, ..., z_m); a monomial is a dense exponent
 tuple of length nvars.  Coefficients below PRUNE_TOL are dropped so that
 round-off from the integral kernels does not accumulate into spurious terms.
+
+For repeated evaluation a PolyVec is compiled to a CompiledPolyVec: dense
+exponent and coefficient arrays that give values and Jacobians for a whole
+batch of points from one table of powers.
 """
 
 from __future__ import annotations
@@ -10,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 PRUNE_TOL = 1e-15
-
-VAR_NAMES_MAX = 8
 
 
 class Poly:
@@ -167,15 +169,58 @@ class PolyVec:
         return "\n".join(f"[{k}] {p.pretty(names)}" for k, p in enumerate(self.components))
 
 
+class CompiledPolyVec:
+    """A PolyVec as arrays, evaluated on a batch of points at once.
+
+    `exps[t]` is the t-th monomial of the sorted union of the components'
+    monomials and `coef[i, t]` its coefficient in component i.  For each
+    variable j, `dexps[j]` and `dcoef[j]` hold d/dx_j of those terms in the
+    same layout.  A batch of points (B, nvars) becomes a table of powers
+    x_v**e, each monomial a product of table entries, and each value a
+    matrix product with the coefficients.
+    """
+
+    __slots__ = ("nvars", "exps", "coef", "dexps", "dcoef")
+
+    def __init__(self, F: PolyVec):
+        n = self.nvars = F.nvars
+        monos = sorted(set().union(*(p.terms for p in F)))
+        self.exps = np.array(monos, dtype=np.intp).reshape(len(monos), n)
+        self.coef = np.array([[p.terms.get(mo, 0.0) for mo in monos] for p in F]).reshape(len(F), len(monos))
+        # d/dx_j takes c * x^e to (c * e_j) * x^(e - unit_j); a term free of
+        # x_j gets coefficient 0, so its clipped exponent never matters
+        self.dexps = np.maximum(self.exps[None] - np.eye(n, dtype=np.intp)[:, None], 0)
+        self.dcoef = self.coef[None] * self.exps.T[:, None]
+
+    def _powers(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.nvars:
+            raise ValueError(f"points have shape {X.shape}, expected (B, {self.nvars})")
+        return X[:, :, None] ** np.arange(self.exps.max(initial=0) + 1)
+
+    def _monomials(self, P, exps):
+        M = np.ones((P.shape[0], len(exps)))
+        for v in range(self.nvars):
+            M *= P[:, v, exps[:, v]]
+        return M
+
+    def values(self, X):
+        """Component values at each point: shape (B, ncomponents)."""
+        return self._monomials(self._powers(X), self.exps) @ self.coef.T
+
+    def jacobians(self, X):
+        """Jacobian at each point: shape (B, ncomponents, nvars)."""
+        P = self._powers(X)
+        cols = [self._monomials(P, e) @ c.T for e, c in zip(self.dexps, self.dcoef)]
+        return np.stack(cols, axis=-1)
+
+
 def jacobian(F: PolyVec, point):
     """Jacobian matrix of a square system at a point, and its determinant."""
     n = len(F)
     if F.nvars != n:
         raise ValueError(f"system is not square: {n} equations, {F.nvars} variables")
-    J = np.empty((n, n))
-    for i, p in enumerate(F.components):
-        for j in range(n):
-            J[i, j] = p.diff(j)(point)
+    J = CompiledPolyVec(F).jacobians(np.asarray(point, dtype=float).reshape(1, -1))[0]
     return J, float(np.linalg.det(J))
 
 

@@ -2,8 +2,11 @@
 
 Dense grid seeding plus damped Newton: at desk-scale degrees every zero in
 the box is reachable from some nearby seed, so no continuation machinery is
-needed.  A zero is certified simple when the residual is tiny and the
-Jacobian determinant clears a degree-aware threshold.
+needed.  The system is compiled once (polyalg.CompiledPolyVec) and Newton
+runs on all seeds as one (seeds, nvars) batch, each seed keeping its own
+stopping, failure and step-halving rules.  The limits are then filtered and
+deduplicated in seed order.  A zero is certified simple when the residual is
+tiny and the Jacobian determinant clears a degree-aware threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyalg import PolyVec, bezout_bound, jacobian
+from .polyalg import CompiledPolyVec, PolyVec, bezout_bound, jacobian
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
@@ -90,37 +93,56 @@ class SearchDiagnostics:
     converged: int = 0
     r_min_hits: int = 0
     diverged: int = 0
+    newton_steps: int = 0
     notes: list = field(default_factory=list)
 
 
-def _newton(F: PolyVec, x0: np.ndarray, r_min: float):
-    """Damped Newton; returns (point, residual) or None on failure."""
-    x = np.array(x0, dtype=float)
-    fx = F(x)
-    res = float(np.max(np.abs(fx)))
+def _batch_newton(C: CompiledPolyVec, seeds: np.ndarray, r_min: float):
+    """Damped Newton from every seed at once, each seed by its own rules.
+
+    A seed stops when its residual drops below RESIDUAL_TOL and fails on a
+    singular Jacobian or when MAX_HALVINGS step halvings find no point above
+    r_min with a lower residual.  Returns the final points, the converged
+    mask and each seed's number of Jacobian evaluations.
+    """
+    x = np.array(seeds, dtype=float)
+    fx = C.values(x)
+    res = np.max(np.abs(fx), axis=1)
+    ok = np.zeros(len(x), dtype=bool)
+    steps = np.zeros(len(x), dtype=int)
+    live = np.arange(len(x))
     for _ in range(MAX_ITERS):
-        if res < RESIDUAL_TOL:
-            return x, res
-        J, det = jacobian(F, x)
-        if not np.isfinite(det) or abs(det) < 1e-300:
-            return None
-        try:
-            step = np.linalg.solve(J, fx)
-        except np.linalg.LinAlgError:
-            return None
+        done = res[live] < RESIDUAL_TOL
+        ok[live[done]] = True
+        live = live[~done]
+        if not live.size:
+            break
+        steps[live] += 1
+        J = C.jacobians(x[live])
+        det = np.linalg.det(J)
+        # a finite nonzero determinant means LU met no zero pivot: solve succeeds
+        regular = np.isfinite(det) & (np.abs(det) >= 1e-300)
+        live = live[regular]
+        step = np.linalg.solve(J[regular], fx[live][:, :, None])[:, :, 0]
         t = 1.0
+        pending = np.ones(len(live), dtype=bool)
         for _ in range(MAX_HALVINGS):
-            xn = x - t * step
-            if xn[0] > r_min:
-                fn = F(xn)
-                rn = float(np.max(np.abs(fn)))
-                if rn < res:
-                    x, fx, res = xn, fn, rn
-                    break
+            cand = np.flatnonzero(pending)
+            xn = x[live[cand]] - t * step[cand]
+            above = xn[:, 0] > r_min
+            cand, xn = cand[above], xn[above]
+            fn = C.values(xn)
+            rn = np.max(np.abs(fn), axis=1)
+            better = rn < res[live[cand]]
+            acc = live[cand[better]]
+            x[acc], fx[acc], res[acc] = xn[better], fn[better], rn[better]
+            pending[cand[better]] = False
+            if not pending.any():
+                break
             t *= 0.5
-        else:
-            return None
-    return (x, res) if res < RESIDUAL_TOL else None
+        live = live[~pending]
+    ok[live] = res[live] < RESIDUAL_TOL
+    return x, ok, steps
 
 
 def simplicity_threshold(F: PolyVec) -> float:
@@ -138,23 +160,22 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
         raise ValueError(f"box dimension {box.dim} does not match system dimension {F.nvars}")
     diag = diagnostics if diagnostics is not None else SearchDiagnostics()
 
+    seeds = box.seeds()
+    x, ok, steps = _batch_newton(CompiledPolyVec(F), seeds, box.r_min)
+    diag.seeds += len(seeds)
+    diag.newton_steps += int(steps.sum())
+    diag.diverged += int(np.count_nonzero(~ok))
+    at_r_min = ok & (x[:, 0] <= box.r_min)
+    diag.r_min_hits += int(np.count_nonzero(at_r_min))
+    in_box = np.all((x >= box.lo - 1e-6) & (x <= box.hi + 1e-6), axis=1)
+    cand = x[ok & ~at_r_min & in_box]
+    diag.converged += len(cand)
+    # keep the first limit of each cluster in seed order: the earliest
+    # candidate left is never within DEDUP_TOL of a kept one
     found = []
-    for seed in box.seeds():
-        diag.seeds += 1
-        hit = _newton(F, seed, box.r_min)
-        if hit is None:
-            diag.diverged += 1
-            continue
-        x, res = hit
-        if x[0] <= box.r_min:
-            diag.r_min_hits += 1
-            continue
-        if np.any(x < box.lo - 1e-6) or np.any(x > box.hi + 1e-6):
-            continue
-        diag.converged += 1
-        if any(np.linalg.norm(x - y) < DEDUP_TOL for y in found):
-            continue
-        found.append(x)
+    while len(cand):
+        found.append(cand[0])
+        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= DEDUP_TOL]
 
     thresh = simplicity_threshold(F)
     records = []

@@ -1,16 +1,27 @@
-"""Sparse polynomial arithmetic, jacobians, and degree bounds."""
+"""Sparse polynomial arithmetic, compiled evaluation, jacobians, and degree bounds."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcycles.polyalg import Poly, PolyVec, bezout_bound, jacobian
+from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound, jacobian
 
 coeffs = st.floats(-4.0, 4.0, allow_nan=False)
 monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys2 = st.dictionaries(monos2, coeffs, max_size=6).map(lambda t: Poly(2, t))
 points2 = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(np.array)
+monos3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+polyvecs3 = st.lists(st.dictionaries(monos3, coeffs, max_size=8), min_size=3, max_size=3).map(
+    lambda ts: PolyVec([Poly(3, t) for t in ts]))
+batches3 = st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=1, max_size=5).map(np.array)
+
+
+def _atol(p, x):
+    """1e-12 of the sum of |term| at x (the round-off scale of any summation
+    order), plus a floor for products that underflow into subnormals."""
+    scale = sum(abs(c) * np.prod(np.abs(x) ** np.array(mo)) for mo, c in p.terms.items())
+    return 1e-12 * scale + 1e-300
 
 
 class TestPoly:
@@ -69,6 +80,46 @@ class TestPolyVec:
             fd = (F(x + dx) - F(x - dx)) / (2 * h)
             np.testing.assert_allclose(J[:, k], fd, atol=1e-6)
         assert det == pytest.approx(np.linalg.det(J))
+
+
+class TestCompiledPolyVec:
+    @settings(max_examples=80, deadline=None)
+    @given(polyvecs3, batches3)
+    def test_matches_sparse_evaluation(self, F, X):
+        C = CompiledPolyVec(F)
+        vals, jacs = C.values(X), C.jacobians(X)
+        assert vals.shape == (len(X), 3) and jacs.shape == (len(X), 3, 3)
+        for b, x in enumerate(X):
+            for i, p in enumerate(F):
+                assert vals[b, i] == pytest.approx(p(x), rel=1e-12, abs=_atol(p, x))
+                for j in range(3):
+                    dp = p.diff(j)
+                    assert jacs[b, i, j] == pytest.approx(dp(x), rel=1e-12, abs=_atol(dp, x))
+
+    def test_zero_and_constant_components(self):
+        F = PolyVec([Poly(2), Poly.constant(2, 2.5)])
+        X = np.array([[0.3, -1.2], [0.0, 0.0]])
+        C = CompiledPolyVec(F)
+        np.testing.assert_array_equal(C.values(X), [[0.0, 2.5], [0.0, 2.5]])
+        np.testing.assert_array_equal(C.jacobians(X), np.zeros((2, 2, 2)))
+        J, det = jacobian(F, X[0])
+        np.testing.assert_array_equal(J, np.zeros((2, 2)))
+        assert det == 0.0
+        all_zero = CompiledPolyVec(PolyVec([Poly(2), Poly(2)]))
+        np.testing.assert_array_equal(all_zero.values(X), np.zeros((2, 2)))
+
+    def test_constant_next_to_variable_component(self):
+        F = PolyVec([Poly.constant(2, -1.0), Poly(2, {(0, 2): 3.0, (1, 0): 1.0})])
+        J, _ = jacobian(F, [0.5, 2.0])
+        np.testing.assert_array_equal(J, [[0.0, 0.0], [1.0, 12.0]])
+        np.testing.assert_allclose(CompiledPolyVec(F).values(np.array([[0.5, 2.0]])), [[-1.0, 12.5]])
+
+    def test_point_shape_checked(self):
+        F = PolyVec([Poly.variable(2, 0), Poly.variable(2, 1)])
+        with pytest.raises(ValueError, match="shape"):
+            CompiledPolyVec(F).values(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            jacobian(F, [1.0, 2.0, 3.0])
 
 
 class TestAlgebraProperties:

@@ -1,14 +1,21 @@
 """Grid-seeded Newton zero location and simplicity certification."""
 
+import math
+
 import numpy as np
 import pytest
 
-from avgcycles.polyalg import Poly, PolyVec
+from avgcycles.generators import gen_prop10, gen_prop20
+from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, jacobian
 from avgcycles.rootfind import (
+    MAX_HALVINGS,
+    MAX_ITERS,
+    RESIDUAL_TOL,
     CountExceedsBoundError,
     EmptyBoxError,
     SearchBox,
     SearchDiagnostics,
+    _batch_newton,
     certify_count,
     find_simple_zeros,
     write_zero_csv,
@@ -83,6 +90,97 @@ class TestFindSimpleZeros:
         find_simple_zeros(_radial_poly([1.0]), SearchBox([0.05], [2.0], grid=(7,)), diag)
         assert diag.seeds == 7
         assert diag.converged >= 1
+        assert diag.newton_steps >= 6  # only a seed already at the root needs none
+
+
+def _reference_newton(F, x0, r_min):
+    """Per-seed damped Newton on the sparse evaluator: (point, converged, steps)."""
+    x = np.array(x0, dtype=float)
+    fx = F(x)
+    res = float(np.max(np.abs(fx)))
+    for k in range(MAX_ITERS):
+        if res < RESIDUAL_TOL:
+            return x, True, k
+        J = np.array([[p.diff(j)(x) for j in range(len(x))] for p in F])
+        det = np.linalg.det(J)
+        if not np.isfinite(det) or abs(det) < 1e-300:
+            return x, False, k + 1
+        step = np.linalg.solve(J, fx)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            xn = x - t * step
+            if xn[0] > r_min:
+                fn = F(xn)
+                rn = float(np.max(np.abs(fn)))
+                if rn < res:
+                    x, fx, res = xn, fn, rn
+                    break
+            t *= 0.5
+        else:
+            return x, False, k + 1
+    return x, res < RESIDUAL_TOL, MAX_ITERS
+
+
+class TestBatchNewton:
+    @pytest.mark.parametrize("make", [
+        lambda: (_grid_system([0.7, 1.4], [-0.5, 0.5]), SearchBox([0.05, -1.0], [2.0, 1.0], grid=(9, 9))),
+        lambda: (_radial_poly([1.0, -0.5]), SearchBox([0.05], [2.0], grid=(15,), r_min=0.05)),
+        lambda: (gen_prop10(2, 1, math.pi / 3).system, SearchBox([0.05, -1.25], [2.1, 1.25], grid=(9, 9))),
+        lambda: (gen_prop20(1, 1).system, SearchBox([0.05, -1.25], [2.1, 1.25], grid=(9, 9))),
+    ], ids=["grid", "wall", "prop10", "prop20"])
+    def test_matches_per_seed_reference(self, make):
+        F, box = make()
+        seeds = box.seeds()
+        x, ok, steps = _batch_newton(CompiledPolyVec(F), seeds, box.r_min)
+        ref = [_reference_newton(F, s, box.r_min) for s in seeds]
+        assert ok.tolist() == [r[1] for r in ref]
+        assert steps.tolist() == [r[2] for r in ref]
+        np.testing.assert_allclose(x, [r[0] for r in ref], rtol=0, atol=1e-9)
+
+    def test_seed_uses_up_halvings(self):
+        # (r - c)^2 + 1 has no zero; at r = 1 the slope is -2e-9, so the Newton
+        # step is about 5e8 long and every halving down to 2^-29 overshoots
+        c = 1.0 + 1e-9
+        F = PolyVec([Poly(1, {(2,): 1.0, (1,): -2.0 * c, (0,): c * c + 1.0})])
+        box = SearchBox([0.5], [1.5], grid=(1,))
+        assert box.seeds()[0, 0] == 1.0
+        assert abs(jacobian(F, [1.0])[1]) > 1e-300
+        x, ok, steps = _batch_newton(CompiledPolyVec(F), box.seeds(), box.r_min)
+        assert not ok[0] and x[0, 0] == 1.0 and steps[0] == 1
+        diag = SearchDiagnostics()
+        assert find_simple_zeros(F, box, diag) == []
+        assert (diag.seeds, diag.diverged, diag.converged, diag.newton_steps) == (1, 1, 0, 1)
+
+    def test_seed_stopped_at_r_min(self):
+        # r + 0.5 vanishes at r = -0.5: every step aims below r_min, so the
+        # seed creeps down to the wall until no halving stays above it
+        F = PolyVec([Poly(1, {(1,): 1.0, (0,): 0.5})])
+        box = SearchBox([0.05], [2.0], grid=(1,), r_min=0.05)
+        x, ok, steps = _batch_newton(CompiledPolyVec(F), box.seeds(), box.r_min)
+        assert not ok[0]
+        assert box.r_min < x[0, 0] < box.r_min + 1e-6
+        assert 1 < steps[0] < MAX_ITERS
+        diag = SearchDiagnostics()
+        assert find_simple_zeros(F, box, diag) == []
+        assert (diag.diverged, diag.r_min_hits, diag.converged) == (1, 0, 0)
+
+    def test_full_turn_m2_has_no_zeros(self):
+        res = gen_prop20(1, 2)
+        diag = SearchDiagnostics()
+        assert find_simple_zeros(res.system, res.box, diag) == []
+        assert (diag.seeds, diag.diverged, diag.converged) == (3375, 3375, 0)
+
+    def test_planted_grid_found(self):
+        res = gen_prop10(2, 2, math.pi / 3)
+        diag = SearchDiagnostics()
+        records = find_simple_zeros(res.system, res.box, diag)
+        assert (diag.seeds, diag.converged, diag.diverged) == (3375, 3375, 0)
+        # compare as sets: records are sorted by tuple, and coordinates that
+        # tie up to round-off can flip their order
+        found = [r.nu for r in records if r.simple]
+        assert len(found) == len(res.zeros) == 8
+        for z in res.zeros:
+            assert min(np.max(np.abs(f - z)) for f in found) < 1e-8
 
 
 class TestCertifyCount:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyalg import Poly, PolyVec
+from .polyalg import CompiledPolyVec, Poly, PolyVec
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI, HarmonicSum, trig_monomial
 
@@ -499,26 +499,40 @@ def flow(spec: SystemSpec, theta: float, zz: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_fields(spec: SystemSpec, order: int, sign: str, theta: float, x: np.ndarray) -> np.ndarray:
-    """Cylindrical field components (A or B), numbered 1..d+2, at a state."""
+def compile_fields(spec: SystemSpec, order: int, sign: str) -> CompiledPolyVec:
+    """One zone's perturbation tables, compiled over (x, y, z_1, ..., z_d).
+
+    The components are a, b, c_1..c_d for order 1 and alpha, beta,
+    gamma_1..gamma_d for order 2.
+    """
     fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
-    r = x[0]
-    z = x[1:]
+    tables = [spec.table(fam_a, sign), spec.table(fam_b, sign), *spec.tables[fam_c + sign]]
+    return CompiledPolyVec(spec.d + 2, [t.entries for t in tables])
+
+
+def _cartesian(theta: float, x: np.ndarray):
+    """cos(theta), sin(theta) and the point (r cos, r sin, z) as a batch of one."""
     cx, sx = math.cos(theta), math.sin(theta)
-    xx, yy = r * cx, r * sx
-    va = spec.table(fam_a, sign).eval(xx, yy, z)
-    vb = spec.table(fam_b, sign).eval(xx, yy, z)
-    out = np.empty(spec.d + 2)
-    out[0] = (vb * cx - va * sx) / r
-    out[1] = va * cx + vb * sx
-    for ell in range(spec.d):
-        out[ell + 2] = spec.table(fam_c, sign, ell).eval(xx, yy, z)
+    point = np.empty((1, len(x) + 1))
+    point[0, 0], point[0, 1], point[0, 2:] = x[0] * cx, x[0] * sx, x[1:]
+    return cx, sx, point
+
+
+def eval_fields(C: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
+    """Cylindrical field components (A or B), numbered 1..d+2, at a state.
+
+    ``C`` is the zone's compile_fields vector of the wanted order.
+    """
+    cx, sx, point = _cartesian(theta, x)
+    out = C.values(point)[0]
+    va, vb = out[0], out[1]
+    out[0], out[1] = (vb * cx - va * sx) / x[0], va * cx + vb * sx
     return out
 
 
-def eval_F1(spec: SystemSpec, sign: str, theta: float, x: np.ndarray) -> np.ndarray:
-    """First-order theta-time field (d+1 components)."""
-    A = eval_fields(spec, 1, sign, theta, x)
+def eval_F1(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
+    """First-order theta-time field (d+1 components) from the zone's order-1 tables."""
+    A = eval_fields(C1, theta, x)
     out = np.empty(spec.d + 1)
     out[: spec.m + 1] = A[1 : spec.m + 2]
     for w in range(spec.m + 1, spec.d + 1):
@@ -526,10 +540,11 @@ def eval_F1(spec: SystemSpec, sign: str, theta: float, x: np.ndarray) -> np.ndar
     return out
 
 
-def eval_F2(spec: SystemSpec, sign: str, theta: float, x: np.ndarray) -> np.ndarray:
-    """Second-order theta-time field (d+1 components)."""
-    A = eval_fields(spec, 1, sign, theta, x)
-    B = eval_fields(spec, 2, sign, theta, x)
+def eval_F2(spec: SystemSpec, C1: CompiledPolyVec, C2: CompiledPolyVec, theta: float,
+            x: np.ndarray) -> np.ndarray:
+    """Second-order theta-time field (d+1 components) from the zone's order-1 and -2 tables."""
+    A = eval_fields(C1, theta, x)
+    B = eval_fields(C2, theta, x)
     out = np.empty(spec.d + 1)
     for ell in range(spec.m + 1):
         out[ell] = B[ell + 1] - A[0] * A[ell + 1]
@@ -539,35 +554,27 @@ def eval_F2(spec: SystemSpec, sign: str, theta: float, x: np.ndarray) -> np.ndar
     return out
 
 
-def _F1_jac(spec: SystemSpec, sign: str, theta: float, x: np.ndarray) -> np.ndarray:
+def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the first-order field with respect to (r, z)."""
-    r, z = x[0], x[1:]
-    cx, sx = math.cos(theta), math.sin(theta)
-    xx, yy = r * cx, r * sx
-
-    def chain(g):
-        # gradient wrt (x, y, z) -> gradient wrt (r, z) along x = r cos, y = r sin
-        out = np.empty(spec.d + 1)
-        out[0] = cx * g[0] + sx * g[1]
-        out[1:] = g[2:]
-        return out
-
-    va, ga = spec.table("a", sign).eval_grad(xx, yy, z)
-    vb, gb = spec.table("b", sign).eval_grad(xx, yy, z)
+    r = x[0]
+    cx, sx, point = _cartesian(theta, x)
+    va, vb = C1.values(point)[0, :2]
+    G = C1.jacobians(point)[0]
+    # gradients wrt (x, y, z) -> wrt (r, z) along x = r cos, y = r sin
+    g = np.empty((spec.d + 2, spec.d + 1))
+    g[:, 0] = cx * G[:, 0] + sx * G[:, 1]
+    g[:, 1:] = G[:, 2:]
     A1 = (vb * cx - va * sx) / r
-    dA1 = (cx * chain(gb) - sx * chain(ga)) / r
+    dA1 = (cx * g[1] - sx * g[0]) / r
     dA1[0] -= A1 / r
 
     J = np.empty((spec.d + 1, spec.d + 1))
-    J[0] = cx * chain(ga) + sx * chain(gb)
-    for k in range(1, spec.d + 1):
-        _, gc = spec.table("c", sign, k - 1).eval_grad(xx, yy, z)
-        row = chain(gc)
-        if k > spec.m:
-            mu = spec.mu[k - 1]
-            row = row - mu * x[k] * dA1
-            row[k] -= mu * A1
-        J[k] = row
+    J[0] = cx * g[0] + sx * g[1]
+    J[1:] = g[2:]
+    for k in range(spec.m + 1, spec.d + 1):
+        mu = spec.mu[k - 1]
+        J[k] -= mu * x[k] * dA1
+        J[k, k] -= mu * A1
     return J
 
 
@@ -579,9 +586,11 @@ def _Y_diag(spec: SystemSpec, theta: float) -> np.ndarray:
 
 
 def _y1(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray, tol: float) -> np.ndarray:
+    C1 = compile_fields(spec, 1, sign)
+
     def integrand(s):
         xs = flow(spec, s, zz)
-        return eval_F1(spec, sign, s, xs) / _Y_diag(spec, s)
+        return eval_F1(spec, C1, s, xs) / _Y_diag(spec, s)
 
     return _Y_diag(spec, theta) * quad_vec(integrand, 0.0, theta, tol=tol)
 
@@ -601,12 +610,13 @@ def _y2(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray, tol: float) -
     dmu = np.zeros(nvar)
     for w in range(spec.m + 1, spec.d + 1):
         dmu[w] = spec.mu[w - 1]
+    C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
 
     def rhs(s, y):
         xs = flow(spec, s, zz)
         y1, y2 = y[:nvar], y[nvar:]
-        d1 = dmu * y1 + eval_F1(spec, sign, s, xs)
-        d2 = dmu * y2 + 2.0 * eval_F2(spec, sign, s, xs) + 2.0 * _F1_jac(spec, sign, s, xs) @ y1
+        d1 = dmu * y1 + eval_F1(spec, C1, s, xs)
+        d2 = dmu * y2 + 2.0 * eval_F2(spec, C1, C2, s, xs) + 2.0 * _F1_jac(spec, C1, s, xs) @ y1
         return np.concatenate([d1, d2])
 
     sol = solve_ivp(rhs, (0.0, theta), np.zeros(2 * nvar), method="DOP853", rtol=1e-12, atol=1e-13)

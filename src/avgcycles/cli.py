@@ -21,7 +21,7 @@ from .polyalg import PolyVec
 from .repro import RunConfig, build_report
 from .rootfind import SearchBox, find_simple_zeros, write_zero_csv
 from .sysspec import SystemSpec
-from .trigkernel import TWO_PI, load_cache, save_cache
+from .trigkernel import TWO_PI
 
 
 def _parse_phi(text: str) -> float:
@@ -200,11 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    load_cache()
-    try:
-        return args.func(args)
-    finally:
-        save_cache()
+    return args.func(args)
 
 
 if __name__ == "__main__":

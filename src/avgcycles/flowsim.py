@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .avgcore import eval_fields
+from .avgcore import compile_fields, eval_fields
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
 
@@ -87,11 +87,13 @@ def _zone_sign(spec: SystemSpec, theta: float) -> str:
 
 
 def _rhs(spec: SystemSpec, eps: float, sign: str):
+    C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
+
     def rhs(theta, x):
         if x[0] <= 0.0:
             raise RCrossedZeroError(f"r = {x[0]:.3e} at theta = {theta:.6f}")
-        A = eval_fields(spec, 1, sign, theta, x)
-        B = eval_fields(spec, 2, sign, theta, x)
+        A = eval_fields(C1, theta, x)
+        B = eval_fields(C2, theta, x)
         denom = 1.0 + eps * A[0] + eps * eps * B[0]
         if denom <= 0.0:
             raise DenominatorVanishedError(

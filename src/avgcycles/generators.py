@@ -117,30 +117,41 @@ def _poly_vec_to_coeffs(pv: PolyVec, monos: list) -> np.ndarray:
     return out
 
 
-def _fit_linear_f1(n, m, phi, slots, target: PolyVec, tol=LINEAR_TOL):
+def _monomial_basis(pvs) -> list:
+    """Sorted (component, monomial) pairs appearing in any of the PolyVecs."""
+    return sorted({(ci, mo) for pv in pvs for ci, p in enumerate(pv) for mo in p.terms})
+
+
+def _fit_linear(columns: list, target: PolyVec, message: str) -> np.ndarray:
+    """Least-squares weights x with sum_k x_k * columns[k] = target, coefficientwise.
+
+    Raises InfeasibleTargetError when the coefficient residual exceeds
+    LINEAR_TOL (relative to the target's largest coefficient); ``message``
+    is formatted with the residual ``resid``, the map's ``rank`` and its
+    ``shape``.
+    """
+    monos = _monomial_basis(columns + [target])
+    A = np.zeros((len(monos), len(columns)))
+    for k, pv in enumerate(columns):
+        A[:, k] = _poly_vec_to_coeffs(pv, monos)
+    b = _poly_vec_to_coeffs(target, monos)
+    x = np.linalg.lstsq(A, b, rcond=None)[0] if A.size else np.zeros(len(columns))
+    resid = float(np.max(np.abs(A @ x - b), initial=0.0))
+    if resid > LINEAR_TOL * max(1.0, np.max(np.abs(b), initial=0.0)):
+        rank = np.linalg.matrix_rank(A) if A.size else 0
+        raise InfeasibleTargetError(message.format(resid=resid, rank=rank, shape=A.shape))
+    return x
+
+
+def _fit_linear_f1(n, m, phi, slots, target: PolyVec):
     """Solve for slot values so that build_f1 matches the target PolyVec."""
     probes = [build_f1(_spec_from_slots(n, m, phi, [slot], [1.0])) for slot in slots]
-    monos = set()
-    for pv in probes + [target]:
-        for ci, p in enumerate(pv):
-            monos.update((ci, mo) for mo in p.terms)
-    monos = sorted(monos)
-    A = np.stack([_poly_vec_to_coeffs(pv, monos) for pv in probes], axis=1)
-    b = _poly_vec_to_coeffs(target, monos)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.max(np.abs(A @ sol - b))) if len(b) else 0.0
-    if resid > tol * max(1.0, np.max(np.abs(b), initial=0.0)):
-        rank = np.linalg.matrix_rank(A)
-        raise InfeasibleTargetError(
-            f"first-order target not in coefficient-map image: residual {resid:.3e}, "
-            f"matrix rank {rank} of {A.shape}"
-        )
+    sol = _fit_linear(probes, target, "first-order target not in coefficient-map image: "
+                      "residual {resid:.3e}, matrix rank {rank} of {shape}")
     spec = _spec_from_slots(n, m, phi, slots, sol)
     f1 = build_f1(spec)
-    worst = max(
-        abs(f1[ci].terms.get(mo, 0.0) - target[ci].terms.get(mo, 0.0)) for ci, mo in monos
-    ) if monos else 0.0
-    if worst > 10 * tol * max(1.0, np.max(np.abs(b), initial=0.0)):
+    worst = max((p - q).max_coeff() for p, q in zip(f1, target))
+    if worst > 10 * LINEAR_TOL * max(1.0, max(q.max_coeff() for q in target)):
         raise InfeasibleTargetError(f"re-verification failed: coefficient error {worst:.3e}")
     return spec, f1
 
@@ -329,11 +340,7 @@ class _QuadModel:
                 probes[(i, j)] = rf2_of(eye[i] + eye[j], np.zeros(len(vslots)))
         lcols = [rf2_of(np.zeros(self.udim), col) for col in np.eye(len(vslots))]
 
-        monos = set()
-        for pv in list(probes.values()) + lcols:
-            for ci, p in enumerate(pv):
-                monos.update((ci, mo) for mo in p.terms)
-        self.monos = sorted(monos)
+        self.monos = _monomial_basis(list(probes.values()) + lcols)
         vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
         self.C = {}
         for i in range(self.udim):
@@ -768,21 +775,8 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
 
     qcols = [q_map_column(col) for col in np.eye(N.shape[1])]
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
-    monos = set()
-    for pv in qcols + [q_target]:
-        for ci, p in enumerate(pv):
-            monos.update((ci, mo) for mo in p.terms)
-    monos = sorted(monos)
-    A = np.stack([_poly_vec_to_coeffs(pv, monos) for pv in qcols], axis=1) if qcols else np.zeros((len(monos), 0))
-    b = _poly_vec_to_coeffs(q_target, monos)
-    u, *_ = np.linalg.lstsq(A, b, rcond=None) if A.shape[1] else (np.zeros(0),)
-    resid = float(np.max(np.abs(A @ u - b))) if len(b) else 0.0
-    if resid > LINEAR_TOL * max(1.0, np.max(np.abs(b), initial=0.0)):
-        rank = np.linalg.matrix_rank(A) if A.size else 0
-        raise InfeasibleTargetError(
-            f"Q target not realizable: residual {resid:.3e}, map rank {rank} of {A.shape}; "
-            "note Q_l must be divisible by r"
-        )
+    u = _fit_linear(qcols, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
+                    "of {shape}; note Q_l must be divisible by r")
 
     # P map: second-order tables through the f_1-shaped linear integrals
     pslots = _scalar_slots(n, m, ("alpha", "beta"))
@@ -800,18 +794,7 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
 
     pcols = [p_map_column(slot) for slot in pslots]
     p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
-    pmonos = set()
-    for pv in pcols + [p_target]:
-        for ci, p in enumerate(pv):
-            pmonos.update((ci, mo) for mo in p.terms)
-    pmonos = sorted(pmonos)
-    Ap = np.stack([_poly_vec_to_coeffs(pv, pmonos) for pv in pcols], axis=1)
-    bp = _poly_vec_to_coeffs(p_target, pmonos)
-    v, *_ = np.linalg.lstsq(Ap, bp, rcond=None)
-    residp = float(np.max(np.abs(Ap @ v - bp))) if len(bp) else 0.0
-    if residp > LINEAR_TOL * max(1.0, np.max(np.abs(bp), initial=0.0)):
-        rank = np.linalg.matrix_rank(Ap)
-        raise InfeasibleTargetError(f"P target not realizable: residual {residp:.3e}, map rank {rank} of {Ap.shape}")
+    v = _fit_linear(pcols, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
 
     # assemble: angular part + delta-scaled first order, delta-scaled second order
     spec = zero_spec(n, m, m, phi)

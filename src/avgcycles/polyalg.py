@@ -4,9 +4,11 @@ Variables are ordered (r, z_1, ..., z_m); a monomial is a dense exponent
 tuple of length nvars.  Coefficients below PRUNE_TOL are dropped so that
 round-off from the integral kernels does not accumulate into spurious terms.
 
-For repeated evaluation a PolyVec is compiled to a CompiledPolyVec: dense
-exponent and coefficient arrays that give values and Jacobians for a whole
-batch of points from one table of powers.
+CompiledPolyVec is the package's one compiled evaluator: it turns a list of
+sparse exponent -> coefficient maps (a PolyVec's terms, or the coefficient
+tables of a system spec, which are compiled as stored and never pruned) into
+dense exponent and coefficient arrays that give values and Jacobians for a
+whole batch of points from one table of powers.
 """
 
 from __future__ import annotations
@@ -170,48 +172,54 @@ class PolyVec:
 
 
 class CompiledPolyVec:
-    """A PolyVec as arrays, evaluated on a batch of points at once.
+    """Polynomials in nvars variables as arrays, evaluated on a batch of points.
 
-    `exps[t]` is the t-th monomial of the sorted union of the components'
-    monomials and `coef[i, t]` its coefficient in component i.  For each
-    variable j, `dexps[j]` and `dcoef[j]` hold d/dx_j of those terms in the
-    same layout.  A batch of points (B, nvars) becomes a table of powers
-    x_v**e, each monomial a product of table entries, and each value a
-    matrix product with the coefficients.
+    Built from one exponent-tuple -> coefficient dict per component, taken
+    as given (no pruning).  `exps[t]` is the t-th monomial of the sorted
+    union of the components' monomials and `coef[i, t]` its coefficient in
+    component i; `dcoef[j]` holds the coefficients of d/dx_j of those terms.
+    A batch of points (B, nvars) becomes a flat table of powers with
+    K = len(degrees) columns per variable, column v*K + e holding x_v**e.
+    Each monomial is the product of its nvars columns (`cols[t]`, or
+    `dcols[j, t]` for the derivative terms) and each value a matrix
+    product with the coefficients.
     """
 
-    __slots__ = ("nvars", "exps", "coef", "dexps", "dcoef")
+    __slots__ = ("nvars", "exps", "coef", "dcoef", "degrees", "cols", "dcols")
 
-    def __init__(self, F: PolyVec):
-        n = self.nvars = F.nvars
-        monos = sorted(set().union(*(p.terms for p in F)))
+    def __init__(self, nvars: int, components):
+        n = self.nvars = nvars
+        monos = sorted(set().union(*components))
         self.exps = np.array(monos, dtype=np.intp).reshape(len(monos), n)
-        self.coef = np.array([[p.terms.get(mo, 0.0) for mo in monos] for p in F]).reshape(len(F), len(monos))
+        coef = [[c.get(mo, 0.0) for mo in monos] for c in components]
+        self.coef = np.array(coef).reshape(len(components), len(monos))
+        self.degrees = np.arange(self.exps.max(initial=0) + 1)
+        offsets = np.arange(n) * len(self.degrees)
+        self.cols = offsets + self.exps
         # d/dx_j takes c * x^e to (c * e_j) * x^(e - unit_j); a term free of
         # x_j gets coefficient 0, so its clipped exponent never matters
-        self.dexps = np.maximum(self.exps[None] - np.eye(n, dtype=np.intp)[:, None], 0)
+        self.dcols = offsets + np.maximum(self.exps[None] - np.eye(n, dtype=np.intp)[:, None], 0)
         self.dcoef = self.coef[None] * self.exps.T[:, None]
+
+    @classmethod
+    def of(cls, F: PolyVec) -> "CompiledPolyVec":
+        """Compile a PolyVec's (already pruned) terms."""
+        return cls(F.nvars, [p.terms for p in F])
 
     def _powers(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.nvars:
             raise ValueError(f"points have shape {X.shape}, expected (B, {self.nvars})")
-        return X[:, :, None] ** np.arange(self.exps.max(initial=0) + 1)
-
-    def _monomials(self, P, exps):
-        M = np.ones((P.shape[0], len(exps)))
-        for v in range(self.nvars):
-            M *= P[:, v, exps[:, v]]
-        return M
+        return (X[:, :, None] ** self.degrees).reshape(len(X), self.nvars * len(self.degrees))
 
     def values(self, X):
         """Component values at each point: shape (B, ncomponents)."""
-        return self._monomials(self._powers(X), self.exps) @ self.coef.T
+        return self._powers(X)[:, self.cols].prod(axis=-1) @ self.coef.T
 
     def jacobians(self, X):
         """Jacobian at each point: shape (B, ncomponents, nvars)."""
         P = self._powers(X)
-        cols = [self._monomials(P, e) @ c.T for e, c in zip(self.dexps, self.dcoef)]
+        cols = [P[:, dc].prod(axis=-1) @ c.T for dc, c in zip(self.dcols, self.dcoef)]
         return np.stack(cols, axis=-1)
 
 
@@ -220,7 +228,7 @@ def jacobian(F: PolyVec, point):
     n = len(F)
     if F.nvars != n:
         raise ValueError(f"system is not square: {n} equations, {F.nvars} variables")
-    J = CompiledPolyVec(F).jacobians(np.asarray(point, dtype=float).reshape(1, -1))[0]
+    J = CompiledPolyVec.of(F).jacobians(np.asarray(point, dtype=float).reshape(1, -1))[0]
     return J, float(np.linalg.det(J))
 
 

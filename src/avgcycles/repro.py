@@ -99,7 +99,7 @@ class Report:
 
     @property
     def metadata(self) -> dict:
-        return {
+        meta = {
             "package": f"avgcycles {__version__}",
             "numpy": np.__version__,
             "python": platform.python_version(),
@@ -107,8 +107,12 @@ class Report:
             "suite": self.config.suite,
             "max_n": self.config.max_n,
             "m_values": ",".join(map(str, self.config.m_values)),
-            "phi": f"{self.config.phi:.10g}",
         }
+        # only the generic suite uses the configured angle; th6 and th7 rows
+        # carry their own (pi, 2*pi) in the phi column
+        if "th3" in self.config.suites():
+            meta["th3_phi"] = f"{self.config.phi:.10g}"
+        return meta
 
     HEADER = ["generator", "n", "m", "phi", "expected", "found", "bezout",
               "verified_cycles", "status", "detail"]

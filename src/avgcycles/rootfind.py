@@ -5,8 +5,11 @@ the box is reachable from some nearby seed, so no continuation machinery is
 needed.  The system is compiled once (polyalg.CompiledPolyVec) and Newton
 runs on all seeds as one (seeds, nvars) batch, each seed keeping its own
 stopping, failure and step-halving rules.  The limits are then filtered and
-deduplicated in seed order.  A zero is certified simple when the residual is
-tiny and the Jacobian determinant clears a degree-aware threshold.
+deduplicated in seed order; a seed that fails at the r_min wall counts as an
+r_min hit, any other failure as diverged.  The same compiled system gives
+each zero's final residual and Jacobian determinant: a zero is certified
+simple when the residual is tiny and the determinant clears a degree-aware
+threshold.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polyalg import CompiledPolyVec, PolyVec, bezout_bound, jacobian
+from .polyalg import CompiledPolyVec, PolyVec, bezout_bound
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
@@ -161,14 +164,16 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
     diag = diagnostics if diagnostics is not None else SearchDiagnostics()
 
     seeds = box.seeds()
-    x, ok, steps = _batch_newton(CompiledPolyVec(F), seeds, box.r_min)
+    C = CompiledPolyVec.of(F)
+    x, ok, steps = _batch_newton(C, seeds, box.r_min)
+    # a seed that failed within DEDUP_TOL of the wall was stopped by r_min
+    at_wall = ~ok & (x[:, 0] - box.r_min < DEDUP_TOL)
     diag.seeds += len(seeds)
     diag.newton_steps += int(steps.sum())
-    diag.diverged += int(np.count_nonzero(~ok))
-    at_r_min = ok & (x[:, 0] <= box.r_min)
-    diag.r_min_hits += int(np.count_nonzero(at_r_min))
+    diag.diverged += int(np.count_nonzero(~ok & ~at_wall))
+    diag.r_min_hits += int(np.count_nonzero(at_wall))
     in_box = np.all((x >= box.lo - 1e-6) & (x <= box.hi + 1e-6), axis=1)
-    cand = x[ok & ~at_r_min & in_box]
+    cand = x[ok & in_box]
     diag.converged += len(cand)
     # keep the first limit of each cluster in seed order: the earliest
     # candidate left is never within DEDUP_TOL of a kept one
@@ -177,11 +182,12 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
         found.append(cand[0])
         cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= DEDUP_TOL]
 
+    found = np.array(sorted(found, key=tuple)).reshape(-1, F.nvars)
+    residuals = np.max(np.abs(C.values(found)), axis=1)
+    dets = np.linalg.det(C.jacobians(found))
     thresh = simplicity_threshold(F)
     records = []
-    for x in sorted(found, key=tuple):
-        res = float(np.max(np.abs(F(x))))
-        _, det = jacobian(F, x)
+    for x, res, det in zip(found, residuals.tolist(), dets.tolist()):
         # a multiple root converged to residual res sits at distance
         # ~sqrt(res), where the determinant is itself ~sqrt(res): demand a
         # clear margin over that scale as well as over the static threshold

@@ -4,7 +4,8 @@ A system is the linear rotation-plus-diagonal field perturbed by two
 piecewise polynomial fields (first and second order in the small parameter),
 each with separate coefficient tables on the two angular zones.  Tables map
 exponent multi-indices (i, j, k_1, ..., k_d) of x^i y^j z^k monomials to real
-coefficients.
+coefficients.  Tables only store and validate coefficients; evaluation goes
+through polyalg.CompiledPolyVec (see avgcore.compile_fields).
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class CoefficientTable:
             if val != 0.0:
                 clean[idx] = float(val)
         self.entries = clean
-        self._arrays = None
 
     def _check_index(self, idx):
         if len(idx) != self.d + 2:
@@ -74,7 +74,6 @@ class CoefficientTable:
     def set(self, idx, val: float):
         idx = tuple(int(e) for e in idx)
         self._check_index(idx)
-        self._arrays = None
         if val == 0.0:
             self.entries.pop(idx, None)
         else:
@@ -85,42 +84,6 @@ class CoefficientTable:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def _get_arrays(self):
-        if self._arrays is None:
-            keys = sorted(self.entries)
-            exps = np.array(keys, dtype=float).reshape(len(keys), self.d + 2)
-            coeffs = np.array([self.entries[k] for k in keys])
-            # per-variable derivative exponent matrices (clipped at zero) and
-            # derivative coefficients, for analytic gradients
-            dexps = [np.maximum(exps - np.eye(1, self.d + 2, k, dtype=float)[0], 0.0) for k in range(self.d + 2)]
-            dcoeffs = [coeffs * exps[:, k] for k in range(self.d + 2)]
-            self._arrays = (exps, coeffs, dexps, dcoeffs)
-        return self._arrays
-
-    def _point(self, x, y, z):
-        point = np.empty(self.d + 2)
-        point[0], point[1], point[2:] = x, y, z
-        return point
-
-    def eval(self, x: float, y: float, z) -> float:
-        exps, coeffs, _, _ = self._get_arrays()
-        if not len(coeffs):
-            return 0.0
-        return float(coeffs @ np.prod(self._point(x, y, z) ** exps, axis=1))
-
-    def eval_grad(self, x: float, y: float, z):
-        """Value and gradient with respect to (x, y, z_1, ..., z_d)."""
-        exps, coeffs, dexps, dcoeffs = self._get_arrays()
-        grad = np.zeros(self.d + 2)
-        if not len(coeffs):
-            return 0.0, grad
-        point = self._point(x, y, z)
-        val = float(coeffs @ np.prod(point**exps, axis=1))
-        for k in range(self.d + 2):
-            if dcoeffs[k].any():
-                grad[k] = float(dcoeffs[k] @ np.prod(point ** dexps[k], axis=1))
-        return val, grad
 
 
 @dataclass

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,8 +20,6 @@ TWO_PI = 2.0 * math.pi
 # Below this |lambda| the closed form has a 1/lambda cancellation; switch to a
 # short Taylor expansion of e^(lam*s) instead.
 _LAM_SMALL = 1e-8
-
-_CACHE_ENV = "AVGCYCLES_CACHE_DIR"
 
 
 class KernelError(ValueError):
@@ -174,7 +169,6 @@ def trig_monomial(p: int, q: int, k: int = 0, lam: complex = 0.0j) -> HarmonicSu
 # ---------------------------------------------------------------------------
 
 _I_CACHE: dict = {}
-_I_LOCK = threading.Lock()
 
 
 def _trig_I(p: int, q: int, phi: float) -> float:
@@ -197,8 +191,7 @@ def _trig_I(p: int, q: int, phi: float) -> float:
         val = 1.0 - cphi
     else:  # (1, 1)
         val = 0.5 * sphi * sphi
-    with _I_LOCK:
-        _I_CACHE[key] = val
+    _I_CACHE[key] = val
     return val
 
 
@@ -296,38 +289,3 @@ def lemma_vanish_predicate(interval: str, kind: str, exponents, phi: float) -> b
         return p % 2 == 1
     # nested: the four parity cases all reduce to i odd and p odd
     return i % 2 == 1 and p % 2 == 1
-
-
-# ---------------------------------------------------------------------------
-# Optional on-disk persistence of the I-recurrence memo.
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "trig_i_cache.pkl")
-
-
-def load_cache(cache_dir: str | None = None) -> int:
-    cache_dir = cache_dir or os.environ.get(_CACHE_ENV)
-    if not cache_dir:
-        return 0
-    path = _cache_path(cache_dir)
-    if not os.path.exists(path):
-        return 0
-    with open(path, "rb") as fh:
-        data = pickle.load(fh)
-    with _I_LOCK:
-        _I_CACHE.update(data)
-    return len(data)
-
-
-def save_cache(cache_dir: str | None = None) -> int:
-    cache_dir = cache_dir or os.environ.get(_CACHE_ENV)
-    if not cache_dir:
-        return 0
-    os.makedirs(cache_dir, exist_ok=True)
-    with _I_LOCK:
-        data = dict(_I_CACHE)
-    with open(_cache_path(cache_dir), "wb") as fh:
-        pickle.dump(data, fh)
-    return len(data)

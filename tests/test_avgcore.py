@@ -7,10 +7,14 @@ import pytest
 
 from avgcycles.avgcore import (
     DegenerateEigenvalueError,
+    _F1_jac,
     build_averaged_system,
     build_f1,
     build_f2,
     build_gamma,
+    compile_fields,
+    eval_F1,
+    eval_fields,
     f1_kernel_constraints,
     oracle_f1,
     oracle_f2,
@@ -118,3 +122,42 @@ class TestBuildAveragedSystem:
         spec = project_to_kernel(random_spec(2, 0, 0, TWO_PI, 52, scale=0.5))
         avg = build_averaged_system(spec)
         assert avg.rf2 is not None
+
+
+class TestCompiledFields:
+    """The flow and oracle fields evaluate the spec's tables through CompiledPolyVec."""
+
+    spec = random_spec(2, 1, 3, 1.1, 23)  # d > m: two slave components
+    states = [np.array([0.7, -0.4, 0.3, -0.6]), np.array([1.4, 0.5, -0.2, 0.9])]
+
+    @staticmethod
+    def _table_sum(table, point):
+        return sum(c * math.prod(v**e for v, e in zip(point, idx)) for idx, c in table.entries.items())
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_fields_match_per_monomial_sums(self, order, sign):
+        fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
+        C = compile_fields(self.spec, order, sign)
+        for theta in (0.3, 2.9):
+            for x in self.states:
+                r, cx, sx = x[0], math.cos(theta), math.sin(theta)
+                point = (r * cx, r * sx, *x[1:])
+                va = self._table_sum(self.spec.table(fam_a, sign), point)
+                vb = self._table_sum(self.spec.table(fam_b, sign), point)
+                vc = [self._table_sum(self.spec.table(fam_c, sign, k), point) for k in range(self.spec.d)]
+                want = [(vb * cx - va * sx) / r, va * cx + vb * sx, *vc]
+                np.testing.assert_allclose(eval_fields(C, theta, x), want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_f1_jacobian_matches_central_differences(self, sign):
+        C1 = compile_fields(self.spec, 1, sign)
+        h = 1e-6
+        for theta in (0.3, 2.9):
+            for x in self.states:
+                J = _F1_jac(self.spec, C1, theta, x)
+                for k in range(len(x)):
+                    dx = np.zeros(len(x))
+                    dx[k] = h
+                    fd = (eval_F1(self.spec, C1, theta, x + dx) - eval_F1(self.spec, C1, theta, x - dx)) / (2 * h)
+                    np.testing.assert_allclose(J[:, k], fd, rtol=1e-7, atol=1e-8)

@@ -86,7 +86,7 @@ class TestCompiledPolyVec:
     @settings(max_examples=80, deadline=None)
     @given(polyvecs3, batches3)
     def test_matches_sparse_evaluation(self, F, X):
-        C = CompiledPolyVec(F)
+        C = CompiledPolyVec.of(F)
         vals, jacs = C.values(X), C.jacobians(X)
         assert vals.shape == (len(X), 3) and jacs.shape == (len(X), 3, 3)
         for b, x in enumerate(X):
@@ -99,25 +99,25 @@ class TestCompiledPolyVec:
     def test_zero_and_constant_components(self):
         F = PolyVec([Poly(2), Poly.constant(2, 2.5)])
         X = np.array([[0.3, -1.2], [0.0, 0.0]])
-        C = CompiledPolyVec(F)
+        C = CompiledPolyVec.of(F)
         np.testing.assert_array_equal(C.values(X), [[0.0, 2.5], [0.0, 2.5]])
         np.testing.assert_array_equal(C.jacobians(X), np.zeros((2, 2, 2)))
         J, det = jacobian(F, X[0])
         np.testing.assert_array_equal(J, np.zeros((2, 2)))
         assert det == 0.0
-        all_zero = CompiledPolyVec(PolyVec([Poly(2), Poly(2)]))
+        all_zero = CompiledPolyVec.of(PolyVec([Poly(2), Poly(2)]))
         np.testing.assert_array_equal(all_zero.values(X), np.zeros((2, 2)))
 
     def test_constant_next_to_variable_component(self):
         F = PolyVec([Poly.constant(2, -1.0), Poly(2, {(0, 2): 3.0, (1, 0): 1.0})])
         J, _ = jacobian(F, [0.5, 2.0])
         np.testing.assert_array_equal(J, [[0.0, 0.0], [1.0, 12.0]])
-        np.testing.assert_allclose(CompiledPolyVec(F).values(np.array([[0.5, 2.0]])), [[-1.0, 12.5]])
+        np.testing.assert_allclose(CompiledPolyVec.of(F).values(np.array([[0.5, 2.0]])), [[-1.0, 12.5]])
 
     def test_point_shape_checked(self):
         F = PolyVec([Poly.variable(2, 0), Poly.variable(2, 1)])
         with pytest.raises(ValueError, match="shape"):
-            CompiledPolyVec(F).values(np.zeros((4, 3)))
+            CompiledPolyVec.of(F).values(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="shape"):
             jacobian(F, [1.0, 2.0, 3.0])
 

@@ -37,6 +37,13 @@ class TestReport:
     def test_metadata_embeds_seed(self, report):
         assert report.metadata["seed"] == 3
 
+    def test_header_angle_is_labelled_th3(self, report):
+        # the th6 rows use pi: the configured angle is not theirs to report
+        assert "phi" not in report.metadata and "th3_phi" not in report.metadata
+        for suite in ("th3", "all"):
+            meta = Report(RunConfig(suite=suite, phi=math.pi / 4)).metadata
+            assert meta["th3_phi"] == f"{math.pi / 4:.10g}" and "phi" not in meta
+
     def test_csv_round_trip(self, report, tmp_path):
         path = tmp_path / "report.csv"
         report.write_csv(path)

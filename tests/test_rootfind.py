@@ -131,7 +131,7 @@ class TestBatchNewton:
     def test_matches_per_seed_reference(self, make):
         F, box = make()
         seeds = box.seeds()
-        x, ok, steps = _batch_newton(CompiledPolyVec(F), seeds, box.r_min)
+        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), seeds, box.r_min)
         ref = [_reference_newton(F, s, box.r_min) for s in seeds]
         assert ok.tolist() == [r[1] for r in ref]
         assert steps.tolist() == [r[2] for r in ref]
@@ -145,7 +145,7 @@ class TestBatchNewton:
         box = SearchBox([0.5], [1.5], grid=(1,))
         assert box.seeds()[0, 0] == 1.0
         assert abs(jacobian(F, [1.0])[1]) > 1e-300
-        x, ok, steps = _batch_newton(CompiledPolyVec(F), box.seeds(), box.r_min)
+        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), box.seeds(), box.r_min)
         assert not ok[0] and x[0, 0] == 1.0 and steps[0] == 1
         diag = SearchDiagnostics()
         assert find_simple_zeros(F, box, diag) == []
@@ -156,19 +156,21 @@ class TestBatchNewton:
         # seed creeps down to the wall until no halving stays above it
         F = PolyVec([Poly(1, {(1,): 1.0, (0,): 0.5})])
         box = SearchBox([0.05], [2.0], grid=(1,), r_min=0.05)
-        x, ok, steps = _batch_newton(CompiledPolyVec(F), box.seeds(), box.r_min)
+        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), box.seeds(), box.r_min)
         assert not ok[0]
         assert box.r_min < x[0, 0] < box.r_min + 1e-6
         assert 1 < steps[0] < MAX_ITERS
         diag = SearchDiagnostics()
         assert find_simple_zeros(F, box, diag) == []
-        assert (diag.diverged, diag.r_min_hits, diag.converged) == (1, 0, 0)
+        assert (diag.diverged, diag.r_min_hits, diag.converged) == (0, 1, 0)
 
     def test_full_turn_m2_has_no_zeros(self):
+        # f_1 = (r, z1 - 0.013, z2 - 0.026): its only zero lies on r = 0, so
+        # Newton drives every seed to the r_min wall
         res = gen_prop20(1, 2)
         diag = SearchDiagnostics()
         assert find_simple_zeros(res.system, res.box, diag) == []
-        assert (diag.seeds, diag.diverged, diag.converged) == (3375, 3375, 0)
+        assert (diag.seeds, diag.diverged, diag.r_min_hits, diag.converged) == (3375, 0, 3375, 0)
 
     def test_planted_grid_found(self):
         res = gen_prop10(2, 2, math.pi / 3)

@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from avgcycles.avgcore import compile_fields
+from avgcycles.polyalg import CompiledPolyVec
 from avgcycles.sysspec import (
     CoefficientTable,
     SpecError,
@@ -33,12 +36,23 @@ class TestCoefficientTable:
             t.set((1, 0), 1.0)
 
     def test_eval_grad(self):
+        # tables are evaluated through the compiled form, as the fields are
         t = CoefficientTable(3, 1, {(1, 2, 0): 2.0, (0, 0, 1): -1.0})
-        val, grad = t.eval_grad(1.5, 0.5, [2.0])
+        C = CompiledPolyVec(3, [t.entries])
+        point = np.array([[1.5, 0.5, 2.0]])
+        val, grad = C.values(point)[0, 0], C.jacobians(point)[0, 0]
         assert val == pytest.approx(2.0 * 1.5 * 0.25 - 2.0)
         assert grad[0] == pytest.approx(2.0 * 0.25)
         assert grad[1] == pytest.approx(2.0 * 1.5 * 2 * 0.5)
         assert grad[2] == pytest.approx(-1.0)
+
+    def test_tiny_entry_survives_compilation(self):
+        # table entries compile as stored: nothing below polyalg.PRUNE_TOL is dropped
+        spec = zero_spec(1, 0, 1, 1.0)
+        spec.table("a", "+").set((1, 0, 0), 1e-17)
+        C = compile_fields(spec, 1, "+")
+        assert C.coef[0].tolist() == [1e-17]
+        assert C.values(np.array([[2.0, 0.0, 0.0]]))[0, 0] == 2e-17
 
 
 class TestSystemSpec:

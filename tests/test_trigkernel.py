@@ -14,10 +14,8 @@ from avgcycles.trigkernel import (
     double_exp_trig,
     exp_trig,
     lemma_vanish_predicate,
-    load_cache,
     nested_I,
     nested_J,
-    save_cache,
     trig_I,
     trig_J,
 )
@@ -126,17 +124,3 @@ class TestValidation:
             ExpTrigKey(0.0, 0, 0, 2.0, 1.0)
         with pytest.raises(KernelError):
             double_exp_trig(0, 0, 0, 0, 1.0, 2.0, 1.0)
-
-
-def test_cache_round_trip(tmp_path):
-    trig_I(TrigKey(6, 6, 0.77))  # populate
-    n = save_cache(str(tmp_path))
-    assert n > 0
-    assert (tmp_path / "trig_i_cache.pkl").exists()
-    assert load_cache(str(tmp_path)) == n
-
-
-def test_cache_disabled_without_dir(monkeypatch):
-    monkeypatch.delenv("AVGCYCLES_CACHE_DIR", raising=False)
-    assert save_cache() == 0
-    assert load_cache() == 0

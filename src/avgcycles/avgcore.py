@@ -26,7 +26,7 @@ Conventions fixed here (and pinned against the oracle):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -363,7 +363,7 @@ def check_f1_zero(spec: SystemSpec, tol: float = F1_ZERO_TOL):
         )
 
 
-def build_f2(spec: SystemSpec, literal_gamma: bool = False, check_f1: bool = True) -> PolyVec:
+def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     """Second-order averaged function, returned as the polynomials r*f_2l.
 
     Requires f_1 to vanish identically (kernel-projected spec).  Components
@@ -373,11 +373,14 @@ def build_f2(spec: SystemSpec, literal_gamma: bool = False, check_f1: bool = Tru
         check_f1_zero(spec)
     m = spec.m
     if m < spec.d:
-        gammas = build_gamma(spec, literal_gamma=literal_gamma)
+        gammas = build_gamma(spec)
         dg_rows = _dg1_dtail(spec)
     else:
         gammas, dg_rows = [], [[] for _ in range(m + 1)]
     r_poly = Poly.variable(m + 1, 0)
+    # per zone: the angular component A_1 and the closed forms of y_1
+    a1 = {sign: _field_series(spec, 1, sign, 1) for sign in ("+", "-")}
+    y1 = {sign: _y1_series(spec, sign) for sign in ("+", "-")}
 
     comps = []
     for ell in range(m + 1):
@@ -386,16 +389,14 @@ def build_f2(spec: SystemSpec, literal_gamma: bool = False, check_f1: bool = Tru
         for dg, gam in zip(dg_rows[ell], gammas):
             total = total + (dg * gam * r_poly).scaled(2.0)
         for sign in ("+", "-"):
-            a1 = _field_series(spec, 1, sign, 1)
             f1l = _field_series(spec, 1, sign, ell + 2)
-            f2l = _field_series(spec, 2, sign, ell + 2) + (a1 * f1l).scaled(-1.0)
-            y1 = _y1_series(spec, sign)
-            ftil = f1l.diff_r() * y1[0]
+            f2l = _field_series(spec, 2, sign, ell + 2) + (a1[sign] * f1l).scaled(-1.0)
+            ftil = f1l.diff_r() * y1[sign][0]
             for rho in range(1, m + 1):
-                ftil = ftil + f1l.diff_z(rho) * y1[rho]
+                ftil = ftil + f1l.diff_z(rho) * y1[sign][rho]
             for w in range(m + 1, spec.d + 1):
                 dfw = _field_series(spec, 1, sign, ell + 2, tail_pick=w - m)
-                ftil = ftil + dfw * y1[w]
+                ftil = ftil + dfw * y1[sign][w]
             total = total + _g_contribution(spec, sign, f2l + ftil, rshift=1).scaled(2.0)
         comps.append(total)
     return PolyVec(comps)
@@ -409,25 +410,19 @@ def eval_f2(rf2: PolyVec, nu) -> np.ndarray:
 
 @dataclass
 class AveragedSystem:
-    """Averaged functions of one spec: f_1, optional r*f_2, slave components."""
+    """Averaged functions of one spec: f_1, and r*f_2 when f_1 vanishes."""
 
     spec: SystemSpec
     f1: PolyVec
     rf2: PolyVec | None = None
-    gamma: list = field(default_factory=list)
-    kernel_constraints: list = field(default_factory=list)
 
 
-def build_averaged_system(spec: SystemSpec, order: int = 2, literal_gamma: bool = False) -> AveragedSystem:
+def build_averaged_system(spec: SystemSpec) -> AveragedSystem:
     f1 = build_f1(spec)
-    constraints = f1_kernel_constraints(spec)
-    gamma = build_gamma(spec, literal_gamma=literal_gamma) if spec.m < spec.d else []
     rf2 = None
-    if order >= 2:
-        worst = max(p.max_coeff() for p in f1.components)
-        if worst <= F1_ZERO_TOL:
-            rf2 = build_f2(spec, literal_gamma=literal_gamma, check_f1=False)
-    return AveragedSystem(spec, f1, rf2, gamma, constraints)
+    if max(p.max_coeff() for p in f1.components) <= F1_ZERO_TOL:
+        rf2 = build_f2(spec, check_f1=False)
+    return AveragedSystem(spec, f1, rf2)
 
 
 # ---------------------------------------------------------------------------

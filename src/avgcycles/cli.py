@@ -17,6 +17,7 @@ import sys
 from . import __version__
 from .avgcore import build_averaged_system
 from .flowsim import DEFAULT_EPS_SWEEP, eps_sweep, write_cycle_csv
+from .generators import default_box
 from .polyalg import PolyVec
 from .repro import RunConfig, build_report
 from .rootfind import SearchBox, find_simple_zeros, write_zero_csv
@@ -49,10 +50,6 @@ def _parse_box(text: str, dim: int) -> SearchBox:
     if len(lo) != dim or len(hi) != dim:
         raise SystemExit(f"--box has dimension {len(lo)}, the system needs {dim}")
     return SearchBox(lo, hi)
-
-
-def _default_box(dim: int) -> SearchBox:
-    return SearchBox([0.05] + [-1.25] * (dim - 1), [2.1] + [1.25] * (dim - 1))
 
 
 def _load_spec(path: str) -> SystemSpec:
@@ -103,7 +100,7 @@ def cmd_zeros(args) -> int:
     spec = _load_spec(args.spec)
     system, order = _system_for_zeros(spec)
     dim = spec.m + 1
-    box = _parse_box(args.box, dim) if args.box else _default_box(dim)
+    box = _parse_box(args.box, dim) if args.box else default_box(dim - 1)
     records = find_simple_zeros(system, box)
     write_zero_csv(_out_path(args, "zeros.csv"), records, dim)
     simple = sum(1 for r in records if r.simple)
@@ -118,7 +115,7 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     system, order = _system_for_zeros(spec)
     dim = spec.m + 1
-    box = _parse_box(args.box, dim) if args.box else _default_box(dim)
+    box = _parse_box(args.box, dim) if args.box else default_box(dim - 1)
     eps_values = tuple(float(v) for v in args.eps_sweep.split(",")) if args.eps_sweep \
         else DEFAULT_EPS_SWEEP
     zero_records = [r for r in find_simple_zeros(system, box) if r.simple]
@@ -166,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, spec=False):
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in outputs")
         if spec:
             p.add_argument("--spec", required=True, help="system spec JSON file")
 
@@ -187,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the generator matrix and emit the count report")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="second-order tuning seed, recorded in the report")
     p.add_argument("--suite", default="all", help="th3 | th6 | th7 | all")
     p.add_argument("--max-n", type=int, default=2, help="largest polynomial degree n")
     p.add_argument("--m", default="0,1", help="comma-separated tail dimensions")

@@ -1,9 +1,12 @@
 """Constructive system generators reaching the zero-count lower bounds.
 
 Each generator builds a SystemSpec whose averaged function (first or second
-order) provably attains a stated number of simple zeros in a known box.
+order) provably attains a stated number of simple zeros in a known box.  A
+spec is assembled from "slots": a slot is one (family, sign, component,
+exponent) entry of a zone's coefficient table, and _spec_from_slots adds a
+value to each.
 
-The first-order generators invert a linear map: unit coefficients are probed
+The first-order generators invert a linear map: unit slots are probed
 through build_f1 and the resulting matrix is solved (least squares) against
 target polynomials with hand-placed roots.
 
@@ -16,7 +19,8 @@ by probing build_f2 on unit and pairwise coefficient vectors (u parametrizes
 the first-order tables inside the kernel of f_1, v the second-order tables,
 which enter linearly), then tune u by least squares with multistart and
 recover v by a linear solve.  The tuned spec is re-verified against the real
-build_f1/build_f2 pipeline and certified by root search.
+build_f1/build_f2 pipeline and certified by root search.  gen_th4 realizes a
+prescribed reduced system through the same slot assembly and linear fits.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .avgcore import build_f1, build_f2, f1_kernel_constraints
+from .avgcore import _field_series, _g_contribution, build_f1, build_f2, f1_kernel_constraints
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
 from .sysspec import SystemSpec, zero_spec
@@ -36,25 +40,30 @@ from .trigkernel import TWO_PI
 
 LINEAR_TOL = 1e-9
 VERIFY_TOL = 1e-8
+TUNING_STARTS = 8  # multistart count of the second-order least squares
 
 
 class InfeasibleTargetError(RuntimeError):
     """The requested target polynomials are outside the coefficient map's image."""
 
 
-# a slot is (family, sign, ell, idx); ell is None for scalar families
-def _set_slot(spec: SystemSpec, slot, value: float):
-    fam, sign, ell, idx = slot
-    table = spec.table(fam, sign, ell)
-    table.set(idx, table.get(idx) + value)
+def _spec_from_slots(n, m, phi, slots, values) -> SystemSpec:
+    """Spec with d = m whose tables are the sums of the values over their slots.
 
-
-def _spec_from_slots(n, m, phi, slots, values, mu=None) -> SystemSpec:
-    spec = zero_spec(n, m, m, phi, mu)
-    for slot, val in zip(slots, values):
+    A slot is (family, sign, ell, idx), ell None for scalar families; values
+    are added in order, so a slot may appear more than once.
+    """
+    spec = zero_spec(n, m, m, phi)
+    for (fam, sign, ell, idx), val in zip(slots, values):
         if val != 0.0:
-            _set_slot(spec, slot, float(val))
+            table = spec.table(fam, sign, ell)
+            table.set(idx, table.get(idx) + float(val))
     return spec
+
+
+def _require_generic_angle(name: str, phi: float):
+    if abs(phi - math.pi) < 1e-9 or phi >= TWO_PI - 1e-9 or phi <= 0:
+        raise ValueError(f"{name} needs phi in (0, 2*pi) away from pi and 2*pi")
 
 
 @dataclass
@@ -167,19 +176,13 @@ def _scalar_slots(n, m, families, signs=("+", "-")):
     return out
 
 
-def _axis_slots(n, m, fam, ell, var, signs=("+", "-"), max_k=None):
-    """Entries depending on a single variable: z_var powers (var>=1) or none."""
+def _axis_slots(n, m, fam, ell, var, signs=("+", "-")):
+    """Entries z_var^k, k = 0..n, of one family: they depend on z_var alone (var >= 1)."""
     out = []
-    top = n if max_k is None else max_k
     for sign in signs:
-        for k in range(top + 1):
+        for k in range(n + 1):
             idx = [0, 0] + [0] * m
-            if var >= 1:
-                idx[1 + var] = k
-                if k > top:
-                    continue
-            elif k > 0:
-                continue
+            idx[1 + var] = k
             out.append((fam, sign, ell, tuple(idx)))
     return out
 
@@ -189,8 +192,10 @@ def _grid_zeros(axis_roots):
     return [np.array(p) for p in itertools.product(*axis_roots)]
 
 
-def _first_order_product_targets(n, m, phi):
-    """Decoupled targets: radial component in r, component l in z_l."""
+def _first_order_product(n, m, phi) -> GeneratorResult:
+    """n^(m+1) zeros from decoupled targets: radial component in r, component l in z_l."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     nv = m + 1
     r_roots = positive_nodes(n)
     targets = [poly_from_roots(nv, 0, r_roots)]
@@ -201,28 +206,19 @@ def _first_order_product_targets(n, m, phi):
         targets.append(poly_from_roots(nv, ell, s_roots))
         axis_roots.append(s_roots)
         slots += _axis_slots(n, m, "c", ell - 1, ell)
-    return PolyVec(targets), slots, axis_roots
+    spec, f1 = _fit_linear_f1(n, m, phi, slots, PolyVec(targets))
+    return GeneratorResult(spec, 1, f1, n ** (m + 1), default_box(m), _grid_zeros(axis_roots))
 
 
 def gen_prop10(n: int, m: int, phi: float) -> GeneratorResult:
     """First-order spec with n^(m+1) certified simple zeros (generic phi)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if abs(phi - math.pi) < 1e-9 or phi >= TWO_PI - 1e-9 or phi <= 0:
-        raise ValueError("gen_prop10 needs phi in (0, 2*pi) away from pi and 2*pi")
-    target, slots, axis_roots = _first_order_product_targets(n, m, phi)
-    spec, f1 = _fit_linear_f1(n, m, phi, slots, target)
-    return GeneratorResult(spec, 1, f1, n ** (m + 1), default_box(m), _grid_zeros(axis_roots))
+    _require_generic_angle("gen_prop10", phi)
+    return _first_order_product(n, m, phi)
 
 
 def gen_prop16(n: int, m: int) -> GeneratorResult:
     """First-order spec at the half-turn switching angle, n^(m+1) zeros."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    phi = math.pi
-    target, slots, axis_roots = _first_order_product_targets(n, m, phi)
-    spec, f1 = _fit_linear_f1(n, m, phi, slots, target)
-    return GeneratorResult(spec, 1, f1, n ** (m + 1), default_box(m), _grid_zeros(axis_roots))
+    return _first_order_product(n, m, math.pi)
 
 
 def first_order_count(n: int, m: int, phi: float) -> int:
@@ -292,10 +288,9 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_basis(n, m, phi, slots, d=None) -> np.ndarray:
+def _kernel_basis(n, m, phi, slots) -> np.ndarray:
     """Null-space basis of the f_1 kernel constraints restricted to the slots."""
-    spec = zero_spec(n, m, m if d is None else d, phi)
-    cons = f1_kernel_constraints(spec)
+    cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
     # vector c-slots are keyed with their component to avoid collisions
     pos = {(fam, sign, ell, idx): k for k, (fam, sign, ell, idx) in enumerate(slots)}
     rows = []
@@ -321,38 +316,27 @@ def _kernel_basis(n, m, phi, slots, d=None) -> np.ndarray:
 class _QuadModel:
     """Exact surrogate coeffs(r*f_2) = Q(u) + L v over a fixed monomial basis."""
 
-    def __init__(self, n, m, phi, uslots, Nbasis, vslots, mu=None, d=None):
-        self.n, self.m, self.phi, self.mu = n, m, phi, mu
-        self.d = m if d is None else d
+    def __init__(self, n, m, phi, uslots, Nbasis, vslots):
+        self.n, self.m, self.phi = n, m, phi
         self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
         self.udim = Nbasis.shape[1]
-        probes = {}
+        eye, zero_v = np.eye(self.udim), np.zeros(len(vslots))
+        # (i, i) probes u = e_i, (i, j) probes e_i + e_j; sorted, so that
+        # quad() and its Jacobian are single matmuls over the pair rows
+        pairs = list(itertools.combinations_with_replacement(range(self.udim), 2))
+        probes = [build_f2(self.assemble(eye[i] if i == j else eye[i] + eye[j], zero_v), check_f1=False)
+                  for i, j in pairs]
+        lcols = [build_f2(self.assemble(np.zeros(self.udim), col), check_f1=False)
+                 for col in np.eye(len(vslots))]
 
-        def rf2_of(uvec, vvec):
-            spec = self._assemble(uvec, vvec)
-            return build_f2(spec, check_f1=False)
-
-        eye = np.eye(self.udim)
-        for i in range(self.udim):
-            probes[(i, i)] = rf2_of(eye[i], np.zeros(len(vslots)))
-        for i in range(self.udim):
-            for j in range(i + 1, self.udim):
-                probes[(i, j)] = rf2_of(eye[i] + eye[j], np.zeros(len(vslots)))
-        lcols = [rf2_of(np.zeros(self.udim), col) for col in np.eye(len(vslots))]
-
-        self.monos = _monomial_basis(list(probes.values()) + lcols)
+        self.monos = _monomial_basis(probes + lcols)
+        self.pos = {mo: k for k, mo in enumerate(self.monos)}
         vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
-        self.C = {}
-        for i in range(self.udim):
-            self.C[(i, i)] = vec(probes[(i, i)])
-        for i in range(self.udim):
-            for j in range(i + 1, self.udim):
-                self.C[(i, j)] = vec(probes[(i, j)]) - self.C[(i, i)] - self.C[(j, j)]
-        # flat pair arrays so quad() and its Jacobian are single matmuls
-        pairs = sorted(self.C)
+        rows = {p: vec(pv) for p, pv in zip(pairs, probes)}
         self._pi = np.array([i for i, _ in pairs], dtype=int)
         self._pj = np.array([j for _, j in pairs], dtype=int)
-        self._Cmat = np.stack([self.C[p] for p in pairs])  # (npairs, nmono)
+        self._Cmat = np.stack([rows[i, j] if i == j else rows[i, j] - rows[i, i] - rows[j, j]
+                               for i, j in pairs])  # (npairs, nmono)
         self.L = (
             np.stack([vec(pv) for pv in lcols], axis=1)
             if lcols
@@ -394,23 +378,17 @@ class _QuadModel:
         v, *_ = np.linalg.lstsq(self.L, t - self.quad(u), rcond=None)
         return v
 
-    def _assemble(self, uvec, vvec) -> SystemSpec:
-        spec = zero_spec(self.n, self.m, self.d, self.phi, self.mu)
-        for slot, val in zip(self.uslots, self.N @ uvec):
-            if val != 0.0:
-                _set_slot(spec, slot, float(val))
-        for slot, val in zip(self.vslots, vvec):
-            if val != 0.0:
-                _set_slot(spec, slot, float(val))
-        return spec
+    def assemble(self, uvec, vvec) -> SystemSpec:
+        return _spec_from_slots(self.n, self.m, self.phi, self.uslots + self.vslots,
+                                np.concatenate([self.N @ uvec, vvec]))
 
     def target_vector(self, target: PolyVec):
         t = np.zeros(len(self.monos))
         leftover = []
         for ci, p in enumerate(target):
             for mo, c in p.terms.items():
-                if (ci, mo) in self._mono_pos():
-                    t[self._mono_pos()[(ci, mo)]] = c
+                if (ci, mo) in self.pos:
+                    t[self.pos[ci, mo]] = c
                 else:
                     leftover.append(((ci, mo), c))
         if leftover:
@@ -419,13 +397,8 @@ class _QuadModel:
             )
         return t
 
-    def _mono_pos(self):
-        if not hasattr(self, "_pos"):
-            self._pos = {mo: k for k, mo in enumerate(self.monos)}
-        return self._pos
 
-
-def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0, starts=8,
+def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
                     free_monos=(), free_weight=0.0, tol=LINEAR_TOL):
     """Multistart least squares on u; returns (spec, rf2, misfit)."""
     t = model.target_vector(target)
@@ -451,7 +424,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0, starts=8,
 
     best = None
     done = False
-    for trial in range(starts):
+    for trial in range(TUNING_STARTS):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
         # default scaling converges fast on well-conditioned problems;
         # x_scale="jac" rescues flat-valley stalls
@@ -475,82 +448,52 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0, starts=8,
             f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
         )
     v = model.solve_v(u, t)
-    spec = model._assemble(u, v)
+    spec = model.assemble(u, v)
     # re-verify against the real pipeline
     f1 = build_f1(spec)
     worst_f1 = max(p.max_coeff() for p in f1.components)
     if worst_f1 > 1e-9:
         raise InfeasibleTargetError(f"tuned spec violates the first-order kernel: |f_1| = {worst_f1:.3e}")
     rf2 = build_f2(spec, check_f1=False)
-    misfit = 0.0
-    pos = model._mono_pos()
-    for ci, p in enumerate(rf2):
-        for mo, c in p.terms.items():
-            key = (ci, mo)
-            if key in free:
-                continue
-            want = t[pos[key]] if key in pos else 0.0
-            misfit = max(misfit, abs(c - want))
-    for key, k in pos.items():
-        if key in free:
-            continue
-        want = t[k]
-        got = rf2[key[0]].terms.get(key[1], 0.0)
-        misfit = max(misfit, abs(got - want))
+    want = {key: t[k] for key, k in model.pos.items()}
+    keys = {(ci, mo) for ci, p in enumerate(rf2) for mo in p.terms} | set(want)
+    misfit = max((abs(rf2[ci].terms.get(mo, 0.0) - want.get((ci, mo), 0.0)) for ci, mo in keys - free),
+                 default=0.0)
     if misfit > max(VERIFY_TOL, 10.0 * tol) * scale:
         raise InfeasibleTargetError(f"surrogate/pipeline disagreement: {misfit:.3e}")
     return spec, rf2, misfit
 
 
-def _certify(result_sys: PolyVec, box: SearchBox):
-    return [rec for rec in find_simple_zeros(result_sys, box) if rec.simple]
-
-
-def _second_order_slots(n, m, d=None, radial_z=False, slave=False):
+def _second_order_slots(n, m, radial_z=False):
     """Slot families for the second-order engine.
 
     First-order (quadratic) unknowns: the full z-free radial families a, b,
-    each tail component's family on its own variable, optionally the radial
-    families with pure z_1 powers (radial_z) and the slave-component family
-    plus z-slave-linear radial entries (slave, needs d > m).  Second-order
-    (linear) unknowns: z-free alpha/beta, per-component gamma on its own
-    variable, plus z-dependent alpha/beta entries that absorb mixed cross
-    terms of the quadratic part.
+    each tail component's family on its own variable and, with radial_z, the
+    radial families with pure z_1 powers.  Second-order (linear) unknowns:
+    z-free alpha/beta, per-component gamma on its own variable, plus
+    z-dependent alpha/beta entries that absorb mixed cross terms of the
+    quadratic part.  No slot appears twice.
     """
-    d = m if d is None else d
-    uslots = _scalar_slots(n, d, ("a", "b"))
+    uslots = _scalar_slots(n, m, ("a", "b"))
     if radial_z:
         for sign in ("+", "-"):
             for k in range(1, n + 1):
-                uslots.append(("a", sign, None, (0, 0) + (k,) + (0,) * (d - 1)))
-                uslots.append(("b", sign, None, (0, 0) + (k,) + (0,) * (d - 1)))
+                uslots.append(("a", sign, None, (0, 0) + (k,) + (0,) * (m - 1)))
+                uslots.append(("b", sign, None, (0, 0) + (k,) + (0,) * (m - 1)))
+    vslots = _scalar_slots(n, m, ("alpha", "beta"))
     for ell in range(1, m + 1):
-        uslots += _axis_slots(n, d, "c", ell - 1, ell)
-    if slave:
-        if d <= m:
-            raise ValueError("slave channel needs d > m")
-        for sign in ("+", "-"):
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    uslots.append(("c", sign, m, (i, j) + (0,) * d))
-                    if i + j + 1 <= n:
-                        idx = [i, j] + [0] * d
-                        idx[2 + m] = 1
-                        uslots.append(("a", sign, None, tuple(idx)))
-                        uslots.append(("b", sign, None, tuple(idx)))
-    vslots = _scalar_slots(n, d, ("alpha", "beta"))
-    for ell in range(1, m + 1):
-        vslots += _axis_slots(n, d, "gamma", ell - 1, ell)
+        uslots += _axis_slots(n, m, "c", ell - 1, ell)
+        vslots += _axis_slots(n, m, "gamma", ell - 1, ell)
     for ell in range(1, m + 1):
         for sign in ("+", "-"):
             for k in range(1, n + 1):
                 for e in (0, 1):
-                    idx = [e, 0] + [0] * d
+                    idx = [e, 0] + [0] * m
                     idx[2 + ell - 1] = k
                     if sum(idx) <= n:
                         vslots.append(("alpha", sign, None, tuple(idx)))
                         vslots.append(("beta", sign, None, tuple(idx)))
-    return list(dict.fromkeys(uslots)), list(dict.fromkeys(vslots))
+    return uslots, vslots
 
 
 def second_order_lower_bound(n: int, m: int, phi: float) -> int:
@@ -568,26 +511,17 @@ def second_order_upper_bound(n: int, m: int) -> int:
     return (2 * n) ** (m + 1)
 
 
-def _pure_z_monos(model: _QuadModel, m: int):
-    """Monomials with no radial factor (the weakly controllable leftovers)."""
-    out = []
-    for ci, mo in model.monos:
-        if mo[0] == 0:
-            out.append((ci, mo))
-    return out
-
-
-def _second_order_generator(n, m, phi, expected, target, uslots, vslots,
-                            d=None, seed=0):
+def _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=0):
     """Shared driver: tune, re-verify, and certify one second-order target."""
-    N = _kernel_basis(n, m, phi, uslots, d=d)
+    N = _kernel_basis(n, m, phi, uslots)
     if N.shape[1] == 0:
         raise InfeasibleTargetError("kernel constraints leave no first-order freedom")
-    model = _QuadModel(n, m, phi, uslots, N, vslots, d=d)
+    model = _QuadModel(n, m, phi, uslots, N, vslots)
 
     target_support = {(ci, mo) for ci, p in enumerate(target) for mo in p.terms}
-    pure_z = [key for key in _pure_z_monos(model, m) if key not in target_support] if m else []
     loose = [key for key in model.monos if key not in target_support]
+    # monomials with no radial factor: the weakly controllable leftovers
+    pure_z = [(ci, mo) for ci, mo in loose if mo[0] == 0] if m else []
     attempts = [
         dict(free_monos=(), free_weight=0.0),
         dict(free_monos=pure_z, free_weight=1e-5, tol=1e-7),
@@ -601,7 +535,7 @@ def _second_order_generator(n, m, phi, expected, target, uslots, vslots,
             last_exc = exc
             continue
         box = default_box(m)
-        records = _certify(rf2, box)
+        records = [rec for rec in find_simple_zeros(rf2, box) if rec.simple]
         if len(records) >= expected:
             zeros = [rec.nu for rec in records]
             return GeneratorResult(spec, 2, rf2, expected, box, zeros,
@@ -629,8 +563,7 @@ def _mixed_targets(n, m, n_radial, n_z, radial_shift=0):
 
 def gen_prop12(n: int, m: int, phi: float, seed: int = 0) -> GeneratorResult:
     """Kernel spec whose f_2 attains 2n(2n-1)^m simple zeros (generic phi)."""
-    if abs(phi - math.pi) < 1e-9 or phi >= TWO_PI - 1e-9 or phi <= 0:
-        raise ValueError("gen_prop12 needs phi in (0, 2*pi) away from pi and 2*pi")
+    _require_generic_angle("gen_prop12", phi)
     expected = second_order_lower_bound(n, m, phi)
     uslots, vslots = _second_order_slots(n, m, radial_z=m >= 1)
     target = _mixed_targets(n, m, 2 * n, 2 * n - 1)
@@ -643,8 +576,7 @@ def gen_cor13(n: int, phi: float, seed: int = 0) -> GeneratorResult:
     The radial families gain pure z_1 powers so that the z-component becomes
     a z_1-only polynomial of degree 2n, giving a grid of (2n)^2 zeros.
     """
-    if abs(phi - math.pi) < 1e-9 or phi >= TWO_PI - 1e-9 or phi <= 0:
-        raise ValueError("gen_cor13 needs phi in (0, 2*pi) away from pi and 2*pi")
+    _require_generic_angle("gen_cor13", phi)
     expected = (2 * n) ** 2
     uslots, vslots = _second_order_slots(n, 1, radial_z=True)
     targets = [
@@ -702,15 +634,6 @@ def gen_prop21(n: int, seed: int = 0, target_count: int | None = None) -> Genera
 # ---------------------------------------------------------------------------
 
 
-def _series_shift_r(series, k: int):
-    from .avgcore import NuTrigSeries
-
-    out = NuTrigSeries(series.m)
-    for (re, zex), hs in series.terms.items():
-        out.accum(re + k, zex, hs)
-    return out
-
-
 def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = None) -> GeneratorResult:
     """Realize the reduced system r*P_l(nu) + Q_l(nu) = 0 through f_2.
 
@@ -720,8 +643,6 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     divisible by r (the angular factor always carries one power of r); a
     target outside the image raises InfeasibleTargetError with rank info.
     """
-    from .avgcore import NuTrigSeries, _field_series, _g_contribution
-
     m = len(P_polys) - 1
     if m < 1:
         raise ValueError("need at least two components (m >= 1)")
@@ -734,36 +655,28 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
             + [p.degree() for p in P_polys]
             + [max(q.degree() - 1, 1) for q in Q_polys]
         )
-    if abs(phi - math.pi) < 1e-9 or phi >= TWO_PI - 1e-9 or phi <= 0:
-        raise ValueError("gen_th4 needs phi in (0, 2*pi) away from pi and 2*pi")
+    _require_generic_angle("gen_th4", phi)
     if delta <= 0:
         raise ValueError("delta must be positive")
 
     # order-one angular part: A_1^+ = 1/2, A_1^- = -1/2, with zero radial part
     # (X_a = -y*H, X_b = x*H picks the angular direction only)
     h_plus, h_minus = 0.5, -0.5
+    angular, angular_values = [], []
+    for sign, h in (("+", h_plus), ("-", h_minus)):
+        angular += [("a", sign, None, (0, 1) + (0,) * m), ("b", sign, None, (1, 0) + (0,) * m)]
+        angular_values += [-h, h]
 
-    def h_tables(spec):
-        for sign, h in (("+", h_plus), ("-", h_minus)):
-            spec.table("a", sign).set((0, 1) + (0,) * m, -h)
-            spec.table("b", sign).set((1, 0) + (0,) * m, h)
-
-    # Q map: columns over kernel-constrained c slots (and radial delta-slots)
+    # Q map: columns over kernel-constrained first-order slots.  The angular
+    # part contributes nothing to f_1, so the kernel constraints involve only
+    # the delta-scaled part, even on the entries the angular part shares.
     uslots = _scalar_slots(n, m, ("a", "b"))
-    # exclude the monomials used by the fixed angular part so the kernel
-    # projection does not touch them: the angular part contributes nothing to
-    # f_1, so constraints on those entries involve only the delta-scaled part.
     for ell in range(1, m + 1):
-        for sign in ("+", "-"):
-            for idx in _c_indices(n, m, ell):
-                uslots.append(("c", sign, ell - 1, idx))
+        uslots += _axis_slots(n, m, "c", ell - 1, ell)
     N = _kernel_basis(n, m, phi, uslots)
 
     def q_map_column(uvec):
-        spec = zero_spec(n, m, m, phi)
-        for slot, val in zip(uslots, N @ uvec):
-            if val != 0.0:
-                _set_slot(spec, slot, float(val))
+        spec = _spec_from_slots(n, m, phi, uslots, N @ uvec)
         cols = []
         for ell in range(m + 1):
             poly = Poly(nv)
@@ -781,31 +694,16 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     # P map: second-order tables through the f_1-shaped linear integrals
     pslots = _scalar_slots(n, m, ("alpha", "beta"))
     for ell in range(1, m + 1):
-        for sign in ("+", "-"):
-            for idx in _c_indices(n, m, ell):
-                pslots.append(("gamma", sign, ell - 1, idx))
-
-    def p_map_column(slot):
-        fam, sign, ell, idx = slot
-        spec = zero_spec(n, m, m, phi)
-        proxy = {"alpha": "a", "beta": "b", "gamma": "c"}[fam]
-        _set_slot(spec, (proxy, sign, ell, idx), 1.0)
-        return build_f1(spec)
-
-    pcols = [p_map_column(slot) for slot in pslots]
+        pslots += _axis_slots(n, m, "gamma", ell - 1, ell)
+    proxy = {"alpha": "a", "beta": "b", "gamma": "c"}
+    pcols = [build_f1(_spec_from_slots(n, m, phi, [(proxy[fam], sign, ell, idx)], [1.0]))
+             for fam, sign, ell, idx in pslots]
     p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
     v = _fit_linear(pcols, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
 
-    # assemble: angular part + delta-scaled first order, delta-scaled second order
-    spec = zero_spec(n, m, m, phi)
-    h_tables(spec)
-    for slot, val in zip(uslots, N @ u):
-        if val != 0.0:
-            _set_slot(spec, slot, float(delta * val))
-    for slot, val in zip(pslots, v):
-        if val != 0.0:
-            _set_slot(spec, slot, float(delta * val))
-
+    # assemble: angular part, then the delta-scaled first and second order
+    spec = _spec_from_slots(n, m, phi, angular + uslots + pslots,
+                            np.concatenate([angular_values, delta * (N @ u), delta * v]))
     rf2 = build_f2(spec)
     reduced = PolyVec([
         (Poly.variable(nv, 0) * Poly(nv, dict(p.terms))) + Poly(nv, dict(q.terms))
@@ -817,13 +715,3 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
         notes={"delta": delta, "reduced_system": reduced, "scale": 2.0 * delta,
                "normalized": normalized},
     )
-
-
-def _c_indices(n, m, ell):
-    """Multi-indices of entries depending only on z_ell (degree <= n)."""
-    out = []
-    for k in range(n + 1):
-        idx = [0, 0] + [0] * m
-        idx[1 + ell] = k
-        out.append(tuple(idx))
-    return out

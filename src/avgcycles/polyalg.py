@@ -105,10 +105,9 @@ class Poly:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.nvars,):
             raise ValueError(f"point has shape {point.shape}, expected ({self.nvars},)")
-        # deterministic summation order for reproducibility
+        # summed in insertion order, which is deterministic
         total = 0.0
-        for mono in sorted(self.terms):
-            val = self.terms[mono]
+        for mono, val in self.terms.items():
             for x, e in zip(point, mono):
                 if e:
                     val *= x**e

@@ -156,15 +156,6 @@ class SystemSpec:
             tables[key] = [t.copy() for t in val] if isinstance(val, list) else val.copy()
         return SystemSpec(self.n, self.m, self.d, self.phi, self.mu, tables)
 
-    def first_order_zero(self) -> bool:
-        for fam in FIRST_ORDER:
-            for sign in SIGNS:
-                val = self.tables[fam + sign]
-                tabs = val if isinstance(val, list) else [val]
-                if any(not t.is_zero() for t in tabs):
-                    return False
-        return True
-
     # -- JSON wire format --------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -106,14 +106,16 @@ class TestSecondOrderGenerators:
         assert result.expected_count == 4
 
 
+def _th4_pair():
+    P0 = Poly(2, {(1, 0): 1.0, (0, 0): -1.25})
+    Q1 = Poly(2, {(1, 2): 1.0, (1, 0): -0.25})
+    return [P0, Poly(2)], [Poly(2), Q1]
+
+
 class TestTh4:
-    def _pair(self):
-        P0 = Poly(2, {(1, 0): 1.0, (0, 0): -1.25})
-        Q1 = Poly(2, {(1, 2): 1.0, (1, 0): -0.25})
-        return [P0, Poly(2)], [Poly(2), Q1]
 
     def test_reduced_system_realized(self):
-        P, Q = self._pair()
+        P, Q = _th4_pair()
         result = gen_th4(P, Q, PHI, delta=1e-3)
         norm = result.notes["normalized"]
         red = result.notes["reduced_system"]
@@ -122,7 +124,7 @@ class TestTh4:
             assert all(abs(p.terms.get(mo, 0) - q.terms.get(mo, 0)) < 1e-2 for mo in monos)
 
     def test_zeros_converge_linearly(self):
-        P, Q = self._pair()
+        P, Q = _th4_pair()
         targets = np.array([[1.25, -0.5], [1.25, 0.5]])
         box = SearchBox([0.05, -1.25], [2.1, 1.25])
         dists = []
@@ -144,12 +146,22 @@ class TestTh4:
         with pytest.raises(InfeasibleTargetError, match="divisible by r"):
             gen_th4(P, Q, PHI, n=1)
 
-    def test_angle_restrictions(self):
-        P, Q = self._pair()
-        with pytest.raises(ValueError):
-            gen_th4(P, Q, math.pi)
-        with pytest.raises(ValueError):
-            gen_th4(P, Q, TWO_PI)
+
+
+# each generator that needs a generic switching angle, at a small size
+GENERIC_ANGLE_CALLS = {
+    "gen_prop10": lambda phi: gen_prop10(1, 0, phi),
+    "gen_prop12": lambda phi: gen_prop12(1, 0, phi),
+    "gen_cor13": lambda phi: gen_cor13(1, phi),
+    "gen_th4": lambda phi: gen_th4(*_th4_pair(), phi),
+}
+
+
+@pytest.mark.parametrize("phi", [math.pi, TWO_PI, 0.0], ids=["pi", "2pi", "0"])
+@pytest.mark.parametrize("name", list(GENERIC_ANGLE_CALLS))
+def test_generic_angle_required(name, phi):
+    with pytest.raises(ValueError, match=rf"^{name} needs phi in \(0, 2\*pi\) away from pi and 2\*pi$"):
+        GENERIC_ANGLE_CALLS[name](phi)
 
 
 class TestResultNotes:

@@ -7,9 +7,12 @@ every integrand as a finite sum of terms
     coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex)
 
 and integrating termwise with the closed forms from :mod:`trigkernel`.  An
-independent route, :func:`numeric_g`, evaluates the same objects by adaptive
-quadrature of the variation-of-constants integrals along the unperturbed
-flow; the two must agree and the tests enforce it.
+independent route, :func:`numeric_g`, evaluates the same objects along the
+unperturbed flow; the two must agree and the tests enforce it.  There g_1
+is the variation-of-constants integral, taken by scipy's adaptive
+``quad_vec``; g_2 and dg_1/dz_tail come from one variational ODE solve per
+zone (``solve_ivp``), which carries y_1, y_2 and the tail tangents of y_1
+together.
 
 Conventions fixed here (and pinned against the oracle):
 
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad_vec, solve_ivp
 
 from .polyalg import CompiledPolyVec, Poly, PolyVec
 from .sysspec import SystemSpec
@@ -36,6 +40,7 @@ from .trigkernel import TWO_PI, HarmonicSum, trig_monomial
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
+QUAD_TOL = 1e-12  # absolute max-norm error target of the order-1 quadrature
 
 
 class DegenerateEigenvalueError(ValueError):
@@ -51,7 +56,7 @@ class InfeasibleConstraintError(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive refinement exceeded its depth cap."""
+    """The oracle's integration failed: quad_vec (order 1) or solve_ivp (order 2) did not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +114,7 @@ class NuTrigSeries:
         """s-antiderivative vanishing at s = 0."""
         out = NuTrigSeries(self.m)
         for mono, hs in self.terms.items():
-            anti = hs.antiderivative()
-            c0 = anti.eval(0.0)
-            fixed = HarmonicSum(anti.terms)
-            fixed._accum(0, 0.0j, -c0)
-            out.accum(mono[0], mono[1], fixed)
+            out.accum(mono[0], mono[1], hs.integral_from_zero())
         return out
 
     def diff_r(self) -> "NuTrigSeries":
@@ -402,12 +403,6 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     return PolyVec(comps)
 
 
-def eval_f2(rf2: PolyVec, nu) -> np.ndarray:
-    """Evaluate f_2 from the r*f_2 polynomials (requires r > 0)."""
-    nu = np.asarray(nu, dtype=float)
-    return rf2(nu) / nu[0]
-
-
 @dataclass
 class AveragedSystem:
     """Averaged functions of one spec: f_1, and r*f_2 when f_1 vanishes."""
@@ -426,72 +421,21 @@ def build_averaged_system(spec: SystemSpec) -> AveragedSystem:
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle: adaptive quadrature along the unperturbed flow
+# numeric oracle: integration along the unperturbed flow
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 7-15 nodes/weights on [-1, 1]
-_GK_NODES = np.array(
-    [
-        -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
-        -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
-        0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
-        0.864864423359769, 0.949107912342759, 0.991455371120813,
-    ]
-)
-_GK_WK = np.array(
-    [
-        0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-        0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-        0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
-        0.104790010322250, 0.063092092629979, 0.022935322010529,
-    ]
-)
-_GK_WG = np.array(
-    [
-        0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0, 0.381830050505119, 0.0,
-        0.417959183673469, 0.0, 0.381830050505119, 0.0, 0.279705391489277, 0.0,
-        0.129484966168870, 0.0,
-    ]
-)
 
-
-def quad_vec(f, a: float, b: float, tol: float = 1e-12, depth_cap: int = 40):
-    """Adaptive Gauss-Kronrod integration of a vector-valued function.
-
-    Handles b < a by orientation.  Raises QuadratureFailure past depth_cap.
-    """
-    if a == b:
-        return np.zeros_like(np.asarray(f(a), dtype=float))
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vals = np.array([np.asarray(f(mid + half * x), dtype=float) for x in _GK_NODES])
-        ik = half * np.tensordot(_GK_WK, vals, axes=(0, 0))
-        ig = half * np.tensordot(_GK_WG, vals, axes=(0, 0))
-        return ik, float(np.max(np.abs(ik - ig)))
-
-    def recurse(lo, hi, depth):
-        ik, err = panel(lo, hi)
-        if err < tol * max(1.0, hi - lo):
-            return ik
-        if depth >= depth_cap:
-            raise QuadratureFailure(f"refinement depth {depth_cap} exceeded on [{lo}, {hi}] (err={err:.2e})")
-        mid = 0.5 * (lo + hi)
-        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
-
-    return sign * recurse(a, b, 0)
+def _Y_diag(spec: SystemSpec, theta: float) -> np.ndarray:
+    """Diagonal of the fundamental matrix: 1 on (r, z_1..z_m), e^(mu_w*theta) on the tail."""
+    diag = np.ones(spec.d + 1)
+    for w in range(spec.m + 1, spec.d + 1):
+        diag[w] = math.exp(spec.mu[w - 1] * theta)
+    return diag
 
 
 def flow(spec: SystemSpec, theta: float, zz: np.ndarray) -> np.ndarray:
     """Unperturbed flow from (r, z) at time theta: tail scales by e^(mu*theta)."""
-    out = np.array(zz, dtype=float)
-    for w in range(spec.m + 1, spec.d + 1):
-        out[w] = math.exp(spec.mu[w - 1] * theta) * out[w]
-    return out
+    return _Y_diag(spec, theta) * zz
 
 
 def compile_fields(spec: SystemSpec, order: int, sign: str) -> CompiledPolyVec:
@@ -573,62 +517,69 @@ def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) 
     return J
 
 
-def _Y_diag(spec: SystemSpec, theta: float) -> np.ndarray:
-    diag = np.ones(spec.d + 1)
-    for w in range(spec.m + 1, spec.d + 1):
-        diag[w] = math.exp(spec.mu[w - 1] * theta)
-    return diag
-
-
-def _y1(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray, tol: float) -> np.ndarray:
+def _y1(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray) -> np.ndarray:
+    """First variation y_1(theta) by variation of constants, on scipy's quad_vec."""
     C1 = compile_fields(spec, 1, sign)
 
     def integrand(s):
-        xs = flow(spec, s, zz)
-        return eval_F1(spec, C1, s, xs) / _Y_diag(spec, s)
+        return eval_F1(spec, C1, s, flow(spec, s, zz)) / _Y_diag(spec, s)
 
-    return _Y_diag(spec, theta) * quad_vec(integrand, 0.0, theta, tol=tol)
+    val, err, info = quad_vec(integrand, 0.0, theta, epsabs=QUAD_TOL, epsrel=0, norm="max", full_output=True)
+    # scipy only warns.  Status 2 stops where the rounding-error estimate
+    # exceeds the discretization error: the arithmetic's floor, accepted.
+    if info.status not in (0, 2):
+        raise QuadratureFailure(f"first-variation quadrature on [0, {theta}]: {info.message} (err={err:.2e})")
+    return _Y_diag(spec, theta) * val
 
 
-def _y2(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray, tol: float) -> np.ndarray:
-    """Joint integration of the first and second variations y_1, y_2.
+def _variations(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray):
+    """Joint integration of y_1, y_2 and the tail tangents of y_1.
 
-    Both satisfy linear equations y' = D y + forcing along the unperturbed
-    flow (D the diagonal of tail eigenvalues), so one ODE solve per zone
-    replaces the nested quadrature.  Returns y_2(theta).
+    y_1 and the second variation y_2 satisfy linear equations y' = D y +
+    forcing along the unperturbed flow (D the diagonal of tail eigenvalues).
+    The flow is linear in z, so T_w = d y_1/d z_w obeys T_w' = D T_w +
+    (dF_1/dz_w) e^(mu_w*s).  One ODE solve per zone returns
+    (y_1, y_2, T) at theta, with T[:, k] the tangent for w = m+1+k.
     """
-    from scipy.integrate import solve_ivp
-
+    nvar, m, ntail = spec.d + 1, spec.m, spec.d - spec.m
     if theta == 0.0:
-        return np.zeros(spec.d + 1)
-    nvar = spec.d + 1
-    dmu = np.zeros(nvar)
-    for w in range(spec.m + 1, spec.d + 1):
-        dmu[w] = spec.mu[w - 1]
+        return np.zeros(nvar), np.zeros(nvar), np.zeros((nvar, ntail))
+    dmu = np.array((0.0,) + spec.mu)
     C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
 
     def rhs(s, y):
         xs = flow(spec, s, zz)
-        y1, y2 = y[:nvar], y[nvar:]
+        y1, y2, T = y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
+        J = _F1_jac(spec, C1, s, xs)
         d1 = dmu * y1 + eval_F1(spec, C1, s, xs)
-        d2 = dmu * y2 + 2.0 * eval_F2(spec, C1, C2, s, xs) + 2.0 * _F1_jac(spec, C1, s, xs) @ y1
-        return np.concatenate([d1, d2])
+        d2 = dmu * y2 + 2.0 * eval_F2(spec, C1, C2, s, xs) + 2.0 * J @ y1
+        dT = dmu[:, None] * T + J[:, m + 1 :] * _Y_diag(spec, s)[m + 1 :]
+        return np.concatenate([d1, d2, dT.ravel()])
 
-    sol = solve_ivp(rhs, (0.0, theta), np.zeros(2 * nvar), method="DOP853", rtol=1e-12, atol=1e-13)
+    y0 = np.zeros(nvar * (2 + ntail))
+    sol = solve_ivp(rhs, (0.0, theta), y0, method="DOP853", rtol=1e-12, atol=1e-13)
     if not sol.success:
-        raise QuadratureFailure(f"second-variation integration failed: {sol.message}")
-    return sol.y[nvar:, -1]
+        raise QuadratureFailure(f"variational integration failed: {sol.message}")
+    y = sol.y[:, -1]
+    return y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
 
 
-def numeric_g(spec: SystemSpec, order: int, z, tol: float = 1e-12) -> np.ndarray:
-    """Quadrature oracle for g_1 (order 1) or the half-variation g_2 (order 2)."""
+def _zone_variations(spec: SystemSpec, zz: np.ndarray):
+    """Differences plus-zone minus minus-zone of (y_1, y_2, T): g_1, 2*g_2 and dg_1/dz_tail."""
+    plus = _variations(spec, "+", spec.phi, zz)
+    minus = _variations(spec, "-", spec.phi - TWO_PI, zz)
+    return [p - q for p, q in zip(plus, minus)]
+
+
+def numeric_g(spec: SystemSpec, order: int, z) -> np.ndarray:
+    """Oracle for g_1 (order 1) or the half-variation g_2 (order 2) at the state z."""
     zz = np.asarray(z, dtype=float)
     if zz.shape != (spec.d + 1,):
         raise ValueError(f"state has shape {zz.shape}, expected ({spec.d + 1},)")
     if order == 1:
-        return _y1(spec, "+", spec.phi, zz, tol) - _y1(spec, "-", spec.phi - TWO_PI, zz, tol)
+        return _y1(spec, "+", spec.phi, zz) - _y1(spec, "-", spec.phi - TWO_PI, zz)
     if order == 2:
-        return 0.5 * (_y2(spec, "+", spec.phi, zz, tol) - _y2(spec, "-", spec.phi - TWO_PI, zz, tol))
+        return 0.5 * _zone_variations(spec, zz)[1]
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
@@ -638,6 +589,11 @@ def _embed(spec: SystemSpec, nu) -> np.ndarray:
     return zz
 
 
+def _gamma_from_g1(spec: SystemSpec, g1: np.ndarray) -> np.ndarray:
+    """Slave components -Delta^{-1} xi-perp g_1."""
+    return np.array([-g1[w] / (math.exp(mu * spec.phi) * denom) for w, mu, denom in _delta_entries(spec)])
+
+
 def oracle_f1(spec: SystemSpec, nu) -> np.ndarray:
     """xi g_1 at z_nu by quadrature; the independent check of build_f1."""
     return numeric_g(spec, 1, _embed(spec, nu))[: spec.m + 1]
@@ -645,27 +601,13 @@ def oracle_f1(spec: SystemSpec, nu) -> np.ndarray:
 
 def oracle_gamma(spec: SystemSpec, nu) -> np.ndarray:
     """-Delta^{-1} xi-perp g_1(z_nu) by quadrature."""
-    g1 = numeric_g(spec, 1, _embed(spec, nu))
-    out = np.empty(spec.d - spec.m)
-    for k, (w, mu, denom) in enumerate(_delta_entries(spec)):
-        delta = math.exp(mu * spec.phi) * denom
-        out[k] = -g1[w] / delta
-    return out
+    return _gamma_from_g1(spec, numeric_g(spec, 1, _embed(spec, nu)))
 
 
-def oracle_f2(spec: SystemSpec, nu, fd_step: float = 1e-6) -> np.ndarray:
-    """Quadrature route for f_2: 2*(d(xi g_1)/dv) gamma + 2*xi g_2."""
-    zz = _embed(spec, nu)
-    mcols = spec.d - spec.m
-    out = 2.0 * numeric_g(spec, 2, zz)[: spec.m + 1]
-    if mcols:
-        gam = oracle_gamma(spec, nu)
-        M = np.empty((spec.m + 1, mcols))
-        for k in range(mcols):
-            dz = np.zeros(spec.d + 1)
-            dz[spec.m + 1 + k] = fd_step
-            gp = numeric_g(spec, 1, zz + dz)[: spec.m + 1]
-            gm = numeric_g(spec, 1, zz - dz)[: spec.m + 1]
-            M[:, k] = (gp - gm) / (2 * fd_step)
-        out = out + 2.0 * M @ gam
-    return out
+def oracle_f2(spec: SystemSpec, nu) -> np.ndarray:
+    """Variational route for f_2: 2*(d(xi g_1)/dv) gamma + 2*xi g_2.
+
+    g_1, 2*g_2 and dg_1/dv all come from the one joint ODE solve per zone.
+    """
+    g1, two_g2, dg1 = _zone_variations(spec, _embed(spec, nu))
+    return two_g2[: spec.m + 1] + 2.0 * dg1[: spec.m + 1] @ _gamma_from_g1(spec, g1)

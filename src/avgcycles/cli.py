@@ -27,16 +27,24 @@ from .trigkernel import TWO_PI
 
 def _parse_phi(text: str) -> float:
     """Accept plain floats plus 'pi', '2pi', and 'pi/3'-style fractions."""
-    text = text.strip().lower().replace(" ", "")
-    if text in ("pi", "1pi"):
-        return math.pi
-    if text == "2pi":
-        return TWO_PI
-    if text.endswith("pi") and text[:-2].replace(".", "").replace("-", "").isdigit():
-        return float(text[:-2]) * math.pi
-    if text.startswith("pi/"):
-        return math.pi / float(text[3:])
-    return float(text)
+    t = text.strip().lower().replace(" ", "")
+    try:
+        if t in ("pi", "1pi"):
+            val = math.pi
+        elif t == "2pi":
+            val = TWO_PI
+        elif t.endswith("pi") and t[:-2].replace(".", "").replace("-", "").isdigit():
+            val = float(t[:-2]) * math.pi
+        elif t.startswith("pi/"):
+            val = math.pi / float(t[3:])
+        else:
+            val = float(t)
+    except (ValueError, ZeroDivisionError):
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"bad angle {text!r}: expected a finite number, 'pi', '2pi', 'kpi' or 'pi/k'")
+    return val
 
 
 def _parse_box(text: str, dim: int) -> SearchBox:
@@ -134,15 +142,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    config = RunConfig(
-        suite=args.suite,
-        max_n=args.max_n,
-        m_values=tuple(int(v) for v in args.m.split(",")),
-        phi=_parse_phi(args.phi),
-        seed=args.seed,
-        verify_cycles=args.verify_cycles,
-        eps_values=tuple(float(v) for v in args.eps_sweep.split(",")) if args.eps_sweep else (),
-    )
+    try:
+        config = RunConfig(
+            suite=args.suite,
+            max_n=args.max_n,
+            m_values=tuple(int(v) for v in args.m.split(",")),
+            phi=args.phi,
+            seed=args.seed,
+            verify_cycles=args.verify_cycles,
+            eps_values=tuple(float(v) for v in args.eps_sweep.split(",")) if args.eps_sweep else (),
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits with status 2
     report = build_report(config)
     report.write_csv(_out_path(args, "report.csv"))
     table = report.text_table()
@@ -188,11 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="th3 | th6 | th7 | all")
     p.add_argument("--max-n", type=int, default=2, help="largest polynomial degree n")
     p.add_argument("--m", default="0,1", help="comma-separated tail dimensions")
-    p.add_argument("--phi", default="pi/3", help="switching angle for the generic suite")
+    p.add_argument("--phi", type=_parse_phi, default="pi/3",
+                   help="switching angle for the generic suite (th3)")
     p.add_argument("--eps-sweep", help="comma-separated eps values for cycle verification")
     p.add_argument("--verify-cycles", action="store_true",
                    help="also integrate one cycle per first-order row")
-    p.set_defaults(func=cmd_reproduce)
+    p.set_defaults(func=cmd_reproduce, usage_error=p.error)
     return parser
 
 

@@ -640,8 +640,11 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     Scales the tail/radial perturbations by delta against an order-one
     angular perturbation split across the two zones, so that
     r*f_2l / (2*delta) = r*P_l + Q_l + O(delta).  The Q_l targets must be
-    divisible by r (the angular factor always carries one power of r); a
-    target outside the image raises InfeasibleTargetError with rank info.
+    divisible by r (the angular factor always carries one power of r).  The
+    radial slots are z-free and the slots of component l >= 1 are entries
+    in z_l alone, so only P_0, Q_0/r in r alone and P_l, Q_l/r (l >= 1) in
+    z_l alone are realizable.  A target outside the image raises
+    InfeasibleTargetError with rank info.
     """
     m = len(P_polys) - 1
     if m < 1:

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .generators import (
     InfeasibleTargetError,
+    _require_generic_angle,
     first_order_count,
     gen_cor13,
     gen_prop10,
@@ -32,8 +33,9 @@ from .generators import (
     second_order_lower_bound,
     second_order_upper_bound,
 )
-from .polyalg import bezout_bound
 from .flowsim import eps_sweep
+from .polyalg import bezout_bound
+from .rootfind import certify_count
 from .trigkernel import TWO_PI
 
 DESK_MAX_N = 3
@@ -61,6 +63,8 @@ class RunConfig:
         self.m_values = tuple(int(m) for m in self.m_values)
         if any(m < 0 or m > DESK_MAX_M for m in self.m_values):
             raise ValueError(f"m values must be in [0, {DESK_MAX_M}], got {self.m_values}")
+        if "th3" in self.suites():
+            _require_generic_angle(f"the th3 suite (phi = {self.phi:.10g})", self.phi)
 
     def suites(self):
         return SUITES if self.suite == "all" else (self.suite,)
@@ -138,7 +142,13 @@ class Report:
 
 
 def _row_from_result(name, n, m, phi, expected, result, verify, eps_values):
-    found = len(result.zeros)
+    if result.order == 1:
+        # first-order zeros are the planted grid: count what the root search certifies
+        cert = certify_count(result.system, result.box, expected)
+        found, bezout = cert["found"], cert["bezout"]
+    else:
+        # second-order zeros are already the simple records of find_simple_zeros
+        found, bezout = len(result.zeros), bezout_bound(result.system)
     verified = 0
     if verify and result.order == 1 and result.zeros:
         eps_values = eps_values or (1e-2, 5e-3, 2.5e-3)
@@ -146,8 +156,7 @@ def _row_from_result(name, n, m, phi, expected, result, verify, eps_values):
         verified = sum(1 for rec in records if rec.accepted)
     status = "ok" if found >= expected else "undercount"
     detail = "" if status == "ok" else f"found {found} of {expected}"
-    return ReportRow(name, n, m, phi, expected, found,
-                     bezout_bound(result.system), verified, status, detail)
+    return ReportRow(name, n, m, phi, expected, found, bezout, verified, status, detail)
 
 
 def _infeasible_row(name, n, m, phi, expected, exc):

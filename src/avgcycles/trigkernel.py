@@ -124,6 +124,12 @@ class HarmonicSum:
                 out._accum(k2, l2, c * c2)
         return out
 
+    def integral_from_zero(self) -> "HarmonicSum":
+        """The running integral over [0, s]: the antiderivative vanishing at s = 0."""
+        anti = self.antiderivative()
+        anti._accum(0, 0.0j, -anti.eval(0.0))
+        return anti
+
     def eval(self, s: float) -> complex:
         return sum(c * s**k * cmath.exp(lam * s) for (k, lam), c in self.terms.items())
 
@@ -205,15 +211,6 @@ def trig_J(key: TrigKey) -> float:
     return _trig_I(key.p, key.q, TWO_PI) - _trig_I(key.p, key.q, key.phi)
 
 
-def _running_I(p: int, q: int) -> HarmonicSum:
-    """I_(p,q,s) as a closed-form function of s (vanishing at s=0)."""
-    anti = trig_monomial(p, q).antiderivative()
-    c0 = anti.eval(0.0)
-    out = HarmonicSum(anti.terms)
-    out._accum(0, 0.0j, -c0)
-    return out
-
-
 def _check_exponents(*es):
     if any(e < 0 for e in es):
         raise KernelError(f"exponents must be nonnegative, got {es}")
@@ -223,14 +220,14 @@ def nested_I(i: int, j: int, p: int, q: int, phi: float) -> float:
     """Integral over [0, phi] of cos^i s sin^j s * I_(p,q,s)."""
     _check_exponents(i, j, p, q)
     TrigKey(p, q, phi)  # validate phi range
-    return (trig_monomial(i, j) * _running_I(p, q)).definite(0.0, phi)
+    return (trig_monomial(i, j) * trig_monomial(p, q).integral_from_zero()).definite(0.0, phi)
 
 
 def nested_J(i: int, j: int, p: int, q: int, phi: float) -> float:
     """Integral over [phi, 2*pi] of cos^i s sin^j s * I_(p,q,s)."""
     _check_exponents(i, j, p, q)
     TrigKey(p, q, phi)
-    return (trig_monomial(i, j) * _running_I(p, q)).definite(phi, TWO_PI)
+    return (trig_monomial(i, j) * trig_monomial(p, q).integral_from_zero()).definite(phi, TWO_PI)
 
 
 def exp_trig(key: ExpTrigKey) -> float:
@@ -243,10 +240,7 @@ def double_exp_trig(i: int, j: int, p: int, q: int, mu: float, a: float, b: floa
     _check_exponents(i, j, p, q)
     if a > b:
         raise KernelError(f"integration limits reversed: a={a} > b={b}")
-    inner_anti = trig_monomial(p, q, lam=complex(-mu)).antiderivative()
-    inner = HarmonicSum(inner_anti.terms)
-    inner._accum(0, 0.0j, -inner_anti.eval(0.0))
-    inner = inner.shifted(complex(mu))
+    inner = trig_monomial(p, q, lam=complex(-mu)).integral_from_zero().shifted(complex(mu))
     return (trig_monomial(i, j) * inner).definite(a, b)
 
 

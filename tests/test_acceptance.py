@@ -5,7 +5,7 @@ One sub-case is knowingly red: the continuous-case (full-turn) second-order
 generator cannot reach the claimed count for even degree, because the radial
 polynomial's constant term and odd powers cancel identically under the
 first-order kernel constraints (verified independently by quadrature).  See
-the README section "Count formulas and one honest caveat".  The test asserts
+the README section "Count formulas and honest caveats".  The test asserts
 the documented diagnostic instead of silently passing.
 """
 
@@ -166,7 +166,7 @@ def test_criterion_4_second_order_counts():
     "the claimed full-turn count n for even n is unattainable: the radial "
     "polynomial is even in r and divisible by r^2 under the kernel "
     "constraints, leaving at most n-1 positive simple roots "
-    "(README: Count formulas and one honest caveat)"))
+    "(README: Count formulas and honest caveats)"))
 def test_criterion_4_full_turn_even_degree_claim():
     result = gen_prop21(2)  # raises InfeasibleTargetError
     assert len(result.zeros) >= 2

@@ -1,12 +1,16 @@
 """Closed-form averaged functions against the quadrature oracle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from avgcycles import avgcore
 from avgcycles.avgcore import (
     DegenerateEigenvalueError,
+    QuadratureFailure,
     _F1_jac,
     build_averaged_system,
     build_f1,
@@ -49,6 +53,16 @@ class TestF1Oracle:
     def test_zero_spec_gives_zero(self):
         f1 = build_f1(zero_spec(2, 1, 1, 1.0))
         assert all(p.is_zero() for p in f1)
+
+
+class TestQuadratureFailure:
+    def test_nonconvergence_reported_by_scipy_raises(self, monkeypatch):
+        # scipy's quad_vec only warns when it stops short of its target; a
+        # one-interval budget makes it stop at once with status 1
+        monkeypatch.setattr(avgcore, "quad_vec", functools.partial(scipy.integrate.quad_vec, limit=1))
+        spec = random_spec(2, 1, 2, math.pi / 3, 11, scale=0.5)
+        with pytest.raises(QuadratureFailure, match="Target precision not reached"):
+            oracle_f1(spec, [0.8, 0.2])
 
 
 class TestKernelConstraints:
@@ -97,6 +111,17 @@ class TestF2Oracle:
         for nu in _points(m):
             closed = np.array([p(nu) for p in rf2]) / nu[0]
             np.testing.assert_allclose(closed, oracle_f2(spec, nu), atol=1e-8)
+
+    @pytest.mark.parametrize("n,m,d", [(2, 1, 2), (3, 2, 3)])
+    def test_slave_derivative_is_not_a_difference_quotient(self, n, m, d):
+        # dg_1/dv comes from the variational ODE, so the agreement sits near
+        # the integrator's tolerance; a central difference of g_1 missed
+        # 1e-10 on these specs
+        spec = project_to_kernel(random_spec(n, m, d, math.pi / 3, 61, scale=0.4))
+        rf2 = build_f2(spec, check_f1=False)
+        for nu in _points(m):
+            closed = np.array([p(nu) for p in rf2]) / nu[0]
+            np.testing.assert_allclose(closed, oracle_f2(spec, nu), rtol=0, atol=1e-10)
 
     def test_f2_requires_zero_f1(self):
         spec = random_spec(1, 0, 0, 1.0, 41, scale=0.5)

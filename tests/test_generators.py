@@ -147,6 +147,17 @@ class TestTh4:
             gen_th4(P, Q, PHI, n=1)
 
 
+@pytest.mark.xfail(strict=True, raises=InfeasibleTargetError, reason=(
+    "gen_th4 realizes only P_l and Q_l/r (l >= 1) that are polynomials in z_l "
+    "alone; P_1 = r is outside its slots (README: Count formulas and honest caveats)"))
+def test_th4_mixed_component_target():
+    r = Poly.variable(3, 0)
+    P = [r + Poly.constant(3, -1.0), r, Poly(3)]
+    Q = [Poly(3)] * 3
+    result = gen_th4(P, Q, 1.0)  # raises "P target not realizable"
+    for p, q in zip(result.notes["normalized"], result.notes["reduced_system"]):
+        assert all(abs(p.terms.get(mo, 0) - q.terms.get(mo, 0)) < 1e-2 for mo in set(p.terms) | set(q.terms))
+
 
 # each generator that needs a generic switching angle, at a small size
 GENERIC_ANGLE_CALLS = {

@@ -3,11 +3,12 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from avgcycles.cli import main, _parse_phi
 from avgcycles.generators import gen_prop10, gen_prop12
-from avgcycles.repro import Report, RunConfig, build_report
+from avgcycles.repro import Report, RunConfig, _run_case, build_report
 
 
 class TestRunConfig:
@@ -20,6 +21,13 @@ class TestRunConfig:
             RunConfig(max_n=9)
         with pytest.raises(ValueError):
             RunConfig(m_values=(5,))
+
+    def test_generic_angle_checked_only_when_th3_runs(self):
+        for suite in ("th3", "all"):
+            with pytest.raises(ValueError, match=r"^the th3 suite \(phi = 3.141592654\) needs phi"):
+                RunConfig(suite=suite, phi=math.pi)
+        for suite in ("th6", "th7"):
+            assert RunConfig(suite=suite, phi=math.pi).phi == math.pi
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +64,17 @@ class TestReport:
         table = report.text_table()
         assert "gen_prop16" in table and "seed=3" in table
 
+    def test_first_order_found_is_certified_not_planted(self):
+        # a generator whose planted list is padded still gets the count the
+        # root search certifies
+        def padded():
+            result = gen_prop10(1, 0, math.pi / 3)
+            result.zeros = result.zeros + [np.array([1.9]), np.array([2.0])]
+            return result
+
+        row = _run_case("gen_prop10", 1, 0, math.pi / 3, 1, padded, False, ())
+        assert (row.found, row.bezout, row.status) == (1, 1, "ok")
+
     def test_infeasible_row_is_reported_not_raised(self):
         report = build_report(RunConfig(suite="th7", max_n=2, m_values=(0,)))
         row = next(r for r in report.rows if r.generator == "gen_prop21" and r.n == 2)
@@ -78,6 +97,24 @@ class TestCli:
         assert _parse_phi("2pi") == 2 * math.pi
         assert _parse_phi("pi/3") == pytest.approx(math.pi / 3)
         assert _parse_phi("1.5") == 1.5
+
+    @pytest.mark.parametrize("text", ["2pi/3", "pi/0", "abc", "nan"])
+    def test_bad_phi_is_a_usage_error(self, text, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--phi", text, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"bad angle {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,shown", [
+        (["--suite", "th3", "--phi", "pi"], "phi = 3.141592654"),
+        (["--phi", "7"], "phi = 7"),
+    ])
+    def test_non_generic_phi_is_a_usage_error_for_th3(self, args, shown, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", *args, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"the th3 suite ({shown}) needs phi in (0, 2*pi)" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_averaged(self, spec_path, tmp_path, capsys):
         code = main(["averaged", "--spec", spec_path, "--out-dir", str(tmp_path)])
@@ -108,7 +145,8 @@ class TestCli:
         assert "2/2 eps values verified" in capsys.readouterr().out
 
     def test_reproduce(self, tmp_path):
-        code = main(["reproduce", "--suite", "th6", "--max-n", "1", "--m", "0",
+        # th6 runs at pi: the generic-angle check belongs to th3 alone
+        code = main(["reproduce", "--suite", "th6", "--max-n", "1", "--m", "0", "--phi", "pi",
                      "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "report.csv").exists()

@@ -15,6 +15,7 @@ from avgcycles.trigkernel import (
     exp_trig,
     lemma_vanish_predicate,
     nested_I,
+    trig_monomial,
     nested_J,
     trig_I,
     trig_J,
@@ -81,6 +82,16 @@ class TestQuadratureAgreement:
         ref, _ = quad(lambda s: math.cos(s) ** i * math.sin(s) ** j * inner(s), a, b,
                       epsabs=1e-11, limit=200)
         assert double_exp_trig(i, j, p, q, mu, a, b) == pytest.approx(ref, abs=1e-9)
+
+
+class TestIntegralFromZero:
+    @pytest.mark.parametrize("p,q,lam", [(2, 1, 0.0j), (1, 3, complex(-0.8)), (0, 0, complex(1e-10))])
+    def test_is_the_running_integral(self, p, q, lam):
+        hs = trig_monomial(p, q, lam=lam)
+        run = hs.integral_from_zero()
+        assert abs(run.eval(0.0)) < 1e-15
+        for s in (0.7, 2.9):
+            assert run.eval(s).real == pytest.approx(hs.definite(0.0, s), abs=1e-13)
 
 
 class TestVanishPredicate:

@@ -34,6 +34,7 @@ from .flowsim import (
     return_map,
 )
 from .generators import (
+    ConstructionError,
     GeneratorResult,
     InfeasibleTargetError,
     first_order_count,
@@ -52,6 +53,7 @@ from .repro import Report, ReportRow, RunConfig, build_report
 
 __all__ = [
     "AveragedSystem",
+    "ConstructionError",
     "CycleRecord",
     "GeneratorResult",
     "InfeasibleTargetError",

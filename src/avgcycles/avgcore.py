@@ -457,21 +457,24 @@ def _cartesian(theta: float, x: np.ndarray):
     return cx, sx, point
 
 
+def _cylindrical(vals: np.ndarray, cx: float, sx: float, r: float) -> np.ndarray:
+    """Table values (a, b, c_1..c_d) at a point -> cylindrical components, in place."""
+    va, vb = vals[0], vals[1]
+    vals[0], vals[1] = (vb * cx - va * sx) / r, va * cx + vb * sx
+    return vals
+
+
 def eval_fields(C: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
     """Cylindrical field components (A or B), numbered 1..d+2, at a state.
 
     ``C`` is the zone's compile_fields vector of the wanted order.
     """
     cx, sx, point = _cartesian(theta, x)
-    out = C.values(point)[0]
-    va, vb = out[0], out[1]
-    out[0], out[1] = (vb * cx - va * sx) / x[0], va * cx + vb * sx
-    return out
+    return _cylindrical(C.values(point)[0], cx, sx, x[0])
 
 
-def eval_F1(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
-    """First-order theta-time field (d+1 components) from the zone's order-1 tables."""
-    A = eval_fields(C1, theta, x)
+def _F1_of(spec: SystemSpec, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First-order theta-time field (d+1 components) from the order-1 fields A."""
     out = np.empty(spec.d + 1)
     out[: spec.m + 1] = A[1 : spec.m + 2]
     for w in range(spec.m + 1, spec.d + 1):
@@ -479,11 +482,8 @@ def eval_F1(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) 
     return out
 
 
-def eval_F2(spec: SystemSpec, C1: CompiledPolyVec, C2: CompiledPolyVec, theta: float,
-            x: np.ndarray) -> np.ndarray:
-    """Second-order theta-time field (d+1 components) from the zone's order-1 and -2 tables."""
-    A = eval_fields(C1, theta, x)
-    B = eval_fields(C2, theta, x)
+def _F2_of(spec: SystemSpec, A: np.ndarray, B: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Second-order theta-time field (d+1 components) from the order-1 and -2 fields A, B."""
     out = np.empty(spec.d + 1)
     for ell in range(spec.m + 1):
         out[ell] = B[ell + 1] - A[0] * A[ell + 1]
@@ -493,19 +493,23 @@ def eval_F2(spec: SystemSpec, C1: CompiledPolyVec, C2: CompiledPolyVec, theta: f
     return out
 
 
-def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the first-order field with respect to (r, z)."""
+def eval_F1(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
+    """First-order theta-time field (d+1 components) from the zone's order-1 tables."""
+    return _F1_of(spec, eval_fields(C1, theta, x), x)
+
+
+def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray):
+    """The fields A and the analytic Jacobian of F_1 wrt (r, z), from one table evaluation."""
     r = x[0]
     cx, sx, point = _cartesian(theta, x)
-    va, vb = C1.values(point)[0, :2]
+    A = _cylindrical(C1.values(point)[0], cx, sx, r)
     G = C1.jacobians(point)[0]
     # gradients wrt (x, y, z) -> wrt (r, z) along x = r cos, y = r sin
     g = np.empty((spec.d + 2, spec.d + 1))
     g[:, 0] = cx * G[:, 0] + sx * G[:, 1]
     g[:, 1:] = G[:, 2:]
-    A1 = (vb * cx - va * sx) / r
     dA1 = (cx * g[1] - sx * g[0]) / r
-    dA1[0] -= A1 / r
+    dA1[0] -= A[0] / r
 
     J = np.empty((spec.d + 1, spec.d + 1))
     J[0] = cx * g[0] + sx * g[1]
@@ -513,8 +517,8 @@ def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) 
     for k in range(spec.m + 1, spec.d + 1):
         mu = spec.mu[k - 1]
         J[k] -= mu * x[k] * dA1
-        J[k, k] -= mu * A1
-    return J
+        J[k, k] -= mu * A[0]
+    return A, J
 
 
 def _y1(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray) -> np.ndarray:
@@ -550,9 +554,9 @@ def _variations(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray):
     def rhs(s, y):
         xs = flow(spec, s, zz)
         y1, y2, T = y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
-        J = _F1_jac(spec, C1, s, xs)
-        d1 = dmu * y1 + eval_F1(spec, C1, s, xs)
-        d2 = dmu * y2 + 2.0 * eval_F2(spec, C1, C2, s, xs) + 2.0 * J @ y1
+        A, J = _F1_jac(spec, C1, s, xs)
+        d1 = dmu * y1 + _F1_of(spec, A, xs)
+        d2 = dmu * y2 + 2.0 * _F2_of(spec, A, eval_fields(C2, s, xs), xs) + 2.0 * J @ y1
         dT = dmu[:, None] * T + J[:, m + 1 :] * _Y_diag(spec, s)[m + 1 :]
         return np.concatenate([d1, d2, dT.ravel()])
 

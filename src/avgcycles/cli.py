@@ -3,7 +3,7 @@
 Exit status is 0 only when every requested certification passes; infeasible
 reproduction rows (targets provably outside the reachable coefficient span)
 are reported but do not fail the run, since the report carries the
-diagnostic.
+diagnostic.  Failed rows (a generator that gave up) fail the run.
 """
 
 from __future__ import annotations

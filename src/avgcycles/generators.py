@@ -17,8 +17,9 @@ first-order coefficients.  They build an exact algebraic surrogate
 
 by probing build_f2 on unit and pairwise coefficient vectors (u parametrizes
 the first-order tables inside the kernel of f_1, v the second-order tables,
-which enter linearly), then tune u by least squares with multistart and
-recover v by a linear solve.  The tuned spec is re-verified against the real
+which enter linearly), then tune u by least squares with multistart, each
+start stopped once it reaches its target or stalls, and recover v by a
+linear solve.  The tuned spec is re-verified against the real
 build_f1/build_f2 pipeline and certified by root search.  gen_th4 realizes a
 prescribed reduced system through the same slot assembly and linear fits.
 """
@@ -41,10 +42,20 @@ from .trigkernel import TWO_PI
 LINEAR_TOL = 1e-9
 VERIFY_TOL = 1e-8
 TUNING_STARTS = 8  # multistart count of the second-order least squares
+STALL_WINDOW = 100  # iterations over which a tuning start's best misfit must halve
 
 
 class InfeasibleTargetError(RuntimeError):
     """The requested target polynomials are outside the coefficient map's image."""
+
+
+class ConstructionError(RuntimeError):
+    """A generator gave up on a target it has no proof against.
+
+    Raised when tuning stalls, too few zeros certify, the tuned spec fails
+    its re-verification, or the generator's own slots miss a target
+    monomial.  Unlike InfeasibleTargetError it is a failure, not a verdict.
+    """
 
 
 def _spec_from_slots(n, m, phi, slots, values) -> SystemSpec:
@@ -161,7 +172,7 @@ def _fit_linear_f1(n, m, phi, slots, target: PolyVec):
     f1 = build_f1(spec)
     worst = max((p - q).max_coeff() for p, q in zip(f1, target))
     if worst > 10 * LINEAR_TOL * max(1.0, max(q.max_coeff() for q in target)):
-        raise InfeasibleTargetError(f"re-verification failed: coefficient error {worst:.3e}")
+        raise ConstructionError(f"re-verification failed: coefficient error {worst:.3e}")
     return spec, f1
 
 
@@ -321,8 +332,7 @@ class _QuadModel:
         self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
         self.udim = Nbasis.shape[1]
         eye, zero_v = np.eye(self.udim), np.zeros(len(vslots))
-        # (i, i) probes u = e_i, (i, j) probes e_i + e_j; sorted, so that
-        # quad() and its Jacobian are single matmuls over the pair rows
+        # (i, i) probes u = e_i, (i, j) probes e_i + e_j
         pairs = list(itertools.combinations_with_replacement(range(self.udim), 2))
         probes = [build_f2(self.assemble(eye[i] if i == j else eye[i] + eye[j], zero_v), check_f1=False)
                   for i, j in pairs]
@@ -333,10 +343,14 @@ class _QuadModel:
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
         vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
         rows = {p: vec(pv) for p, pv in zip(pairs, probes)}
-        self._pi = np.array([i for i, _ in pairs], dtype=int)
-        self._pj = np.array([j for _, j in pairs], dtype=int)
-        self._Cmat = np.stack([rows[i, j] if i == j else rows[i, j] - rows[i, i] - rows[j, j]
-                               for i, j in pairs])  # (npairs, nmono)
+        # Q(u)_k = u^T S_k u with S symmetric: the (i, j) probe minus the two
+        # diagonal probes is the cross term 2 S_ij u_i u_j
+        self.S = np.zeros((len(self.monos), self.udim, self.udim))
+        for i, j in pairs:
+            if i == j:
+                self.S[:, i, i] = rows[i, i]
+            else:
+                self.S[:, i, j] = self.S[:, j, i] = 0.5 * (rows[i, j] - rows[i, i] - rows[j, j])
         self.L = (
             np.stack([vec(pv) for pv in lcols], axis=1)
             if lcols
@@ -350,15 +364,10 @@ class _QuadModel:
             self.Lbasis = np.zeros((len(self.monos), 0))
 
     def quad(self, u) -> np.ndarray:
-        return (u[self._pi] * u[self._pj]) @ self._Cmat
+        return (self.S @ u) @ u
 
     def quad_jac(self, u) -> np.ndarray:
-        npairs = len(self._pi)
-        dpair = np.zeros((npairs, self.udim))
-        rows = np.arange(npairs)
-        np.add.at(dpair, (rows, self._pi), u[self._pj])
-        np.add.at(dpair, (rows, self._pj), u[self._pi])
-        return self._Cmat.T @ dpair  # (nmono, udim)
+        return 2.0 * (self.S @ u)  # (nmono, udim)
 
     def residual_reduced(self, u, t, weights) -> np.ndarray:
         gap = self.quad(u) - t
@@ -392,15 +401,44 @@ class _QuadModel:
                 else:
                     leftover.append(((ci, mo), c))
         if leftover:
-            raise InfeasibleTargetError(
+            raise ConstructionError(
                 f"target contains monomials outside the reachable support: {leftover[:4]}"
             )
         return t
 
 
-def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
+class _StopRule:
+    """least_squares callback ending a start at its target misfit or on a stall.
+
+    The misfit is the largest weighted coefficient residual: ``fun`` without
+    its norm-penalty tail.  A start stalls when its best misfit has not
+    halved over the last STALL_WINDOW iterations.
+    """
+
+    def __init__(self, nmono, target):
+        self.nmono, self.target = nmono, target
+        self.best = []  # best misfit after each iteration
+        self.reason = None
+
+    def __call__(self, intermediate_result):
+        err = float(np.max(np.abs(intermediate_result.fun[: self.nmono])))
+        self.best.append(min(err, self.best[-1]) if self.best else err)
+        if err < self.target:
+            self.reason = "target"
+        elif len(self.best) > STALL_WINDOW and self.best[-1] > 0.5 * self.best[-1 - STALL_WINDOW]:
+            self.reason = "stall"
+        if self.reason:
+            raise StopIteration
+
+
+def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
                     free_monos=(), free_weight=0.0, tol=LINEAR_TOL):
-    """Multistart least squares on u; returns (spec, rf2, misfit)."""
+    """Multistart least squares on u; returns (spec, rf2, misfit).
+
+    Each start appends {"x_scale", "reason", "nfev", "misfit"} to ``starts``,
+    its reason being "target", "stall" or "max_nfev"; a successful tuning's
+    winning start is the last one appended.
+    """
     t = model.target_vector(target)
     weights = np.ones(len(model.monos))
     free = set(free_monos)
@@ -409,6 +447,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
             weights[k] = free_weight
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
+    stop_at = 1e-3 * tol * scale
     # A tiny norm penalty keeps the optimizer off the asymptotic escape
     # directions (huge-norm parameter vectors whose first-order tables
     # amplify round-off past the kernel check downstream); the induced bias
@@ -429,11 +468,17 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
         # default scaling converges fast on well-conditioned problems;
         # x_scale="jac" rescues flat-valley stalls
         for x_scale in (1.0, "jac"):
+            rule = _StopRule(len(model.monos), stop_at)
             sol = least_squares(
-                res_aug, u0, jac=jac_aug,
+                res_aug, u0, jac=jac_aug, callback=rule,
                 xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000, x_scale=x_scale,
             )
             err = float(np.max(np.abs(model.residual_reduced(sol.x, t, weights))))
+            if sol.status == 0:
+                reason = "max_nfev"
+            else:  # the rule's verdict, or scipy's own tolerances: no more progress
+                reason = rule.reason or ("target" if err < stop_at else "stall")
+            starts.append({"x_scale": x_scale, "reason": reason, "nfev": int(sol.nfev), "misfit": err})
             if best is None or err < best[0]:
                 best = (err, sol.x)
             if err < tol * scale:
@@ -443,7 +488,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
             break
     err, u = best
     if err > tol * scale:
-        raise InfeasibleTargetError(
+        raise ConstructionError(
             f"second-order tuning stalled: weighted coefficient misfit {err:.3e} "
             f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
         )
@@ -453,14 +498,14 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, seed=0,
     f1 = build_f1(spec)
     worst_f1 = max(p.max_coeff() for p in f1.components)
     if worst_f1 > 1e-9:
-        raise InfeasibleTargetError(f"tuned spec violates the first-order kernel: |f_1| = {worst_f1:.3e}")
+        raise ConstructionError(f"tuned spec violates the first-order kernel: |f_1| = {worst_f1:.3e}")
     rf2 = build_f2(spec, check_f1=False)
     want = {key: t[k] for key, k in model.pos.items()}
     keys = {(ci, mo) for ci, p in enumerate(rf2) for mo in p.terms} | set(want)
     misfit = max((abs(rf2[ci].terms.get(mo, 0.0) - want.get((ci, mo), 0.0)) for ci, mo in keys - free),
                  default=0.0)
     if misfit > max(VERIFY_TOL, 10.0 * tol) * scale:
-        raise InfeasibleTargetError(f"surrogate/pipeline disagreement: {misfit:.3e}")
+        raise ConstructionError(f"surrogate/pipeline disagreement: {misfit:.3e}")
     return spec, rf2, misfit
 
 
@@ -527,20 +572,24 @@ def _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=0)
         dict(free_monos=pure_z, free_weight=1e-5, tol=1e-7),
         dict(free_monos=loose, free_weight=1e-5, tol=1e-7),
     ]
+    starts = []
     last_exc = None
     for k, kw in enumerate(attempts):
+        log = []
         try:
-            spec, rf2, misfit = _tune_quadratic(model, target, seed=seed + 17 * k, **kw)
-        except InfeasibleTargetError as exc:
+            spec, rf2, misfit = _tune_quadratic(model, target, log, seed=seed + 17 * k, **kw)
+        except ConstructionError as exc:
             last_exc = exc
             continue
+        finally:
+            starts += [dict(rec, attempt=k) for rec in log]
         box = default_box(m)
         records = [rec for rec in find_simple_zeros(rf2, box) if rec.simple]
         if len(records) >= expected:
             zeros = [rec.nu for rec in records]
             return GeneratorResult(spec, 2, rf2, expected, box, zeros,
-                                   {"misfit": misfit, "attempt": k})
-        last_exc = InfeasibleTargetError(
+                                   {"misfit": misfit, "attempt": k, "starts": starts})
+        last_exc = ConstructionError(
             f"tuned system certified only {len(records)} of {expected} zeros"
         )
     raise last_exc

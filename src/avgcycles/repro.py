@@ -6,7 +6,9 @@ never stored per row.  Rows where the strict target is provably outside the
 reachable coefficient span are reported as infeasible with the diagnostic
 rather than crashing the matrix (the continuous-case even-degree system is
 the known instance: its radial polynomial is even in r and divisible by r^2,
-so at most n - 1 positive simple roots exist).
+so at most n - 1 positive simple roots exist).  A generator that gives up
+without such a proof (ConstructionError) yields a failed row, which fails
+the report.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .generators import (
+    ConstructionError,
     InfeasibleTargetError,
     _require_generic_angle,
     first_order_count,
@@ -159,15 +162,13 @@ def _row_from_result(name, n, m, phi, expected, result, verify, eps_values):
     return ReportRow(name, n, m, phi, expected, found, bezout, verified, status, detail)
 
 
-def _infeasible_row(name, n, m, phi, expected, exc):
-    return ReportRow(name, n, m, phi, expected, 0, 0, 0, "infeasible", str(exc))
-
-
 def _run_case(name, n, m, phi, expected, make, verify, eps_values):
     try:
         result = make()
     except InfeasibleTargetError as exc:
-        return _infeasible_row(name, n, m, phi, expected, exc)
+        return ReportRow(name, n, m, phi, expected, 0, 0, 0, "infeasible", str(exc))
+    except ConstructionError as exc:
+        return ReportRow(name, n, m, phi, expected, 0, 0, 0, "failed", str(exc))
     return _row_from_result(name, n, m, phi, expected, result, verify, eps_values)
 
 

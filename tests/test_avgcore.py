@@ -48,7 +48,7 @@ class TestF1Oracle:
         f1 = build_f1(spec)
         for nu in _points(m):
             closed = np.array([p(nu) for p in f1])
-            np.testing.assert_allclose(closed, oracle_f1(spec, nu), atol=1e-10)
+            np.testing.assert_allclose(closed, oracle_f1(spec, nu), atol=1e-10, rtol=0)
 
     def test_zero_spec_gives_zero(self):
         f1 = build_f1(zero_spec(2, 1, 1, 1.0))
@@ -87,7 +87,7 @@ class TestGammaOracle:
         gamma = build_gamma(spec)
         for nu in _points(0):
             closed = np.array([g(nu) for g in gamma])
-            np.testing.assert_allclose(closed, oracle_gamma(spec, nu), atol=1e-9)
+            np.testing.assert_allclose(closed, oracle_gamma(spec, nu), atol=1e-9, rtol=0)
 
     def test_literal_flag_changes_result(self):
         # the compatibility flag freezes the slave decay rate at one
@@ -110,7 +110,7 @@ class TestF2Oracle:
         rf2 = build_f2(spec, check_f1=False)
         for nu in _points(m):
             closed = np.array([p(nu) for p in rf2]) / nu[0]
-            np.testing.assert_allclose(closed, oracle_f2(spec, nu), atol=1e-8)
+            np.testing.assert_allclose(closed, oracle_f2(spec, nu), atol=1e-8, rtol=0)
 
     @pytest.mark.parametrize("n,m,d", [(2, 1, 2), (3, 2, 3)])
     def test_slave_derivative_is_not_a_difference_quotient(self, n, m, d):
@@ -180,7 +180,7 @@ class TestCompiledFields:
         h = 1e-6
         for theta in (0.3, 2.9):
             for x in self.states:
-                J = _F1_jac(self.spec, C1, theta, x)
+                J = _F1_jac(self.spec, C1, theta, x)[1]
                 for k in range(len(x)):
                     dx = np.zeros(len(x))
                     dx[k] = h

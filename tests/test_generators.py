@@ -7,7 +7,15 @@ import pytest
 
 from avgcycles.avgcore import build_f1, build_f2
 from avgcycles.generators import (
+    STALL_WINDOW,
+    TUNING_STARTS,
+    ConstructionError,
     InfeasibleTargetError,
+    _kernel_basis,
+    _poly_vec_to_coeffs,
+    _QuadModel,
+    _second_order_slots,
+    _tune_quadratic,
     first_order_count,
     gen_cor13,
     gen_prop10,
@@ -20,7 +28,7 @@ from avgcycles.generators import (
     second_order_lower_bound,
     second_order_upper_bound,
 )
-from avgcycles.polyalg import Poly
+from avgcycles.polyalg import Poly, PolyVec
 from avgcycles.rootfind import SearchBox, find_simple_zeros
 from avgcycles.trigkernel import TWO_PI
 
@@ -104,6 +112,58 @@ class TestSecondOrderGenerators:
         result = gen_cor13(1, PHI)
         assert len(result.zeros) == 4
         assert result.expected_count == 4
+
+
+def _quad_model(n, m, phi=PHI):
+    uslots, vslots = _second_order_slots(n, m, radial_z=m >= 1)
+    return _QuadModel(n, m, phi, uslots, _kernel_basis(n, m, phi, uslots), vslots)
+
+
+class TestSecondOrderTuning:
+    def test_tensor_surrogate_matches_pairwise_probes(self):
+        model = _quad_model(1, 1)
+        zero_v = np.zeros(len(model.vslots))
+
+        def probe(u):  # coeffs(r*f_2) of the assembled spec, by the real pipeline
+            return _poly_vec_to_coeffs(build_f2(model.assemble(u, zero_v), check_f1=False), model.monos)
+
+        eye = np.eye(model.udim)
+        diag = [probe(e) for e in eye]
+        u = np.random.default_rng(3).normal(size=model.udim)
+        want = sum(u[i] ** 2 * diag[i] for i in range(model.udim))
+        for i in range(model.udim):
+            for j in range(i + 1, model.udim):
+                want = want + u[i] * u[j] * (probe(eye[i] + eye[j]) - diag[i] - diag[j])
+        np.testing.assert_allclose(model.quad(u), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.quad(u), probe(u), rtol=0, atol=1e-12)
+
+        h = 1e-3  # central differences are exact on a quadratic, up to round-off
+        fd = np.stack([(model.quad(u + h * e) - model.quad(u - h * e)) / (2 * h) for e in eye], axis=1)
+        np.testing.assert_allclose(model.quad_jac(u), fd, rtol=0, atol=1e-10)
+
+    def test_starts_stop_on_target(self):
+        starts = gen_prop12(1, 0, PHI).notes["starts"]
+        assert starts and all(rec["reason"] == "target" for rec in starts)
+        assert starts[-1]["nfev"] < 200  # the winning start
+
+    def test_unreachable_target_stalls_early(self):
+        # generic coefficients on every monomial lie outside Q(u) + L v
+        model = _quad_model(2, 1)
+        rng = np.random.default_rng(0)
+        terms = [{}, {}]
+        for ci, mo in model.monos:
+            terms[ci][mo] = rng.normal()
+        starts = []
+        with pytest.raises(ConstructionError, match="second-order tuning stalled"):
+            _tune_quadratic(model, PolyVec([Poly(2, t) for t in terms]), starts)
+        assert len(starts) == 2 * TUNING_STARTS  # each start runs with both scalings
+        assert all(rec["reason"] == "stall" for rec in starts)
+        assert max(rec["nfev"] for rec in starts) < 2 * STALL_WINDOW  # max_nfev is 4000
+
+    def test_seed_reproducible(self):
+        one, two = (gen_prop12(1, 1, PHI, seed=5) for _ in range(2))
+        assert one.spec.to_json_dict() == two.spec.to_json_dict()
+        assert one.notes["starts"] == two.notes["starts"]
 
 
 def _th4_pair():

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from avgcycles import repro
 from avgcycles.cli import main, _parse_phi
-from avgcycles.generators import gen_prop10, gen_prop12
+from avgcycles.generators import ConstructionError, gen_prop10, gen_prop12
 from avgcycles.repro import Report, RunConfig, _run_case, build_report
 
 
@@ -81,6 +82,20 @@ class TestReport:
         assert row.status == "infeasible"
         assert "even powers" in row.detail
         assert report.all_passed  # infeasible rows carry their diagnostic
+
+    def test_construction_failure_is_a_failed_row(self, monkeypatch, tmp_path):
+        def gives_up(*args, **kwargs):
+            raise ConstructionError("second-order tuning stalled: stub")
+
+        monkeypatch.setattr(repro, "gen_prop12", gives_up)
+        report = build_report(RunConfig(suite="th3", max_n=1, m_values=(0,)))
+        row = next(r for r in report.rows if r.generator == "gen_prop12")
+        assert (row.status, row.found) == ("failed", 0)
+        assert "tuning stalled" in row.detail
+        assert not report.all_passed
+        code = main(["reproduce", "--suite", "th3", "--max-n", "1", "--m", "0",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from .trigkernel import TWO_PI, HarmonicSum, trig_monomial
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
+KERNEL_WEIGHT_TOL = 1e-12  # integral weights below this cannot carry a kernel constraint
 QUAD_TOL = 1e-12  # absolute max-norm error target of the order-1 quadrature
 
 
@@ -266,7 +267,7 @@ def f1_kernel_constraints(spec: SystemSpec) -> list:
     return constraints
 
 
-def project_to_kernel(spec: SystemSpec, weight_tol: float = 1e-12) -> SystemSpec:
+def project_to_kernel(spec: SystemSpec) -> SystemSpec:
     """Nearest spec with f_1 identically zero, solving one coefficient per constraint."""
     out = spec.copy()
     for con in f1_kernel_constraints(out):
@@ -274,7 +275,7 @@ def project_to_kernel(spec: SystemSpec, weight_tol: float = 1e-12) -> SystemSpec
         if abs(res) < 1e-14:
             continue
         fam, sign, idx, w = max(con.terms, key=lambda t: (abs(t[3]), t[:3]))
-        if abs(w) < weight_tol:
+        if abs(w) < KERNEL_WEIGHT_TOL:
             raise InfeasibleConstraintError(
                 f"constraint on component {con.component}, monomial {con.monomial}: "
                 f"all integral weights vanish but the residual is {res:.3e}"
@@ -355,12 +356,12 @@ def _y1_series(spec: SystemSpec, sign: str) -> list:
     return out
 
 
-def check_f1_zero(spec: SystemSpec, tol: float = F1_ZERO_TOL):
+def check_f1_zero(spec: SystemSpec):
     f1 = build_f1(spec)
     worst = max(p.max_coeff() for p in f1.components)
-    if worst > tol:
+    if worst > F1_ZERO_TOL:
         raise FirstOrderNotZeroError(
-            f"f_1 is not identically zero: largest polynomial coefficient {worst:.3e} exceeds {tol:g}"
+            f"f_1 is not identically zero: largest polynomial coefficient {worst:.3e} exceeds {F1_ZERO_TOL:g}"
         )
 
 

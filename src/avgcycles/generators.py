@@ -18,10 +18,11 @@ first-order coefficients.  They build an exact algebraic surrogate
 by probing build_f2 on unit and pairwise coefficient vectors (u parametrizes
 the first-order tables inside the kernel of f_1, v the second-order tables,
 which enter linearly), then tune u by least squares with multistart, each
-start stopped once it reaches its target or stalls, and recover v by a
-linear solve.  The tuned spec is re-verified against the real
-build_f1/build_f2 pipeline and certified by root search.  gen_th4 realizes a
-prescribed reduced system through the same slot assembly and linear fits.
+start run once with scipy's default scaling and stopped once it reaches its
+target or stalls, and recover v by a linear solve.  The tuned spec is
+re-verified against the real build_f1/build_f2 pipeline and certified by
+root search.  gen_th4 realizes a prescribed reduced system through the same
+slot assembly and linear fits, its Q map probed through build_f2 as well.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .avgcore import _field_series, _g_contribution, build_f1, build_f2, f1_kernel_constraints
+from .avgcore import build_f1, build_f2, f1_kernel_constraints
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
 from .sysspec import SystemSpec, zero_spec
@@ -95,16 +96,15 @@ class GeneratorResult:
 # ---------------------------------------------------------------------------
 
 
-def positive_nodes(count: int, lo: float = 0.4, hi: float = 1.7) -> list:
-    """Distinct positive radii, well separated inside (lo, hi)."""
-    if count <= 0:
-        return []
+def positive_nodes(count: int) -> list:
+    """Distinct positive radii, well separated inside (0.4, 1.7)."""
+    lo, hi = 0.4, 1.7
     return [lo + (hi - lo) * (k + 0.5) / count for k in range(count)]
 
 
-def symmetric_nodes(count: int, half: float = 0.95, offset: float = 0.0) -> list:
-    if count <= 0:
-        return []
+def symmetric_nodes(count: int, offset: float = 0.0) -> list:
+    """Distinct nodes, well separated inside (-0.95, 0.95), shifted by offset."""
+    half = 0.95
     return [-half + 2 * half * (k + 0.5) / count + offset for k in range(count)]
 
 
@@ -121,8 +121,8 @@ def poly_from_roots(nvars: int, var: int, roots, square_var: bool = False, shift
     return out
 
 
-def default_box(m: int, r_hi: float = 2.1, z_half: float = 1.25, grid: int = 15) -> SearchBox:
-    return SearchBox([0.05] + [-z_half] * m, [r_hi] + [z_half] * m, grid=(grid,) * (m + 1))
+def default_box(m: int) -> SearchBox:
+    return SearchBox([0.05] + [-1.25] * m, [2.1] + [1.25] * m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +351,9 @@ class _QuadModel:
                 self.S[:, i, i] = rows[i, i]
             else:
                 self.S[:, i, j] = self.S[:, j, i] = 0.5 * (rows[i, j] - rows[i, i] - rows[j, j])
-        self.L = (
-            np.stack([vec(pv) for pv in lcols], axis=1)
-            if lcols
-            else np.zeros((len(self.monos), 0))
-        )
-        U, s, _ = np.linalg.svd(self.L, full_matrices=False) if self.L.shape[1] else (None, np.array([]), None)
-        if len(s):
-            rank = int(np.sum(s > 1e-10 * s[0]))
-            self.Lbasis = U[:, :rank]
-        else:
-            self.Lbasis = np.zeros((len(self.monos), 0))
+        self.L = np.stack([vec(pv) for pv in lcols], axis=1)
+        U, s, _ = np.linalg.svd(self.L, full_matrices=False)
+        self.Lbasis = U[:, : int(np.sum(s > 1e-10 * s[0]))]
 
     def quad(self, u) -> np.ndarray:
         return (self.S @ u) @ u
@@ -371,19 +363,13 @@ class _QuadModel:
 
     def residual_reduced(self, u, t, weights) -> np.ndarray:
         gap = self.quad(u) - t
-        if self.Lbasis.shape[1]:
-            gap = gap - self.Lbasis @ (self.Lbasis.T @ gap)
-        return gap * weights
+        return (gap - self.Lbasis @ (self.Lbasis.T @ gap)) * weights
 
     def residual_jac(self, u, t, weights) -> np.ndarray:
         J = self.quad_jac(u)
-        if self.Lbasis.shape[1]:
-            J = J - self.Lbasis @ (self.Lbasis.T @ J)
-        return weights[:, None] * J
+        return weights[:, None] * (J - self.Lbasis @ (self.Lbasis.T @ J))
 
     def solve_v(self, u, t) -> np.ndarray:
-        if not self.L.shape[1]:
-            return np.zeros(0)
         v, *_ = np.linalg.lstsq(self.L, t - self.quad(u), rcond=None)
         return v
 
@@ -435,8 +421,8 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
                     free_monos=(), free_weight=0.0, tol=LINEAR_TOL):
     """Multistart least squares on u; returns (spec, rf2, misfit).
 
-    Each start appends {"x_scale", "reason", "nfev", "misfit"} to ``starts``,
-    its reason being "target", "stall" or "max_nfev"; a successful tuning's
+    Each start appends {"reason", "nfev", "misfit"} to ``starts``, its
+    reason being "target", "stall" or "max_nfev"; a successful tuning's
     winning start is the last one appended.
     """
     t = model.target_vector(target)
@@ -462,29 +448,22 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
         return np.vstack([model.residual_jac(u, t, weights), eye])
 
     best = None
-    done = False
     for trial in range(TUNING_STARTS):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
-        # default scaling converges fast on well-conditioned problems;
-        # x_scale="jac" rescues flat-valley stalls
-        for x_scale in (1.0, "jac"):
-            rule = _StopRule(len(model.monos), stop_at)
-            sol = least_squares(
-                res_aug, u0, jac=jac_aug, callback=rule,
-                xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000, x_scale=x_scale,
-            )
-            err = float(np.max(np.abs(model.residual_reduced(sol.x, t, weights))))
-            if sol.status == 0:
-                reason = "max_nfev"
-            else:  # the rule's verdict, or scipy's own tolerances: no more progress
-                reason = rule.reason or ("target" if err < stop_at else "stall")
-            starts.append({"x_scale": x_scale, "reason": reason, "nfev": int(sol.nfev), "misfit": err})
-            if best is None or err < best[0]:
-                best = (err, sol.x)
-            if err < tol * scale:
-                done = True
-                break
-        if done:
+        rule = _StopRule(len(model.monos), stop_at)
+        sol = least_squares(
+            res_aug, u0, jac=jac_aug, callback=rule,
+            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000,
+        )
+        err = float(np.max(np.abs(model.residual_reduced(sol.x, t, weights))))
+        if sol.status == 0:
+            reason = "max_nfev"
+        else:  # the rule's verdict, or scipy's own tolerances: no more progress
+            reason = rule.reason or ("target" if err < stop_at else "stall")
+        starts.append({"reason": reason, "nfev": int(sol.nfev), "misfit": err})
+        if best is None or err < best[0]:
+            best = (err, sol.x)
+        if err < tol * scale:
             break
     err, u = best
     if err > tol * scale:
@@ -509,18 +488,18 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
     return spec, rf2, misfit
 
 
-def _second_order_slots(n, m, radial_z=False):
+def _second_order_slots(n, m):
     """Slot families for the second-order engine.
 
     First-order (quadratic) unknowns: the full z-free radial families a, b,
-    each tail component's family on its own variable and, with radial_z, the
+    each tail component's family on its own variable and, for m >= 1, the
     radial families with pure z_1 powers.  Second-order (linear) unknowns:
     z-free alpha/beta, per-component gamma on its own variable, plus
     z-dependent alpha/beta entries that absorb mixed cross terms of the
-    quadratic part.  No slot appears twice.
+    quadratic part; these are never empty.  No slot appears twice.
     """
     uslots = _scalar_slots(n, m, ("a", "b"))
-    if radial_z:
+    if m >= 1:
         for sign in ("+", "-"):
             for k in range(1, n + 1):
                 uslots.append(("a", sign, None, (0, 0) + (k,) + (0,) * (m - 1)))
@@ -614,7 +593,7 @@ def gen_prop12(n: int, m: int, phi: float, seed: int = 0) -> GeneratorResult:
     """Kernel spec whose f_2 attains 2n(2n-1)^m simple zeros (generic phi)."""
     _require_generic_angle("gen_prop12", phi)
     expected = second_order_lower_bound(n, m, phi)
-    uslots, vslots = _second_order_slots(n, m, radial_z=m >= 1)
+    uslots, vslots = _second_order_slots(n, m)
     target = _mixed_targets(n, m, 2 * n, 2 * n - 1)
     return _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=seed)
 
@@ -627,12 +606,9 @@ def gen_cor13(n: int, phi: float, seed: int = 0) -> GeneratorResult:
     """
     _require_generic_angle("gen_cor13", phi)
     expected = (2 * n) ** 2
-    uslots, vslots = _second_order_slots(n, 1, radial_z=True)
-    targets = [
-        poly_from_roots(2, 0, positive_nodes(2 * n)),
-        poly_from_roots(2, 1, symmetric_nodes(2 * n, offset=0.019)),
-    ]
-    return _second_order_generator(n, 1, phi, expected, PolyVec(targets), uslots, vslots, seed=seed)
+    uslots, vslots = _second_order_slots(n, 1)
+    target = _mixed_targets(n, 1, 2 * n, 2 * n)
+    return _second_order_generator(n, 1, phi, expected, target, uslots, vslots, seed=seed)
 
 
 def gen_prop18(n: int, m: int, seed: int = 0) -> GeneratorResult:
@@ -645,7 +621,7 @@ def gen_prop18(n: int, m: int, seed: int = 0) -> GeneratorResult:
     phi = math.pi
     expected = second_order_lower_bound(n, m, phi)
     n_r = 2 * n - 1 if n % 2 else 2 * n - 2
-    uslots, vslots = _second_order_slots(n, m, radial_z=m >= 1)
+    uslots, vslots = _second_order_slots(n, m)
     target = _mixed_targets(n, m, n_r, 2 * n - 1, radial_shift=1)
     return _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=seed)
 
@@ -713,9 +689,8 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
 
     # order-one angular part: A_1^+ = 1/2, A_1^- = -1/2, with zero radial part
     # (X_a = -y*H, X_b = x*H picks the angular direction only)
-    h_plus, h_minus = 0.5, -0.5
     angular, angular_values = [], []
-    for sign, h in (("+", h_plus), ("-", h_minus)):
+    for sign, h in (("+", 0.5), ("-", -0.5)):
         angular += [("a", sign, None, (0, 1) + (0,) * m), ("b", sign, None, (1, 0) + (0,) * m)]
         angular_values += [-h, h]
 
@@ -728,15 +703,14 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     N = _kernel_basis(n, m, phi, uslots)
 
     def q_map_column(uvec):
-        spec = _spec_from_slots(n, m, phi, uslots, N @ uvec)
-        cols = []
-        for ell in range(m + 1):
-            poly = Poly(nv)
-            for sign, h in (("+", h_plus), ("-", h_minus)):
-                series = _field_series(spec, 1, sign, ell + 2)
-                poly = poly + _g_contribution(spec, sign, series, rshift=1).scaled(-h)
-            cols.append(poly)
-        return PolyVec(cols)
+        # r*f_2 is quadratic in the first-order tables and vanishes on the
+        # angular part alone, so half this difference is its cross term with
+        # the angular part, which is linear in the first-order values
+        values = N @ uvec
+        both = build_f2(_spec_from_slots(n, m, phi, angular + uslots,
+                                         np.concatenate([angular_values, values])), check_f1=False)
+        alone = build_f2(_spec_from_slots(n, m, phi, uslots, values), check_f1=False)
+        return PolyVec([(p - q).scaled(0.5) for p, q in zip(both, alone)])
 
     qcols = [q_map_column(col) for col in np.eye(N.shape[1])]
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])

@@ -53,10 +53,8 @@ class Poly:
     def copy(self) -> "Poly":
         return Poly(self.nvars, self.terms)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol <= 0.0:
-            return not self.terms
-        return all(abs(c) <= tol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def max_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)

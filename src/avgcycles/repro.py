@@ -36,7 +36,7 @@ from .generators import (
     second_order_lower_bound,
     second_order_upper_bound,
 )
-from .flowsim import eps_sweep
+from .flowsim import DEFAULT_EPS_SWEEP, eps_sweep
 from .polyalg import bezout_bound
 from .rootfind import certify_count
 from .trigkernel import TWO_PI
@@ -154,7 +154,7 @@ def _row_from_result(name, n, m, phi, expected, result, verify, eps_values):
         found, bezout = len(result.zeros), bezout_bound(result.system)
     verified = 0
     if verify and result.order == 1 and result.zeros:
-        eps_values = eps_values or (1e-2, 5e-3, 2.5e-3)
+        eps_values = eps_values or DEFAULT_EPS_SWEEP
         records = eps_sweep(result.spec, result.zeros[0], eps_values)
         verified = sum(1 for rec in records if rec.accepted)
     status = "ok" if found >= expected else "undercount"

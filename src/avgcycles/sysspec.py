@@ -235,12 +235,11 @@ def zero_spec(n: int, m: int, d: int, phi: float, mu=None) -> SystemSpec:
     return SystemSpec(n, m, d, phi, tuple(mu), {})
 
 
-def random_spec(n: int, m: int, d: int, phi: float, rng, mu=None, second_order=True, scale=1.0) -> SystemSpec:
+def random_spec(n: int, m: int, d: int, phi: float, rng, mu=None, scale=1.0) -> SystemSpec:
     """Dense random tables, useful for oracle cross-checks."""
     rng = np.random.default_rng(rng)
     spec = zero_spec(n, m, d, phi, mu)
-    fams = FIRST_ORDER + SECOND_ORDER if second_order else FIRST_ORDER
-    for fam in fams:
+    for fam in FIRST_ORDER + SECOND_ORDER:
         for sign in SIGNS:
             tabs = spec.tables[fam + sign]
             tabs = tabs if isinstance(tabs, list) else [tabs]

@@ -115,7 +115,7 @@ class TestSecondOrderGenerators:
 
 
 def _quad_model(n, m, phi=PHI):
-    uslots, vslots = _second_order_slots(n, m, radial_z=m >= 1)
+    uslots, vslots = _second_order_slots(n, m)
     return _QuadModel(n, m, phi, uslots, _kernel_basis(n, m, phi, uslots), vslots)
 
 
@@ -144,6 +144,7 @@ class TestSecondOrderTuning:
     def test_starts_stop_on_target(self):
         starts = gen_prop12(1, 0, PHI).notes["starts"]
         assert starts and all(rec["reason"] == "target" for rec in starts)
+        assert all(set(rec) == {"reason", "nfev", "misfit", "attempt"} for rec in starts)
         assert starts[-1]["nfev"] < 200  # the winning start
 
     def test_unreachable_target_stalls_early(self):
@@ -156,7 +157,7 @@ class TestSecondOrderTuning:
         starts = []
         with pytest.raises(ConstructionError, match="second-order tuning stalled"):
             _tune_quadratic(model, PolyVec([Poly(2, t) for t in terms]), starts)
-        assert len(starts) == 2 * TUNING_STARTS  # each start runs with both scalings
+        assert len(starts) == TUNING_STARTS  # one record per start
         assert all(rec["reason"] == "stall" for rec in starts)
         assert max(rec["nfev"] for rec in starts) < 2 * STALL_WINDOW  # max_nfev is 4000
 

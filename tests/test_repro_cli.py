@@ -8,6 +8,7 @@ import pytest
 
 from avgcycles import repro
 from avgcycles.cli import main, _parse_phi
+from avgcycles.flowsim import DEFAULT_EPS_SWEEP
 from avgcycles.generators import ConstructionError, gen_prop10, gen_prop12
 from avgcycles.repro import Report, RunConfig, _run_case, build_report
 
@@ -166,6 +167,17 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "report.txt").exists()
+
+    def test_reproduce_verify_cycles(self, tmp_path):
+        # first-order rows verify one planted cycle over the default sweep;
+        # second-order rows have no cycle verification
+        code = main(["reproduce", "--suite", "th6", "--max-n", "1", "--m", "0", "--phi", "pi",
+                     "--verify-cycles", "--out-dir", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("# ")))
+        verified = {row["generator"]: int(row["verified_cycles"]) for row in rows}
+        assert verified == {"gen_prop16": len(DEFAULT_EPS_SWEEP), "gen_prop18": 0}
 
     def test_missing_spec_file(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -198,8 +198,7 @@ def refine_cycle(spec: SystemSpec, eps: float, nu_star) -> CycleRecord:
             raise NoConvergenceError(f"return-map Newton stalled at residual {res:.3e} (eps={eps})", res)
     else:
         raise NoConvergenceError(f"return-map Newton did not converge, last residual {res:.3e}", res)
-    # re-integrate from the polished point for the certified residual
-    res = float(np.max(np.abs(displacement(spec, eps, z))))
+    # res is max|g| with g = displacement(spec, eps, z), integrated at this very z
     return CycleRecord(eps, z, res, predicted, float(np.linalg.norm(z - predicted)))
 
 

@@ -15,11 +15,15 @@ first-order coefficients.  They build an exact algebraic surrogate
 
     coeffs(r*f_2) = Q(u) + L v
 
-by probing build_f2 on unit and pairwise coefficient vectors (u parametrizes
-the first-order tables inside the kernel of f_1, v the second-order tables,
-which enter linearly), then tune u by least squares with multistart, each
-start run once with scipy's default scaling and stopped once it reaches its
-target or stalls, and recover v by a linear solve.  The tuned spec is
+(u parametrizes the first-order tables inside the kernel of f_1 through the
+slot values x = N u, v the second-order tables, which enter linearly).
+Q(u)_k = u^T S_k u is probed in slot coordinates: build_f2 on each unit slot
+and on each pair of slots of the same zone (a "+" and a "-" slot never
+interact in r*f_2 at d = m) gives S_slot by polarization, and
+S = N^T S_slot N.  L is probed on the unit v-slots.  The generators then
+tune u by least squares with multistart, each start run once with scipy's
+default scaling and stopped once it reaches its target or stalls, and
+recover v by a linear solve.  The tuned spec is
 re-verified against the real build_f1/build_f2 pipeline and certified by
 root search.  gen_th4 realizes a prescribed reduced system through the same
 slot assembly and linear fits, its Q map probed through build_f2 as well.
@@ -331,11 +335,15 @@ class _QuadModel:
         self.n, self.m, self.phi = n, m, phi
         self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
         self.udim = Nbasis.shape[1]
-        eye, zero_v = np.eye(self.udim), np.zeros(len(vslots))
-        # (i, i) probes u = e_i, (i, j) probes e_i + e_j
-        pairs = list(itertools.combinations_with_replacement(range(self.udim), 2))
-        probes = [build_f2(self.assemble(eye[i] if i == j else eye[i] + eye[j], zero_v), check_f1=False)
-                  for i, j in pairs]
+        # Probe in slot coordinates: (a, a) probes the unit slot e_a, (a, b)
+        # probes e_a + e_b.  Every spec here has d = m, so build_f2 has no
+        # gamma * dg_1 slave term, and each of its quadratic terms (A_1 * f_1l
+        # and df_1l * y_1) multiplies two fields of one zone: a "+" slot and
+        # a "-" slot never interact, and cross-zone pairs are not probed.
+        pairs = [(a, b) for a, b in itertools.combinations_with_replacement(range(len(uslots)), 2)
+                 if uslots[a][1] == uslots[b][1]]
+        probes = [build_f2(_spec_from_slots(n, m, phi, [uslots[a], uslots[b]], [1.0, float(a != b)]),
+                           check_f1=False) for a, b in pairs]
         lcols = [build_f2(self.assemble(np.zeros(self.udim), col), check_f1=False)
                  for col in np.eye(len(vslots))]
 
@@ -343,14 +351,18 @@ class _QuadModel:
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
         vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
         rows = {p: vec(pv) for p, pv in zip(pairs, probes)}
-        # Q(u)_k = u^T S_k u with S symmetric: the (i, j) probe minus the two
-        # diagonal probes is the cross term 2 S_ij u_i u_j
-        self.S = np.zeros((len(self.monos), self.udim, self.udim))
-        for i, j in pairs:
-            if i == j:
-                self.S[:, i, i] = rows[i, i]
+        # Q_k = x^T S_slot,k x in the slot values x: the (a, b) probe minus the
+        # two unit probes is the cross term 2 S_slot,ab x_a x_b
+        S_slot = np.zeros((len(self.monos), len(uslots), len(uslots)))
+        for a, b in pairs:
+            if a == b:
+                S_slot[:, a, a] = rows[a, a]
             else:
-                self.S[:, i, j] = self.S[:, j, i] = 0.5 * (rows[i, j] - rows[i, i] - rows[j, j])
+                S_slot[:, a, b] = S_slot[:, b, a] = 0.5 * (rows[a, b] - rows[a, a] - rows[b, b])
+        # x = N u, so S = N^T S_slot N; symmetrized exactly, so that
+        # quad_jac = 2 S u is the exact derivative of quad
+        S = Nbasis.T @ (S_slot @ Nbasis)
+        self.S = 0.5 * (S + S.transpose(0, 2, 1))
         self.L = np.stack([vec(pv) for pv in lcols], axis=1)
         U, s, _ = np.linalg.svd(self.L, full_matrices=False)
         self.Lbasis = U[:, : int(np.sum(s > 1e-10 * s[0]))]

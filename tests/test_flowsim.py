@@ -91,6 +91,14 @@ class TestRefineCycle:
         assert all(r.accepted for r in records)
         assert distance_slope(records) == pytest.approx(1.0, abs=0.15)
 
+    @pytest.mark.parametrize("eps", [1e-2, 2.5e-3])
+    def test_residual_is_the_fixed_points_displacement(self, eps):
+        # the recorded residual is the last Newton iterate's own displacement,
+        # and the integration is deterministic, so they agree bit for bit
+        result = gen_prop10(2, 1, math.pi / 3)
+        rec = refine_cycle(result.spec, eps, result.zeros[0])
+        assert rec.period_residual == float(np.max(np.abs(displacement(result.spec, eps, rec.fixed_point))))
+
 
 def test_cycle_csv(tmp_path):
     result = gen_prop10(1, 0, math.pi / 2)

@@ -12,9 +12,11 @@ from avgcycles.generators import (
     ConstructionError,
     InfeasibleTargetError,
     _kernel_basis,
+    _monomial_basis,
     _poly_vec_to_coeffs,
     _QuadModel,
     _second_order_slots,
+    _spec_from_slots,
     _tune_quadratic,
     first_order_count,
     gen_cor13,
@@ -120,9 +122,12 @@ def _quad_model(n, m, phi=PHI):
 
 
 class TestSecondOrderTuning:
-    def test_tensor_surrogate_matches_pairwise_probes(self):
-        model = _quad_model(1, 1)
+    @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (1, 1), (2, 1)])
+    def test_tensor_surrogate_matches_pairwise_probes(self, n, m):
+        # reference: polarization over dense kernel directions N e_i, N (e_i + e_j)
+        model = _quad_model(n, m)
         zero_v = np.zeros(len(model.vslots))
+        np.testing.assert_array_equal(model.S, model.S.transpose(0, 2, 1))
 
         def probe(u):  # coeffs(r*f_2) of the assembled spec, by the real pipeline
             return _poly_vec_to_coeffs(build_f2(model.assemble(u, zero_v), check_f1=False), model.monos)
@@ -140,6 +145,27 @@ class TestSecondOrderTuning:
         h = 1e-3  # central differences are exact on a quadratic, up to round-off
         fd = np.stack([(model.quad(u + h * e) - model.quad(u - h * e)) / (2 * h) for e in eye], axis=1)
         np.testing.assert_allclose(model.quad_jac(u), fd, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
+    def test_zones_do_not_interact(self, n, m):
+        # at d = m, r*f_2 has no cross term between a "+" slot and a "-" slot,
+        # which is why _QuadModel probes only same-zone slot pairs
+        uslots, _ = _second_order_slots(n, m)
+
+        def rf2(slots):
+            return build_f2(_spec_from_slots(n, m, PHI, slots, [1.0] * len(slots)), check_f1=False)
+
+        alone = {slot: rf2([slot]) for slot in uslots}
+        nonzero = [slot for slot, pv in alone.items() if any(p.terms for p in pv)]
+        assert {s[1] for s in nonzero} == {"+", "-"}  # both zones contribute on their own
+        for sp in (s for s in uslots if s[1] == "+"):
+            for sm in (s for s in uslots if s[1] == "-"):
+                both = rf2([sp, sm])
+                monos = _monomial_basis([both, alone[sp], alone[sm]])
+                np.testing.assert_allclose(
+                    _poly_vec_to_coeffs(both, monos),
+                    _poly_vec_to_coeffs(alone[sp], monos) + _poly_vec_to_coeffs(alone[sm], monos),
+                    rtol=0, atol=1e-14)
 
     def test_starts_stop_on_target(self):
         starts = gen_prop12(1, 0, PHI).notes["starts"]

@@ -439,14 +439,16 @@ def flow(spec: SystemSpec, theta: float, zz: np.ndarray) -> np.ndarray:
     return _Y_diag(spec, theta) * zz
 
 
-def compile_fields(spec: SystemSpec, order: int, sign: str) -> CompiledPolyVec:
+def compile_fields(spec: SystemSpec, order, sign: str) -> CompiledPolyVec:
     """One zone's perturbation tables, compiled over (x, y, z_1, ..., z_d).
 
     The components are a, b, c_1..c_d for order 1 and alpha, beta,
-    gamma_1..gamma_d for order 2.
+    gamma_1..gamma_d for order 2; order (1, 2) stacks both, order 1's first.
     """
-    fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
-    tables = [spec.table(fam_a, sign), spec.table(fam_b, sign), *spec.tables[fam_c + sign]]
+    tables = []
+    for o in (order,) if isinstance(order, int) else order:
+        fam_a, fam_b, fam_c = ("a", "b", "c") if o == 1 else ("alpha", "beta", "gamma")
+        tables += [spec.table(fam_a, sign), spec.table(fam_b, sign), *spec.tables[fam_c + sign]]
     return CompiledPolyVec(spec.d + 2, [t.entries for t in tables])
 
 

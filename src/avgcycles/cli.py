@@ -3,7 +3,9 @@
 Exit status is 0 only when every requested certification passes; infeasible
 reproduction rows (targets provably outside the reachable coefficient span)
 are reported but do not fail the run, since the report carries the
-diagnostic.  Failed rows (a generator that gave up) fail the run.
+diagnostic.  Failed rows (a generator that gave up) fail the run, and so does
+a cycle sweep that fails (the flow leaves r > 0 or loses angular speed, or
+the return-map Newton fails): its zero counts as 0 eps values verified.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from . import __version__
 from .avgcore import build_averaged_system
-from .flowsim import DEFAULT_EPS_SWEEP, eps_sweep, write_cycle_csv
+from .flowsim import DEFAULT_EPS_SWEEP, CycleError, eps_sweep, write_cycle_csv
 from .generators import default_box
 from .polyalg import PolyVec
 from .repro import RunConfig, build_report
@@ -132,7 +134,13 @@ def cmd_verify(args) -> int:
         return 1
     ok = True
     for k, zr in enumerate(zero_records):
-        records = eps_sweep(spec, zr.nu, eps_values)
+        try:
+            records = eps_sweep(spec, zr.nu, eps_values)
+        except CycleError as exc:
+            ok = False
+            print(f"zero {k} at {zr.nu}: 0/{len(eps_values)} eps values verified "
+                  f"({type(exc).__name__}: {exc})")
+            continue
         path = _out_path(args, f"cycles_{k}.csv")
         write_cycle_csv(path, records, spec.d)
         accepted = sum(1 for rec in records if rec.accepted)

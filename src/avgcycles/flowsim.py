@@ -6,9 +6,20 @@ eps^2*B_1.  The two smooth zones meet at the coordinate planes theta = 0 and
 theta = phi (mod 2*pi), so the switching is handled exactly by splitting the
 integration span there — no event detection is needed.
 
-Fixed points of the 2*pi return map are the periodic solutions; refine_cycle
-polishes the averaged-function prediction z_nu* into an actual fixed point by
-Newton on P(z) - z and records how far it moved.
+All rows of a batch of (eps, z) share those zone segments, so _integrate
+carries the batch as one stacked state: one solve_ivp per segment, whose
+right-hand side evaluates both perturbation orders of every row with one
+compiled-table call.  Its tolerances are INTEGRATION_TOL / sqrt(B) for a
+batch of B rows, which keeps each row's own error estimate within
+INTEGRATION_TOL (scipy's error norm is an RMS over the stacked state).  The
+single-point functions (integrate_theta, return_map, displacement) are
+batches of one.
+
+Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
+polishes the averaged-function prediction z_nu* into an actual fixed point
+at every eps of a sweep by Newton on P(z) - z, all eps in lockstep (each
+round's Jacobian points, and each line-search trial, form one batch), and
+records how far it moved.  refine_cycle is the sweep of one eps.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .avgcore import compile_fields, eval_fields
+from .avgcore import _cylindrical, compile_fields
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
 
@@ -31,15 +42,19 @@ DEFAULT_EPS_SWEEP = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 NEWTON_MAX_ITERS = 50
 
 
-class DenominatorVanishedError(RuntimeError):
+class CycleError(RuntimeError):
+    """A cycle could not be verified: the flow left its domain or Newton failed."""
+
+
+class DenominatorVanishedError(CycleError):
     """Angular speed 1 + eps*A_1 + eps^2*B_1 lost positivity (eps too large)."""
 
 
-class RCrossedZeroError(RuntimeError):
+class RCrossedZeroError(CycleError):
     """Radial coordinate left the r > 0 half-space during integration."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(CycleError):
     """Return-map Newton failed; carries the last residual."""
 
     def __init__(self, message, residual):
@@ -86,24 +101,35 @@ def _zone_sign(spec: SystemSpec, theta: float) -> str:
     return "+" if frac < spec.phi else "-"
 
 
-def _rhs(spec: SystemSpec, eps: float, sign: str):
-    C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
+def _rhs(spec: SystemSpec, E: np.ndarray, sign: str):
+    """One zone's right-hand side for a batch of flows, row b at eps E[b], stacked flat."""
+    C = compile_fields(spec, (1, 2), sign)
+    B, n = len(E), spec.d + 1
+    E2 = E * E
+    mu = np.asarray(spec.mu, dtype=float)
 
-    def rhs(theta, x):
-        if x[0] <= 0.0:
-            raise RCrossedZeroError(f"r = {x[0]:.3e} at theta = {theta:.6f}")
-        A = eval_fields(C1, theta, x)
-        B = eval_fields(C2, theta, x)
-        denom = 1.0 + eps * A[0] + eps * eps * B[0]
-        if denom <= 0.0:
+    def rhs(theta, y):
+        x = y.reshape(B, n)
+        r = x[:, 0]
+        if (r <= 0.0).any():
+            raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta:.6f}")
+        cx, sx = math.cos(theta), math.sin(theta)
+        point = np.empty((B, n + 1))
+        point[:, 0], point[:, 1], point[:, 2:] = r * cx, r * sx, x[:, 1:]
+        # AB[b, 0] and AB[b, 1]: the order-1 fields A and order-2 fields B of row b
+        AB = C.values(point).reshape(B, 2, n + 1)
+        _cylindrical(AB.transpose(2, 0, 1), cx, sx, r[:, None])
+        A, Bf = AB[:, 0], AB[:, 1]
+        denom = 1.0 + E * A[:, 0] + E2 * Bf[:, 0]
+        if (denom <= 0.0).any():
             raise DenominatorVanishedError(
-                f"angular speed {denom:.3e} at theta = {theta:.6f}; reduce eps"
+                f"angular speed {denom.min():.3e} at theta = {theta:.6f}; reduce eps"
             )
-        num = np.empty(spec.d + 1)
-        num[0] = eps * A[1] + eps * eps * B[1]
-        for k in range(1, spec.d + 1):
-            num[k] = spec.mu[k - 1] * x[k] + eps * A[k + 1] + eps * eps * B[k + 1]
-        return num / denom
+        num = np.zeros((B, n))
+        num[:, 1:] = mu * x[:, 1:]
+        num += E[:, None] * A[:, 1:]
+        num += E2[:, None] * Bf[:, 1:]
+        return (num / denom[:, None]).ravel()
 
     return rhs
 
@@ -122,27 +148,42 @@ def _breakpoints(spec: SystemSpec, t0: float, t1: float):
     return pts if t0 <= t1 else pts[::-1]
 
 
-def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span):
-    """Integrate from theta_span[0] to theta_span[1]; returns FlowState."""
+def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
+    """Integrate every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together.
+
+    One stacked solve_ivp per zone segment.  scipy's error norm is an RMS over
+    the stacked state, so tolerances of INTEGRATION_TOL / sqrt(B) keep each
+    row's own error estimate within INTEGRATION_TOL, as if it ran alone.
+    """
     t0, t1 = float(theta_span[0]), float(theta_span[1])
-    x = np.asarray(z0, dtype=float).copy()
-    if x.shape != (spec.d + 1,):
-        raise ValueError(f"state has shape {x.shape}, expected ({spec.d + 1},)")
-    if x[0] <= 0.0:
-        raise RCrossedZeroError(f"initial r = {x[0]:.3e} must be positive")
+    E = np.asarray(E, dtype=float)
+    X = np.array(Z, dtype=float)
+    if X.shape != (len(E), spec.d + 1):
+        raise ValueError(f"states have shape {X.shape}, expected ({len(E)}, {spec.d + 1})")
+    if np.any(X[:, 0] <= 0.0):
+        raise RCrossedZeroError(f"initial r = {X[:, 0].min():.3e} must be positive")
+    tol = INTEGRATION_TOL / math.sqrt(len(E))
     knots = [t0] + _breakpoints(spec, t0, t1) + [t1]
     for a, b in zip(knots[:-1], knots[1:]):
         if a == b:
             continue
         sign = _zone_sign(spec, 0.5 * (a + b))
         sol = solve_ivp(
-            _rhs(spec, eps, sign), (a, b), x, method="DOP853",
-            rtol=INTEGRATION_TOL, atol=INTEGRATION_TOL, dense_output=False,
+            _rhs(spec, E, sign), (a, b), X.ravel(), method="DOP853",
+            rtol=tol, atol=tol, dense_output=False,
         )
         if not sol.success:
             raise RuntimeError(f"integration failed on [{a:.6f}, {b:.6f}]: {sol.message}")
-        x = sol.y[:, -1].copy()
-    return FlowState(t1, x)
+        X = sol.y[:, -1].reshape(X.shape)
+    return X
+
+
+def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span):
+    """Integrate from theta_span[0] to theta_span[1]; returns FlowState."""
+    x = np.asarray(z0, dtype=float)
+    if x.shape != (spec.d + 1,):
+        raise ValueError(f"state has shape {x.shape}, expected ({spec.d + 1},)")
+    return FlowState(float(theta_span[1]), _integrate(spec, [eps], x[None], theta_span)[0])
 
 
 def return_map(spec: SystemSpec, eps: float, z0) -> np.ndarray:
@@ -156,54 +197,76 @@ def displacement(spec: SystemSpec, eps: float, z0) -> np.ndarray:
     return return_map(spec, eps, z0) - z0
 
 
-def _return_jac(spec: SystemSpec, eps: float, z: np.ndarray, g0: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian of the displacement map."""
-    n = spec.d + 1
-    J = np.empty((n, n))
-    for j in range(n):
-        h = FD_STEP * max(1.0, abs(z[j]))
-        dz = np.zeros(n)
-        dz[j] = h
-        J[:, j] = (displacement(spec, eps, z + dz) - g0) / h
-    return J
+def _displacements(spec: SystemSpec, E, Z) -> np.ndarray:
+    """P(z) - z for every row (E[b], Z[b]), one stacked integration."""
+    return _integrate(spec, E, Z, (0.0, TWO_PI)) - Z
 
 
 def refine_cycle(spec: SystemSpec, eps: float, nu_star) -> CycleRecord:
     """Polish the averaged prediction into a fixed point of the return map."""
-    nu_star = np.asarray(nu_star, dtype=float)
-    predicted = np.zeros(spec.d + 1)
-    predicted[: len(nu_star)] = nu_star
-    z = predicted.copy()
-    g = displacement(spec, eps, z)
-    res = float(np.max(np.abs(g)))
-    for _ in range(NEWTON_MAX_ITERS):
-        if res < PERIOD_RESIDUAL_TOL:
-            break
-        J = _return_jac(spec, eps, z, g)
-        try:
-            step = np.linalg.solve(J, g)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular return-map Jacobian at eps={eps}", res) from exc
-        t = 1.0
-        for _ in range(20):
-            zn = z - t * step
-            if zn[0] > 0:
-                gn = displacement(spec, eps, zn)
-                rn = float(np.max(np.abs(gn)))
-                if rn < res:
-                    z, g, res = zn, gn, rn
-                    break
-            t *= 0.5
-        else:
-            raise NoConvergenceError(f"return-map Newton stalled at residual {res:.3e} (eps={eps})", res)
-    else:
-        raise NoConvergenceError(f"return-map Newton did not converge, last residual {res:.3e}", res)
-    # res is max|g| with g = displacement(spec, eps, z), integrated at this very z
-    return CycleRecord(eps, z, res, predicted, float(np.linalg.norm(z - predicted)))
+    return eps_sweep(spec, nu_star, (eps,))[0]
 
 
 def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
-    return [refine_cycle(spec, eps, nu_star) for eps in eps_values]
+    """Refine the prediction nu_star at every eps of the sweep, in lockstep.
+
+    Each eps runs its own Newton on P(z) - z from the prediction: a
+    forward-difference Jacobian (step FD_STEP), a line search of at most 20
+    halvings that keeps r > 0 and must lower the residual, a stop below
+    PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS iterations.  Each round
+    integrates the Jacobian points of every unconverged eps as one batch, and
+    each line-search trial of every eps still searching as one batch.
+    """
+    E = np.asarray(eps_values, dtype=float)
+    if not len(E):
+        return []
+    n = spec.d + 1
+    nu_star = np.asarray(nu_star, dtype=float)
+    predicted = np.zeros(n)
+    predicted[: len(nu_star)] = nu_star
+    Z = np.tile(predicted, (len(E), 1))
+    G = _displacements(spec, E, Z)
+    res = np.max(np.abs(G), axis=1)
+    for _ in range(NEWTON_MAX_ITERS):
+        act = np.flatnonzero(res >= PERIOD_RESIDUAL_TOL)
+        if not len(act):
+            break
+        # H[i, j]: cycle i's step on component j; its n shifted points are consecutive batch rows
+        H = FD_STEP * np.maximum(1.0, np.abs(Z[act]))
+        points = Z[act][:, None, :] + H[:, :, None] * np.eye(n)
+        Gp = _displacements(spec, np.repeat(E[act], n), points.reshape(-1, n)).reshape(-1, n, n)
+        steps = np.empty((len(act), n))
+        for i, k in enumerate(act):
+            J = ((Gp[i] - G[k]) / H[i][:, None]).T
+            try:
+                steps[i] = np.linalg.solve(J, G[k])
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"singular return-map Jacobian at eps={E[k]}", res[k]) from exc
+        t = np.ones(len(act))
+        pending = np.ones(len(act), dtype=bool)
+        for _ in range(20):
+            trial = Z[act] - t[:, None] * steps
+            tried = np.flatnonzero(pending & (trial[:, 0] > 0))
+            if len(tried):
+                rows = act[tried]
+                Gt = _displacements(spec, E[rows], trial[tried])
+                rt = np.max(np.abs(Gt), axis=1)
+                better = rt < res[rows]
+                Z[rows[better]], G[rows[better]], res[rows[better]] = trial[tried[better]], Gt[better], rt[better]
+                pending[tried[better]] = False
+            if not pending.any():
+                break
+            t[pending] *= 0.5
+        else:
+            k = act[np.argmax(pending)]
+            raise NoConvergenceError(
+                f"return-map Newton stalled at residual {res[k]:.3e} (eps={E[k]})", res[k])
+    else:
+        k = act[0]
+        raise NoConvergenceError(f"return-map Newton did not converge, last residual {res[k]:.3e}", res[k])
+    # res[b] is max|G[b]|, the displacement integrated at this very Z[b]
+    return [CycleRecord(float(e), z, float(r), predicted.copy(), float(np.linalg.norm(z - predicted)))
+            for e, z, r in zip(E, Z, res)]
 
 
 def loglog_slope(xs, ys) -> float:

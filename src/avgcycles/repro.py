@@ -8,7 +8,7 @@ rather than crashing the matrix (the continuous-case even-degree system is
 the known instance: its radial polynomial is even in r and divisible by r^2,
 so at most n - 1 positive simple roots exist).  A generator that gives up
 without such a proof (ConstructionError) yields a failed row, which fails
-the report.
+the report; so does an "unverified" row, whose requested cycle sweep failed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .generators import (
     second_order_lower_bound,
     second_order_upper_bound,
 )
-from .flowsim import DEFAULT_EPS_SWEEP, eps_sweep
+from .flowsim import DEFAULT_EPS_SWEEP, CycleError, eps_sweep
 from .polyalg import bezout_bound
 from .rootfind import certify_count
 from .trigkernel import TWO_PI
@@ -152,13 +152,21 @@ def _row_from_result(name, n, m, phi, expected, result, verify, eps_values):
     else:
         # second-order zeros are already the simple records of find_simple_zeros
         found, bezout = len(result.zeros), bezout_bound(result.system)
-    verified = 0
+    verified, failure = 0, ""
     if verify and result.order == 1 and result.zeros:
         eps_values = eps_values or DEFAULT_EPS_SWEEP
-        records = eps_sweep(result.spec, result.zeros[0], eps_values)
-        verified = sum(1 for rec in records if rec.accepted)
-    status = "ok" if found >= expected else "undercount"
-    detail = "" if status == "ok" else f"found {found} of {expected}"
+        try:
+            records = eps_sweep(result.spec, result.zeros[0], eps_values)
+        except CycleError as exc:
+            failure = f"cycle verification failed: {type(exc).__name__}: {exc}"
+        else:
+            verified = sum(1 for rec in records if rec.accepted)
+    if found < expected:
+        status, detail = "undercount", f"found {found} of {expected}"
+    elif failure:
+        status, detail = "unverified", failure
+    else:
+        status, detail = "ok", ""
     return ReportRow(name, n, m, phi, expected, found, bezout, verified, status, detail)
 
 

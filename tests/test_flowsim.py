@@ -7,9 +7,11 @@ import pytest
 
 from avgcycles.avgcore import numeric_g
 from avgcycles.flowsim import (
+    DEFAULT_EPS_SWEEP,
+    PERIOD_RESIDUAL_TOL,
     DenominatorVanishedError,
     RCrossedZeroError,
-
+    _integrate,
     displacement,
     distance_slope,
     eps_sweep,
@@ -19,9 +21,28 @@ from avgcycles.flowsim import (
     return_map,
     write_cycle_csv,
 )
-from avgcycles.generators import gen_prop10
+from avgcycles.generators import gen_prop10, gen_prop12
 from avgcycles.sysspec import random_spec, zero_spec
 from avgcycles.trigkernel import TWO_PI
+
+
+def _shrinking_spec(c):
+    # X_a = -c x, X_b = -c y: the radial speed -eps*c*r drives r to round-off
+    # level, where a Runge-Kutta stage lands at r <= 0 for large eps*c
+    spec = zero_spec(1, 0, 0, 1.0)
+    for sign in ("+", "-"):
+        spec.table("a", sign).set((1, 0), -c)
+        spec.table("b", sign).set((0, 1), -c)
+    return spec
+
+
+def _slow_spec():
+    # X_a = 5y, X_b = -5x gives angular speed 1 - 5*eps everywhere
+    spec = zero_spec(1, 0, 0, 1.0)
+    for sign in ("+", "-"):
+        spec.table("a", sign).set((0, 1), 5.0)
+        spec.table("b", sign).set((1, 0), -5.0)
+    return spec
 
 
 class TestIntegration:
@@ -47,13 +68,40 @@ class TestIntegration:
             integrate_theta(zero_spec(1, 0, 0, 1.0), 0.0, [-1.0], (0.0, 1.0))
 
     def test_large_eps_denominator_guard(self):
-        # X_a = 5y, X_b = -5x gives angular speed 1 - 5*eps everywhere
-        spec = zero_spec(1, 0, 0, 1.0)
-        for sign in ("+", "-"):
-            spec.table("a", sign).set((0, 1), 5.0)
-            spec.table("b", sign).set((1, 0), -5.0)
         with pytest.raises(DenominatorVanishedError):
-            return_map(spec, 0.5, [1.0])
+            return_map(_slow_spec(), 0.5, [1.0])
+
+
+class TestBatchedIntegration:
+    @pytest.mark.parametrize("spec", [
+        random_spec(2, 1, 1, math.pi / 3, 5, scale=0.4),
+        random_spec(1, 0, 2, 1.2, 6, scale=0.4),  # d > m: a contracting tail
+    ], ids=["master", "tail"])
+    @pytest.mark.parametrize("span", [(0.0, TWO_PI), (0.4, 5.0), (5.0, -0.3)])
+    def test_mixed_batch_matches_rows_alone(self, spec, span):
+        rng = np.random.default_rng(7)
+        E = np.array([1e-2, 0.0, 2.5e-3, 1e-2, 3e-2])
+        Z = np.column_stack([rng.uniform(0.6, 1.4, len(E)), rng.uniform(-0.5, 0.5, (len(E), spec.d))])
+        batch = _integrate(spec, E, Z, span)
+        alone = np.array([integrate_theta(spec, e, z, span).x for e, z in zip(E, Z)])
+        np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("spec,eps,error", [
+        (_shrinking_spec(50.0), 1.0, RCrossedZeroError),
+        (_slow_spec(), 0.5, DenominatorVanishedError),
+    ], ids=["r-crosses-zero", "angular-speed-lost"])
+    def test_one_failing_row_fails_the_batch_as_alone(self, spec, eps, error):
+        with pytest.raises(error):
+            return_map(spec, eps, [1.0])
+        E, Z = [1e-3, eps, 2e-3], [[1.0], [1.0], [0.8]]
+        with pytest.raises(error):
+            _integrate(spec, E, Z, (0.0, TWO_PI))
+        # the same rows without the failing one integrate
+        assert _integrate(spec, [1e-3, 2e-3], [[1.0], [0.8]], (0.0, TWO_PI)).shape == (2, 1)
+
+    def test_initial_r_checked_per_row(self):
+        with pytest.raises(RCrossedZeroError):
+            _integrate(zero_spec(1, 0, 0, 1.0), [0.0, 0.0], [[1.0], [-1.0]], (0.0, 1.0))
 
 
 class TestDisplacementExpansion:
@@ -98,6 +146,40 @@ class TestRefineCycle:
         result = gen_prop10(2, 1, math.pi / 3)
         rec = refine_cycle(result.spec, eps, result.zeros[0])
         assert rec.period_residual == float(np.max(np.abs(displacement(result.spec, eps, rec.fixed_point))))
+
+
+class TestLockstepSweep:
+    @pytest.mark.parametrize("make", [
+        lambda: gen_prop10(2, 1, math.pi / 3),
+        lambda: gen_prop12(1, 1, math.pi / 3),
+    ], ids=["prop10", "prop12"])
+    def test_fixed_points_hold_alone(self, make):
+        # the sweep refines its eps values as one batch; each fixed point,
+        # re-integrated as a single trajectory, is still a fixed point
+        result = make()
+        for nu in result.zeros:
+            for rec in eps_sweep(result.spec, nu, DEFAULT_EPS_SWEEP):
+                assert rec.accepted
+                alone = np.max(np.abs(displacement(result.spec, rec.epsilon, rec.fixed_point)))
+                assert alone < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon, alone)
+
+    def test_refine_cycle_is_the_one_eps_sweep(self):
+        result = gen_prop10(2, 1, math.pi / 3)
+        rec = refine_cycle(result.spec, 5e-3, result.zeros[1])
+        (swept,) = eps_sweep(result.spec, result.zeros[1], (5e-3,))
+        assert rec.epsilon == swept.epsilon
+        assert np.array_equal(rec.fixed_point, swept.fixed_point)
+        assert np.array_equal(rec.predicted, swept.predicted)
+        assert (rec.period_residual, rec.distance) == (swept.period_residual, swept.distance)
+
+    def test_failing_eps_fails_the_sweep(self):
+        result = gen_prop10(1, 0, math.pi / 2)
+        with pytest.raises(DenominatorVanishedError):
+            eps_sweep(result.spec, result.zeros[0], (3.0, 1e-2))
+
+    def test_empty_sweep(self):
+        result = gen_prop10(1, 0, math.pi / 2)
+        assert eps_sweep(result.spec, result.zeros[0], ()) == []
 
 
 def test_cycle_csv(tmp_path):

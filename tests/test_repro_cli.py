@@ -6,9 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from avgcycles import repro
+from avgcycles import cli, repro
 from avgcycles.cli import main, _parse_phi
-from avgcycles.flowsim import DEFAULT_EPS_SWEEP
+from avgcycles.flowsim import (
+    DEFAULT_EPS_SWEEP,
+    DenominatorVanishedError,
+    NoConvergenceError,
+    RCrossedZeroError,
+)
 from avgcycles.generators import ConstructionError, gen_prop10, gen_prop12
 from avgcycles.repro import Report, RunConfig, _run_case, build_report
 
@@ -99,6 +104,35 @@ class TestReport:
         assert code == 1
 
 
+    def test_failed_cycle_sweep_is_an_unverified_row(self, tmp_path):
+        # eps = 3 stops the flow's angular speed: the sweep fails, the row
+        # reports 0 verified cycles and the run fails instead of crashing
+        row = _run_case("gen_prop10", 1, 0, math.pi / 3, 1,
+                        lambda: gen_prop10(1, 0, math.pi / 3), True, (3.0, 1e-2))
+        assert (row.found, row.verified_cycles, row.status) == (1, 0, "unverified")
+        assert "DenominatorVanishedError" in row.detail
+        assert not row.passed
+        code = main(["reproduce", "--suite", "th6", "--max-n", "1", "--m", "0", "--phi", "pi",
+                     "--verify-cycles", "--eps-sweep", "3.0,1e-2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "unverified" in (tmp_path / "report.csv").read_text()
+
+    @pytest.mark.parametrize("error", [
+        NoConvergenceError("return-map Newton stalled", 1e-3),
+        DenominatorVanishedError("angular speed -1e-3"),
+        RCrossedZeroError("r = -1e-15"),
+    ], ids=lambda e: type(e).__name__)
+    def test_each_cycle_error_is_reported(self, monkeypatch, error):
+        def fails(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(repro, "eps_sweep", fails)
+        row = _run_case("gen_prop10", 1, 0, math.pi / 3, 1,
+                        lambda: gen_prop10(1, 0, math.pi / 3), True, ())
+        assert (row.verified_cycles, row.status) == (0, "unverified")
+        assert type(error).__name__ in row.detail
+
+
 @pytest.fixture(scope="module")
 def spec_path(tmp_path_factory):
     d = tmp_path_factory.mktemp("spec")
@@ -159,6 +193,31 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cycles_0.csv").exists()
         assert "2/2 eps values verified" in capsys.readouterr().out
+
+    def test_verify_reports_a_failed_sweep(self, spec_path, tmp_path, capsys):
+        # eps = 3 stops the flow's angular speed: the zero is reported as
+        # unverified and the command exits 1 instead of crashing
+        code = main(["verify", "--spec", spec_path, "--out-dir", str(tmp_path),
+                     "--eps-sweep", "3.0,1e-2"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "0/2 eps values verified (DenominatorVanishedError" in out
+        assert not (tmp_path / "cycles_0.csv").exists()
+
+    @pytest.mark.parametrize("error", [
+        NoConvergenceError("return-map Newton stalled", 1e-3),
+        DenominatorVanishedError("angular speed -1e-3"),
+        RCrossedZeroError("r = -1e-15"),
+    ], ids=lambda e: type(e).__name__)
+    def test_verify_reports_each_cycle_error(self, spec_path, tmp_path, capsys, monkeypatch, error):
+        def fails(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "eps_sweep", fails)
+        code = main(["verify", "--spec", spec_path, "--out-dir", str(tmp_path),
+                     "--eps-sweep", "1e-2,5e-3"])
+        assert code == 1
+        assert f"0/2 eps values verified ({type(error).__name__}" in capsys.readouterr().out
 
     def test_reproduce(self, tmp_path):
         # th6 runs at pi: the generic-angle check belongs to th3 alone

@@ -276,8 +276,17 @@ def loglog_slope(xs, ys) -> float:
 
 
 def distance_slope(records) -> float:
-    """Convergence rate of |fixed_point - predicted| over an eps sweep."""
-    return loglog_slope([r.epsilon for r in records], [max(r.distance, 1e-300) for r in records])
+    """Convergence rate of |fixed_point - predicted| over an eps sweep.
+
+    Only records with a nonzero distance are fitted: a prediction that
+    already meets PERIOD_RESIDUAL_TOL takes no Newton step, so its distance
+    is exactly 0 and is set by the tolerance, not by the eps law.  nan when
+    fewer than two records remain.
+    """
+    kept = [r for r in records if r.distance > 0]
+    if len(kept) < 2:
+        return math.nan
+    return loglog_slope([r.epsilon for r in kept], [r.distance for r in kept])
 
 
 def write_cycle_csv(path, records, d: int):

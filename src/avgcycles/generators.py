@@ -17,16 +17,21 @@ first-order coefficients.  They build an exact algebraic surrogate
 
 (u parametrizes the first-order tables inside the kernel of f_1 through the
 slot values x = N u, v the second-order tables, which enter linearly).
-Q(u)_k = u^T S_k u is probed in slot coordinates: build_f2 on each unit slot
-and on each pair of slots of the same zone (a "+" and a "-" slot never
-interact in r*f_2 at d = m) gives S_slot by polarization, and
-S = N^T S_slot N.  L is probed on the unit v-slots.  The generators then
-tune u by least squares with multistart, each start run once with scipy's
-default scaling and stopped once it reaches its target or stalls, and
-recover v by a linear solve.  The tuned spec is
+Q(u)_k = u^T S_k u is built in slot coordinates from per-slot series, with
+no call to build_f2: each u-slot's fields (A_1, f_1l, their r and z
+derivatives, y_1) are computed once in its own zone, and S_slot[a, b] is
+the symmetrized bilinear form of build_f2's quadratic part on slots a and
+b, its diagonal the form itself (no polarization); S = N^T S_slot N.  Only
+slots of the same zone are paired: a "+" and a "-" slot never interact in
+r*f_2 at d = m.  L's columns are the v-slots' order-2 field series.  The
+generators then tune u by least squares with multistart, each start run
+once with scipy's default scaling and stopped once it reaches its target
+or stalls, and recover v by a linear solve.  Every converged start is
 re-verified against the real build_f1/build_f2 pipeline and certified by
-root search.  gen_th4 realizes a prescribed reduced system through the same
-slot assembly and linear fits, its Q map probed through build_f2 as well.
+root search; one that fails either is recorded as an "undercount" and the
+attempt moves on to its next start.  gen_th4 realizes a prescribed reduced
+system through the same slot assembly and linear fits, its Q map probed
+through build_f2.
 """
 
 from __future__ import annotations
@@ -38,7 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .avgcore import build_f1, build_f2, f1_kernel_constraints
+from .avgcore import (
+    _field_series,
+    _g_contribution,
+    _y1_series,
+    build_f1,
+    build_f2,
+    f1_kernel_constraints,
+)
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
 from .sysspec import SystemSpec, zero_spec
@@ -328,6 +340,30 @@ def _kernel_basis(n, m, phi, slots) -> np.ndarray:
     return Vt[rank:].T  # columns span the null space
 
 
+class _SlotFields:
+    """The first-order fields of one unit u-slot in its own zone, at tail z = 0.
+
+    A_1 (the angular component), f_1l for l = 0..m, each f_1l's derivatives
+    (d_r, d_z1, ..., d_zm) and the closed forms of y_1: every series the
+    quadratic part of build_f2 takes from a slot.
+    """
+
+    def __init__(self, n, m, phi, slot):
+        spec = _spec_from_slots(n, m, phi, [slot], [1.0])
+        sign = slot[1]
+        self.a1 = _field_series(spec, 1, sign, 1)
+        self.f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
+        self.grads = [[f.diff_r()] + [f.diff_z(rho) for rho in range(1, m + 1)] for f in self.f1]
+        self.y1 = _y1_series(spec, sign)
+
+    def bilinear(self, other, ell):
+        """B_l(self, other): build_f2's quadratic series with A_1, y_1 of self and f_1l of other."""
+        ftil = other.grads[ell][0] * self.y1[0]
+        for df, y in zip(other.grads[ell][1:], self.y1[1:]):
+            ftil = ftil + df * y
+        return (self.a1 * other.f1[ell]).scaled(-1.0) + ftil
+
+
 class _QuadModel:
     """Exact surrogate coeffs(r*f_2) = Q(u) + L v over a fixed monomial basis."""
 
@@ -335,30 +371,39 @@ class _QuadModel:
         self.n, self.m, self.phi = n, m, phi
         self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
         self.udim = Nbasis.shape[1]
-        # Probe in slot coordinates: (a, a) probes the unit slot e_a, (a, b)
-        # probes e_a + e_b.  Every spec here has d = m, so build_f2 has no
-        # gamma * dg_1 slave term, and each of its quadratic terms (A_1 * f_1l
-        # and df_1l * y_1) multiplies two fields of one zone: a "+" slot and
-        # a "-" slot never interact, and cross-zone pairs are not probed.
+        base = zero_spec(n, m, m, phi)
+
+        def zone_rf2(sign, series):  # r*f_2 of one zone's series, one per component
+            return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
+
+        # Q in slot coordinates x, Q_k = x^T S_slot,k x.  Every spec here has
+        # d = m, so build_f2 has no gamma * dg_1 slave term, and its quadratic
+        # part in component l is the bilinear form B_l(x, x) of the slot
+        # fields, each term a product of two fields of one zone: a "+" slot
+        # and a "-" slot never interact, and cross-zone pairs are skipped.
+        # The diagonal is B(a, a); off it, (B(a, b) + B(b, a)) / 2.
+        fields = [_SlotFields(n, m, phi, slot) for slot in uslots]
         pairs = [(a, b) for a, b in itertools.combinations_with_replacement(range(len(uslots)), 2)
                  if uslots[a][1] == uslots[b][1]]
-        probes = [build_f2(_spec_from_slots(n, m, phi, [uslots[a], uslots[b]], [1.0, float(a != b)]),
-                           check_f1=False) for a, b in pairs]
-        lcols = [build_f2(self.assemble(np.zeros(self.udim), col), check_f1=False)
-                 for col in np.eye(len(vslots))]
+        blocks = []
+        for a, b in pairs:
+            fa, fb = fields[a], fields[b]
+            blocks.append(zone_rf2(uslots[a][1], [
+                fa.bilinear(fa, ell) if a == b else (fa.bilinear(fb, ell) + fb.bilinear(fa, ell)).scaled(0.5)
+                for ell in range(m + 1)]))
+        # the second-order tables enter r*f_2 linearly, through their own
+        # order-2 field series only
+        lcols = []
+        for slot in vslots:
+            spec = _spec_from_slots(n, m, phi, [slot], [1.0])
+            lcols.append(zone_rf2(slot[1], [_field_series(spec, 2, slot[1], ell + 2) for ell in range(m + 1)]))
 
-        self.monos = _monomial_basis(probes + lcols)
+        self.monos = _monomial_basis(blocks + lcols)
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
         vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
-        rows = {p: vec(pv) for p, pv in zip(pairs, probes)}
-        # Q_k = x^T S_slot,k x in the slot values x: the (a, b) probe minus the
-        # two unit probes is the cross term 2 S_slot,ab x_a x_b
         S_slot = np.zeros((len(self.monos), len(uslots), len(uslots)))
-        for a, b in pairs:
-            if a == b:
-                S_slot[:, a, a] = rows[a, a]
-            else:
-                S_slot[:, a, b] = S_slot[:, b, a] = 0.5 * (rows[a, b] - rows[a, a] - rows[b, b])
+        for (a, b), pv in zip(pairs, blocks):
+            S_slot[:, a, b] = S_slot[:, b, a] = vec(pv)
         # x = N u, so S = N^T S_slot N; symmetrized exactly, so that
         # quad_jac = 2 S u is the exact derivative of quad
         S = Nbasis.T @ (S_slot @ Nbasis)
@@ -429,13 +474,18 @@ class _StopRule:
             raise StopIteration
 
 
-def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
+def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0, seed=0,
                     free_monos=(), free_weight=0.0, tol=LINEAR_TOL):
-    """Multistart least squares on u; returns (spec, rf2, misfit).
+    """Multistart least squares on u; returns (spec, rf2, misfit, zeros).
 
-    Each start appends {"reason", "nfev", "misfit"} to ``starts``, its
-    reason being "target", "stall" or "max_nfev"; a successful tuning's
-    winning start is the last one appended.
+    A start converges when its misfit is below tol * scale.  Every converged
+    start is re-verified against the real build_f1/build_f2 pipeline and its
+    simple zeros certified in the default box; the first with at least
+    ``expected`` of them wins.  Each start appends {"reason", "nfev",
+    "misfit"} to ``starts``, its reason being how it stopped ("target",
+    "stall" or "max_nfev") or "undercount" for a converged start whose spec
+    failed its re-verification or certified too few zeros; a successful
+    tuning's winning start is the last one appended.
     """
     t = model.target_vector(target)
     weights = np.ones(len(model.monos))
@@ -459,7 +509,8 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
     def jac_aug(u):
         return np.vstack([model.residual_jac(u, t, weights), eye])
 
-    best = None
+    best = math.inf
+    rejected = None
     for trial in range(TUNING_STARTS):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
         rule = _StopRule(len(model.monos), stop_at)
@@ -468,24 +519,32 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
             xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000,
         )
         err = float(np.max(np.abs(model.residual_reduced(sol.x, t, weights))))
+        best = min(best, err)
         if sol.status == 0:
             reason = "max_nfev"
         else:  # the rule's verdict, or scipy's own tolerances: no more progress
             reason = rule.reason or ("target" if err < stop_at else "stall")
-        starts.append({"reason": reason, "nfev": int(sol.nfev), "misfit": err})
-        if best is None or err < best[0]:
-            best = (err, sol.x)
+        tuned = None
         if err < tol * scale:
-            break
-    err, u = best
-    if err > tol * scale:
-        raise ConstructionError(
-            f"second-order tuning stalled: weighted coefficient misfit {err:.3e} "
-            f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
-        )
+            try:
+                tuned = _certify_tuned(model, sol.x, t, free, tol, scale, expected)
+            except ConstructionError as exc:
+                rejected, reason = exc, "undercount"
+        starts.append({"reason": reason, "nfev": int(sol.nfev), "misfit": err})
+        if tuned is not None:
+            return tuned
+    if rejected is not None:
+        raise rejected
+    raise ConstructionError(
+        f"second-order tuning stalled: weighted coefficient misfit {best:.3e} "
+        f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
+    )
+
+
+def _certify_tuned(model: _QuadModel, u, t, free, tol, scale, expected):
+    """Re-verify a converged start against the real pipeline and certify its zeros."""
     v = model.solve_v(u, t)
     spec = model.assemble(u, v)
-    # re-verify against the real pipeline
     f1 = build_f1(spec)
     worst_f1 = max(p.max_coeff() for p in f1.components)
     if worst_f1 > 1e-9:
@@ -497,7 +556,10 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, seed=0,
                  default=0.0)
     if misfit > max(VERIFY_TOL, 10.0 * tol) * scale:
         raise ConstructionError(f"surrogate/pipeline disagreement: {misfit:.3e}")
-    return spec, rf2, misfit
+    zeros = [rec.nu for rec in find_simple_zeros(rf2, default_box(model.m)) if rec.simple]
+    if len(zeros) < expected:
+        raise ConstructionError(f"tuned system certified only {len(zeros)} of {expected} zeros")
+    return spec, rf2, misfit, zeros
 
 
 def _second_order_slots(n, m):
@@ -568,21 +630,14 @@ def _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=0)
     for k, kw in enumerate(attempts):
         log = []
         try:
-            spec, rf2, misfit = _tune_quadratic(model, target, log, seed=seed + 17 * k, **kw)
+            spec, rf2, misfit, zeros = _tune_quadratic(model, target, log, expected, seed=seed + 17 * k, **kw)
         except ConstructionError as exc:
             last_exc = exc
             continue
         finally:
             starts += [dict(rec, attempt=k) for rec in log]
-        box = default_box(m)
-        records = [rec for rec in find_simple_zeros(rf2, box) if rec.simple]
-        if len(records) >= expected:
-            zeros = [rec.nu for rec in records]
-            return GeneratorResult(spec, 2, rf2, expected, box, zeros,
-                                   {"misfit": misfit, "attempt": k, "starts": starts})
-        last_exc = ConstructionError(
-            f"tuned system certified only {len(records)} of {expected} zeros"
-        )
+        return GeneratorResult(spec, 2, rf2, expected, default_box(m), zeros,
+                               {"misfit": misfit, "attempt": k, "starts": starts})
     raise last_exc
 
 

@@ -21,7 +21,7 @@ from avgcycles.flowsim import (
     return_map,
     write_cycle_csv,
 )
-from avgcycles.generators import gen_prop10, gen_prop12
+from avgcycles.generators import gen_prop10, gen_prop12, gen_prop16
 from avgcycles.sysspec import random_spec, zero_spec
 from avgcycles.trigkernel import TWO_PI
 
@@ -138,6 +138,20 @@ class TestRefineCycle:
         records = eps_sweep(result.spec, result.zeros[0], (1e-2, 5e-3, 2.5e-3, 1.25e-3))
         assert all(r.accepted for r in records)
         assert distance_slope(records) == pytest.approx(1.0, abs=0.15)
+
+    def test_slope_skips_zero_distances(self):
+        # at the smallest eps the prediction of these zeros already meets the
+        # residual tolerance, so Newton takes no step and the distance is 0
+        result = gen_prop16(2, 1)
+        for nu in result.zeros[2:4]:
+            records = eps_sweep(result.spec, nu, DEFAULT_EPS_SWEEP)
+            assert records[-1].distance == 0.0
+            kept = [r for r in records if r.distance > 0]
+            assert len(kept) == len(records) - 1
+            slope = distance_slope(records)
+            assert math.isfinite(slope)
+            assert slope == loglog_slope([r.epsilon for r in kept], [r.distance for r in kept])
+        assert math.isnan(distance_slope(records[-2:]))  # one nonzero distance left
 
     @pytest.mark.parametrize("eps", [1e-2, 2.5e-3])
     def test_residual_is_the_fixed_points_displacement(self, eps):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from avgcycles import generators
 from avgcycles.avgcore import build_f1, build_f2
 from avgcycles.generators import (
     STALL_WINDOW,
@@ -129,8 +130,12 @@ class TestSecondOrderTuning:
         zero_v = np.zeros(len(model.vslots))
         np.testing.assert_array_equal(model.S, model.S.transpose(0, 2, 1))
 
-        def probe(u):  # coeffs(r*f_2) of the assembled spec, by the real pipeline
-            return _poly_vec_to_coeffs(build_f2(model.assemble(u, zero_v), check_f1=False), model.monos)
+        seen = set()  # every monomial the reference probes produce
+
+        def probe(u, v=zero_v):  # coeffs(r*f_2) of the assembled spec, by the real pipeline
+            rf2 = build_f2(model.assemble(u, v), check_f1=False)
+            seen.update(_monomial_basis([rf2]))
+            return _poly_vec_to_coeffs(rf2, model.monos)
 
         eye = np.eye(model.udim)
         diag = [probe(e) for e in eye]
@@ -145,6 +150,12 @@ class TestSecondOrderTuning:
         h = 1e-3  # central differences are exact on a quadratic, up to round-off
         fd = np.stack([(model.quad(u + h * e) - model.quad(u - h * e)) / (2 * h) for e in eye], axis=1)
         np.testing.assert_allclose(model.quad_jac(u), fd, rtol=0, atol=1e-10)
+
+        # L from the order-2 field series against build_f2 on each unit v-slot
+        zero_u = np.zeros(model.udim)
+        lcols = np.stack([probe(zero_u, e) for e in np.eye(len(model.vslots))], axis=1)
+        np.testing.assert_allclose(model.L, lcols, rtol=0, atol=1e-14)
+        assert seen <= set(model.monos)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
     def test_zones_do_not_interact(self, n, m):
@@ -186,6 +197,29 @@ class TestSecondOrderTuning:
         assert len(starts) == TUNING_STARTS  # one record per start
         assert all(rec["reason"] == "stall" for rec in starts)
         assert max(rec["nfev"] for rec in starts) < 2 * STALL_WINDOW  # max_nfev is 4000
+
+    def test_undercounting_start_moves_on(self, monkeypatch):
+        # the first converged start certifies too few zeros: the same attempt
+        # goes on to its next start instead of giving up
+        real = generators.find_simple_zeros
+        calls = []
+
+        def first_undercounts(system, box):
+            calls.append(box)
+            return [] if len(calls) == 1 else real(system, box)
+
+        monkeypatch.setattr(generators, "find_simple_zeros", first_undercounts)
+        result = gen_prop12(1, 0, PHI)
+        starts = result.notes["starts"]
+        assert result.notes["attempt"] == 0
+        assert [rec["reason"] for rec in starts] == ["undercount", "target"]
+        assert all(rec["attempt"] == 0 for rec in starts)
+        assert len(calls) == 2 and len(result.zeros) == 2
+
+    def test_every_start_undercounting_fails(self, monkeypatch):
+        monkeypatch.setattr(generators, "find_simple_zeros", lambda system, box: [])
+        with pytest.raises(ConstructionError, match="certified only 0 of 2 zeros"):
+            gen_prop12(1, 0, PHI)
 
     def test_seed_reproducible(self):
         one, two = (gen_prop12(1, 1, PHI, seed=5) for _ in range(2))

@@ -1,24 +1,27 @@
 """Closed-form averaged functions and their quadrature oracle.
 
 The first- and second-order averaged functions of a system are polynomials in
-nu = (r, z_1, ..., z_m).  They are assembled here exactly, by representing
-every integrand as a finite sum of terms
+nu = (r, z_1, ..., z_m), assembled here exactly, each by one closed form.
+f_1 is linear in the first-order tables: each of its coefficients is the
+residual of one kernel constraint, whose weights are the trigonometric
+integrals of :mod:`trigkernel`.  r*f_2 is the slave term plus, per zone, the
+integral of the order-2 field and of one bilinear form of the zone's
+first-order fields (:class:`_ZoneFields`), computed by representing every
+integrand as a finite sum of terms
 
     coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex)
 
-and integrating termwise with the closed forms from :mod:`trigkernel`.  An
-independent route, :func:`numeric_g`, evaluates the same objects along the
-unperturbed flow; the two must agree and the tests enforce it.  There g_1
-is the variation-of-constants integral, taken by scipy's adaptive
-``quad_vec``; g_2 and dg_1/dz_tail come from one variational ODE solve per
-zone (``solve_ivp``), which carries y_1, y_2 and the tail tangents of y_1
-together.
+and integrating termwise.  An independent route, :func:`numeric_g`,
+evaluates the same objects along the unperturbed flow; the two must agree
+and the tests enforce it.  There g_1 is the variation-of-constants integral,
+taken by scipy's adaptive ``quad_vec``; g_2 and dg_1/dz_tail come from one
+variational ODE solve per zone (``solve_ivp``), which carries y_1, y_2 and
+the tail tangents of y_1 together.
 
 Conventions fixed here (and pinned against the oracle):
 
 * the slave components use the exponential weight e^(-mu_w * s) derived from
-  the fundamental matrix (``literal_gamma=True`` reproduces the plain e^(-s)
-  weight of the source text instead);
+  the fundamental matrix;
 * ``numeric_g(order=2)`` returns the half-second-variation g_2 such that the
   displacement of the 2*pi return map is eps*g_1 + eps^2*g_2 + O(eps^3), and
   f_2 = 2*(d(xi g_1)/dv) gamma + 2*xi g_2;
@@ -35,8 +38,8 @@ import numpy as np
 from scipy.integrate import quad_vec, solve_ivp
 
 from .polyalg import CompiledPolyVec, Poly, PolyVec
-from .sysspec import SystemSpec
-from .trigkernel import TWO_PI, HarmonicSum, trig_monomial
+from .sysspec import SystemSpec, multi_indices
+from .trigkernel import TWO_PI, HarmonicSum, TrigKey, trig_I, trig_J, trig_monomial
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
@@ -206,17 +209,6 @@ def _g_contribution(spec: SystemSpec, sign: str, series: NuTrigSeries, rshift: i
 # ---------------------------------------------------------------------------
 
 
-def build_f1(spec: SystemSpec) -> PolyVec:
-    """Closed-form first-order averaged function (m+1 components in nu)."""
-    comps = []
-    for ell in range(spec.m + 1):
-        poly = Poly(spec.m + 1)
-        for sign in ("+", "-"):
-            poly = poly + _g_contribution(spec, sign, _field_series(spec, 1, sign, ell + 2))
-        comps.append(poly)
-    return PolyVec(comps)
-
-
 @dataclass
 class KernelConstraint:
     """Linear relation on spec coefficients forcing one f_1 monomial to zero."""
@@ -233,19 +225,16 @@ class KernelConstraint:
         return total
 
 
-def _zero_tail(spec: SystemSpec):
-    return (0,) * (spec.d - spec.m)
-
-
 def f1_kernel_constraints(spec: SystemSpec) -> list:
-    """One linear constraint per potential monomial of each f_1 component."""
-    from .trigkernel import TrigKey, trig_I, trig_J
+    """One linear constraint per potential monomial of each f_1 component.
 
+    A constraint's residual is that monomial's coefficient in f_1: the
+    weights are the integrals I (zone +) and J (zone -) of the trigonometric
+    factor each table entry carries at tail z = 0.
+    """
     n, m, phi = spec.n, spec.m, spec.phi
-    tail = _zero_tail(spec)
+    tail = (0,) * (spec.d - m)
     constraints = []
-    from .sysspec import multi_indices
-
     heads = sorted(set(multi_indices(n, m)))
     for ell in range(m + 1):
         for kvec in heads:
@@ -265,6 +254,18 @@ def f1_kernel_constraints(spec: SystemSpec) -> list:
                         terms.append(("c", "-", idx, trig_J(TrigKey(i, j, phi))))
                 constraints.append(KernelConstraint(ell, (e,) + kvec, terms))
     return constraints
+
+
+def build_f1(spec: SystemSpec) -> PolyVec:
+    """Closed-form first-order averaged function (m+1 components in nu).
+
+    f_1 is linear in the first-order tables: each coefficient is the
+    residual of its kernel constraint.
+    """
+    comps = [Poly(spec.m + 1) for _ in range(spec.m + 1)]
+    for con in f1_kernel_constraints(spec):
+        comps[con.component]._accum(con.monomial, con.residual(spec))
+    return PolyVec(comps)
 
 
 def project_to_kernel(spec: SystemSpec) -> SystemSpec:
@@ -302,58 +303,54 @@ def _delta_entries(spec: SystemSpec):
     return out
 
 
-def build_gamma(spec: SystemSpec, literal_gamma: bool = False) -> list:
+def build_gamma(spec: SystemSpec) -> list:
     """Slave components gamma_w(nu) as polynomials, w = m+1..d."""
     gammas = []
     for w, mu, denom in _delta_entries(spec):
         poly = Poly(spec.m + 1)
         for sign in ("+", "-"):
-            series = _field_series(spec, 1, sign, w + 2)
             a, b = _zone_bounds(spec, sign)
-            if literal_gamma:
-                # the source text's weight: e^(-s) on [0,phi] and e^(-2*pi)e^(-s) on [phi,2*pi]
-                part = series.shifted(complex(-1.0))
-                if sign == "+":
-                    poly = poly + part.definite(0.0, spec.phi)
-                else:
-                    poly = poly + part.definite(spec.phi, TWO_PI).scaled(math.exp(-TWO_PI))
-            else:
-                part = series.shifted(complex(-mu))
-                contrib = part.definite(a, b)
-                if sign == "-":
-                    contrib = contrib.scaled(-math.exp(-TWO_PI * mu))
-                poly = poly + contrib
+            contrib = _field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).definite(a, b)
+            if sign == "-":
+                contrib = contrib.scaled(-math.exp(-TWO_PI * mu))
+            poly = poly + contrib
         gammas.append(poly.scaled(-1.0 / denom))
     return gammas
 
 
-def _dg1_dtail(spec: SystemSpec) -> list:
-    """Rows: for each master component l, the list over w of d(g_1l)/dz_w as Poly."""
-    rows = []
-    for ell in range(spec.m + 1):
-        row = []
-        for w in range(spec.m + 1, spec.d + 1):
+class _ZoneFields:
+    """The first-order fields of one zone at tail z = 0.
+
+    A_1 (the angular component), f_1l for l = 0..m, each f_1l's derivatives
+    (d_r, d_z1, ..., d_zm, then d_zw for each tail w, those taken at z = 0),
+    and the closed forms of y_1 (functions of s, d+1 components): every
+    series the quadratic part of r*f_2 takes from a zone.
+    """
+
+    def __init__(self, spec: SystemSpec, sign: str):
+        m, tails = spec.m, range(spec.m + 1, spec.d + 1)
+        self.a1 = _field_series(spec, 1, sign, 1)
+        self.f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
+        self.grads = [
+            [f.diff_r()] + [f.diff_z(rho) for rho in range(1, m + 1)]
+            + [_field_series(spec, 1, sign, ell + 2, tail_pick=w - m) for w in tails]
+            for ell, f in enumerate(self.f1)
+        ]
+        self.y1 = [f.antider() for f in self.f1]
+        for w in tails:  # the tail components by variation of constants
             mu = spec.mu[w - 1]
-            poly = Poly(spec.m + 1)
-            for sign in ("+", "-"):
-                series = _field_series(spec, 1, sign, ell + 2, tail_pick=w - spec.m)
-                poly = poly + _g_contribution(spec, sign, series.shifted(complex(mu)))
-            row.append(poly)
-        rows.append(row)
-    return rows
+            self.y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).antider().shifted(complex(mu)))
 
+    def bilinear(self, other, ell):
+        """B_l(self, other) = -A_1 f_1l + grad(f_1l) . y_1, with A_1, y_1 of self and f_1l of other.
 
-def _y1_series(spec: SystemSpec, sign: str) -> list:
-    """Closed forms of y_1 components (functions of s) for one zone, tail z = 0."""
-    out = []
-    for comp in range(spec.d + 1):
-        series = _field_series(spec, 1, sign, comp + 2)
-        if comp <= spec.m:
-            out.append(series.antider())
-        else:
-            mu = spec.mu[comp - 1]
-            out.append(series.shifted(complex(-mu)).antider().shifted(complex(mu)))
-    return out
+        B_l(Z, Z) for a zone's fields Z is the quadratic part of that zone's
+        integrand of r*f_2l; it is bilinear in the first-order tables.
+        """
+        ftil = other.grads[ell][0] * self.y1[0]
+        for df, y in zip(other.grads[ell][1:], self.y1[1:]):
+            ftil = ftil + df * y
+        return (self.a1 * other.f1[ell]).scaled(-1.0) + ftil
 
 
 def check_f1_zero(spec: SystemSpec):
@@ -370,36 +367,28 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
 
     Requires f_1 to vanish identically (kernel-projected spec).  Components
     have total degree <= 2n; divide values by r to evaluate f_2 itself.
+    Component l is the slave term 2*r*(dg_1l/dz_tail) gamma plus, per zone,
+    2*g of the order-2 field and the quadratic part Z.bilinear(Z, l).
     """
     if check_f1:
         check_f1_zero(spec)
     m = spec.m
-    if m < spec.d:
-        gammas = build_gamma(spec)
-        dg_rows = _dg1_dtail(spec)
-    else:
-        gammas, dg_rows = [], [[] for _ in range(m + 1)]
+    gammas = build_gamma(spec) if m < spec.d else []
+    zones = {sign: _ZoneFields(spec, sign) for sign in ("+", "-")}
     r_poly = Poly.variable(m + 1, 0)
-    # per zone: the angular component A_1 and the closed forms of y_1
-    a1 = {sign: _field_series(spec, 1, sign, 1) for sign in ("+", "-")}
-    y1 = {sign: _y1_series(spec, sign) for sign in ("+", "-")}
-
     comps = []
     for ell in range(m + 1):
         total = Poly(m + 1)
-        # 2 * G~_l, promoted by one power of r
-        for dg, gam in zip(dg_rows[ell], gammas):
+        for w, gam in enumerate(gammas, start=m + 1):
+            # d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
+            mu = complex(spec.mu[w - 1])
+            dg = Poly(m + 1)
+            for sign, Z in zones.items():
+                dg = dg + _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu))
             total = total + (dg * gam * r_poly).scaled(2.0)
-        for sign in ("+", "-"):
-            f1l = _field_series(spec, 1, sign, ell + 2)
-            f2l = _field_series(spec, 2, sign, ell + 2) + (a1[sign] * f1l).scaled(-1.0)
-            ftil = f1l.diff_r() * y1[sign][0]
-            for rho in range(1, m + 1):
-                ftil = ftil + f1l.diff_z(rho) * y1[sign][rho]
-            for w in range(m + 1, spec.d + 1):
-                dfw = _field_series(spec, 1, sign, ell + 2, tail_pick=w - m)
-                ftil = ftil + dfw * y1[sign][w]
-            total = total + _g_contribution(spec, sign, f2l + ftil, rshift=1).scaled(2.0)
+        for sign, Z in zones.items():
+            series = _field_series(spec, 2, sign, ell + 2) + Z.bilinear(Z, ell)
+            total = total + _g_contribution(spec, sign, series, rshift=1).scaled(2.0)
         comps.append(total)
     return PolyVec(comps)
 

@@ -6,9 +6,10 @@ spec is assembled from "slots": a slot is one (family, sign, component,
 exponent) entry of a zone's coefficient table, and _spec_from_slots adds a
 value to each.
 
-The first-order generators invert a linear map: unit slots are probed
-through build_f1 and the resulting matrix is solved (least squares) against
-target polynomials with hand-placed roots.
+The first-order generators invert a linear map, read from the f_1 kernel
+constraints (_f1_matrix): a constraint's weights on the slots form one row,
+its residual being one coefficient of f_1.  The matrix is solved (least
+squares) against target polynomials with hand-placed roots.
 
 The second-order generators are harder because f_2 is quadratic in the
 first-order coefficients.  They build an exact algebraic surrogate
@@ -17,21 +18,22 @@ first-order coefficients.  They build an exact algebraic surrogate
 
 (u parametrizes the first-order tables inside the kernel of f_1 through the
 slot values x = N u, v the second-order tables, which enter linearly).
-Q(u)_k = u^T S_k u is built in slot coordinates from per-slot series, with
-no call to build_f2: each u-slot's fields (A_1, f_1l, their r and z
-derivatives, y_1) are computed once in its own zone, and S_slot[a, b] is
-the symmetrized bilinear form of build_f2's quadratic part on slots a and
-b, its diagonal the form itself (no polarization); S = N^T S_slot N.  Only
-slots of the same zone are paired: a "+" and a "-" slot never interact in
-r*f_2 at d = m.  L's columns are the v-slots' order-2 field series.  The
-generators then tune u by least squares with multistart, each start run
-once with scipy's default scaling and stopped once it reaches its target
-or stalls, and recover v by a linear solve.  Every converged start is
+Q(u)_k = u^T S_k u is built in slot coordinates: each u-slot's zone fields
+(avgcore._ZoneFields) are computed once in its own zone, and S_slot[a, b]
+is the symmetrized _ZoneFields.bilinear on slots a and b, the same form
+build_f2 integrates, its diagonal the form itself (no polarization);
+S = N^T S_slot N.  Only slots of the same zone are paired: a "+" and a "-"
+slot never interact in r*f_2 at d = m.  L's columns are the v-slots'
+order-2 field series.  The generators then tune u by least squares with
+multistart, each start run once with scipy's default scaling and stopped
+once it reaches its target or stalls, and recover v by a linear solve.  Every converged start is
 re-verified against the real build_f1/build_f2 pipeline and certified by
 root search; one that fails either is recorded as an "undercount" and the
 attempt moves on to its next start.  gen_th4 realizes a prescribed reduced
-system through the same slot assembly and linear fits, its Q map probed
-through build_f2.
+system by two linear fits over every table entry of degree <= n: its P map
+is _f1_matrix of the second-order slots, its Q map the cross term of the
+same bilinear form with a fixed angular part.  The generators call
+build_f1 and build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ from scipy.optimize import least_squares
 from .avgcore import (
     _field_series,
     _g_contribution,
-    _y1_series,
+    _ZoneFields,
     build_f1,
     build_f2,
     f1_kernel_constraints,
 )
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
-from .sysspec import SystemSpec, zero_spec
+from .sysspec import VECTOR_FAMILIES, SystemSpec, multi_indices, zero_spec
 from .trigkernel import TWO_PI
 
 LINEAR_TOL = 1e-9
@@ -158,20 +160,33 @@ def _monomial_basis(pvs) -> list:
     return sorted({(ci, mo) for pv in pvs for ci, p in enumerate(pv) for mo in p.terms})
 
 
-def _fit_linear(columns: list, target: PolyVec, message: str) -> np.ndarray:
-    """Least-squares weights x with sum_k x_k * columns[k] = target, coefficientwise.
+def _f1_matrix(n, m, phi, slots):
+    """The linear map from slot values to f_1's coefficients, and its row keys.
 
-    Raises InfeasibleTargetError when the coefficient residual exceeds
-    LINEAR_TOL (relative to the target's largest coefficient); ``message``
-    is formatted with the residual ``resid``, the map's ``rank`` and its
-    ``shape``.
+    Row k holds, for each slot, its weight in kernel constraint k, whose
+    residual is the coefficient of keys[k] = (component, monomial) in f_1.
     """
-    monos = _monomial_basis(columns + [target])
-    A = np.zeros((len(monos), len(columns)))
-    for k, pv in enumerate(columns):
-        A[:, k] = _poly_vec_to_coeffs(pv, monos)
-    b = _poly_vec_to_coeffs(target, monos)
-    x = np.linalg.lstsq(A, b, rcond=None)[0] if A.size else np.zeros(len(columns))
+    cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
+    A = np.zeros((len(cons), len(slots)))
+    for row, con in zip(A, cons):
+        weights = {(fam, sign, con.component - 1 if fam == "c" else None, idx): w
+                   for fam, sign, idx, w in con.terms}
+        row[:] = [weights.get(slot, 0.0) for slot in slots]
+    return A, [(con.component, con.monomial) for con in cons]
+
+
+def _fit_linear(A, keys, target: PolyVec, message: str) -> np.ndarray:
+    """Least-squares weights x with A x = the target's coefficients on the row keys.
+
+    Target monomials outside ``keys`` count as rows A cannot reach.  Raises
+    InfeasibleTargetError when the coefficient residual exceeds LINEAR_TOL
+    (relative to the target's largest coefficient); ``message`` is formatted
+    with the residual ``resid``, the map's ``rank`` and its ``shape``.
+    """
+    outside = sorted(set(_monomial_basis([target])) - set(keys))
+    A = np.vstack([A, np.zeros((len(outside), A.shape[1]))])
+    b = _poly_vec_to_coeffs(target, list(keys) + outside)
+    x = np.linalg.lstsq(A, b, rcond=None)[0] if A.size else np.zeros(A.shape[1])
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
     if resid > LINEAR_TOL * max(1.0, np.max(np.abs(b), initial=0.0)):
         rank = np.linalg.matrix_rank(A) if A.size else 0
@@ -180,10 +195,9 @@ def _fit_linear(columns: list, target: PolyVec, message: str) -> np.ndarray:
 
 
 def _fit_linear_f1(n, m, phi, slots, target: PolyVec):
-    """Solve for slot values so that build_f1 matches the target PolyVec."""
-    probes = [build_f1(_spec_from_slots(n, m, phi, [slot], [1.0])) for slot in slots]
-    sol = _fit_linear(probes, target, "first-order target not in coefficient-map image: "
-                      "residual {resid:.3e}, matrix rank {rank} of {shape}")
+    """Solve for slot values so that f_1 matches the target; re-verified by build_f1."""
+    sol = _fit_linear(*_f1_matrix(n, m, phi, slots), target, "first-order target not in coefficient-map "
+                      "image: residual {resid:.3e}, matrix rank {rank} of {shape}")
     spec = _spec_from_slots(n, m, phi, slots, sol)
     f1 = build_f1(spec)
     worst = max((p - q).max_coeff() for p, q in zip(f1, target))
@@ -211,6 +225,16 @@ def _axis_slots(n, m, fam, ell, var, signs=("+", "-")):
             idx = [0, 0] + [0] * m
             idx[1 + var] = k
             out.append((fam, sign, ell, tuple(idx)))
+    return out
+
+
+def _full_slots(n, m, families):
+    """Every entry of total degree <= n of the given families in both zones; vector families per component."""
+    out = []
+    for fam in families:
+        for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
+            for sign in ("+", "-"):
+                out += [(fam, sign, ell, idx) for idx in multi_indices(n, m + 2)]
     return out
 
 
@@ -317,51 +341,34 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 
 def _kernel_basis(n, m, phi, slots) -> np.ndarray:
     """Null-space basis of the f_1 kernel constraints restricted to the slots."""
-    cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
-    # vector c-slots are keyed with their component to avoid collisions
-    pos = {(fam, sign, ell, idx): k for k, (fam, sign, ell, idx) in enumerate(slots)}
-    rows = []
-    for con in cons:
-        row = np.zeros(len(slots))
-        used = False
-        for fam, sign, idx, w in con.terms:
-            ell = con.component - 1 if fam == "c" else None
-            k = pos.get((fam, sign, ell, idx))
-            if k is not None and w != 0.0:
-                row[k] = w
-                used = True
-        if used:
-            rows.append(row)
-    if not rows:
+    A, _ = _f1_matrix(n, m, phi, slots)
+    K = A[np.any(A != 0.0, axis=1)]  # constraints that involve a slot
+    if not len(K):
         return np.eye(len(slots))
-    K = np.stack(rows)
     _, s, Vt = np.linalg.svd(K)
     rank = int(np.sum(s > 1e-12 * s[0]))
     return Vt[rank:].T  # columns span the null space
 
 
-class _SlotFields:
-    """The first-order fields of one unit u-slot in its own zone, at tail z = 0.
+def _unit_fields(n, m, phi, slot) -> _ZoneFields:
+    """The zone fields of one unit slot, in the slot's own zone."""
+    return _ZoneFields(_spec_from_slots(n, m, phi, [slot], [1.0]), slot[1])
 
-    A_1 (the angular component), f_1l for l = 0..m, each f_1l's derivatives
-    (d_r, d_z1, ..., d_zm) and the closed forms of y_1: every series the
-    quadratic part of build_f2 takes from a slot.
+
+def _zone_rf2(base: SystemSpec, sign, series) -> PolyVec:
+    """r*f_2 of one zone's integrand series, one per component; base gives phi."""
+    return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
+
+
+def _cross_rf2(base: SystemSpec, sign, fa, fb) -> PolyVec:
+    """r*f_2's quadratic part as a symmetric bilinear form on two sets of fields of one zone.
+
+    (B(fa, fb) + B(fb, fa)) / 2 in each component; B(fa, fa) itself when fb
+    is fa, so the diagonal needs no polarization.
     """
-
-    def __init__(self, n, m, phi, slot):
-        spec = _spec_from_slots(n, m, phi, [slot], [1.0])
-        sign = slot[1]
-        self.a1 = _field_series(spec, 1, sign, 1)
-        self.f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
-        self.grads = [[f.diff_r()] + [f.diff_z(rho) for rho in range(1, m + 1)] for f in self.f1]
-        self.y1 = _y1_series(spec, sign)
-
-    def bilinear(self, other, ell):
-        """B_l(self, other): build_f2's quadratic series with A_1, y_1 of self and f_1l of other."""
-        ftil = other.grads[ell][0] * self.y1[0]
-        for df, y in zip(other.grads[ell][1:], self.y1[1:]):
-            ftil = ftil + df * y
-        return (self.a1 * other.f1[ell]).scaled(-1.0) + ftil
+    return _zone_rf2(base, sign, [
+        fa.bilinear(fa, ell) if fb is fa else (fa.bilinear(fb, ell) + fb.bilinear(fa, ell)).scaled(0.5)
+        for ell in range(base.m + 1)])
 
 
 class _QuadModel:
@@ -371,32 +378,22 @@ class _QuadModel:
         self.n, self.m, self.phi = n, m, phi
         self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
         self.udim = Nbasis.shape[1]
-        base = zero_spec(n, m, m, phi)
-
-        def zone_rf2(sign, series):  # r*f_2 of one zone's series, one per component
-            return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
-
         # Q in slot coordinates x, Q_k = x^T S_slot,k x.  Every spec here has
         # d = m, so build_f2 has no gamma * dg_1 slave term, and its quadratic
-        # part in component l is the bilinear form B_l(x, x) of the slot
+        # part in component l is the bilinear form B_l(x, x) of the zone
         # fields, each term a product of two fields of one zone: a "+" slot
         # and a "-" slot never interact, and cross-zone pairs are skipped.
-        # The diagonal is B(a, a); off it, (B(a, b) + B(b, a)) / 2.
-        fields = [_SlotFields(n, m, phi, slot) for slot in uslots]
+        base = zero_spec(n, m, m, phi)
+        fields = [_unit_fields(n, m, phi, slot) for slot in uslots]
         pairs = [(a, b) for a, b in itertools.combinations_with_replacement(range(len(uslots)), 2)
                  if uslots[a][1] == uslots[b][1]]
-        blocks = []
-        for a, b in pairs:
-            fa, fb = fields[a], fields[b]
-            blocks.append(zone_rf2(uslots[a][1], [
-                fa.bilinear(fa, ell) if a == b else (fa.bilinear(fb, ell) + fb.bilinear(fa, ell)).scaled(0.5)
-                for ell in range(m + 1)]))
+        blocks = [_cross_rf2(base, uslots[a][1], fields[a], fields[b]) for a, b in pairs]
         # the second-order tables enter r*f_2 linearly, through their own
         # order-2 field series only
         lcols = []
         for slot in vslots:
             spec = _spec_from_slots(n, m, phi, [slot], [1.0])
-            lcols.append(zone_rf2(slot[1], [_field_series(spec, 2, slot[1], ell + 2) for ell in range(m + 1)]))
+            lcols.append(_zone_rf2(base, slot[1], [_field_series(spec, 2, slot[1], ell + 2) for ell in range(m + 1)]))
 
         self.monos = _monomial_basis(blocks + lcols)
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
@@ -726,17 +723,46 @@ def gen_prop21(n: int, seed: int = 0, target_count: int | None = None) -> Genera
 # ---------------------------------------------------------------------------
 
 
+def _angular_part(m):
+    """gen_th4's order-one angular part as (slots, values): A_1^+ = 1/2, A_1^- = -1/2.
+
+    Its radial part is zero (X_a = -y*H, X_b = x*H picks the angular
+    direction only), so it contributes nothing to f_1.
+    """
+    slots, values = [], []
+    for sign, h in (("+", 0.5), ("-", -0.5)):
+        slots += [("a", sign, None, (0, 1) + (0,) * m), ("b", sign, None, (1, 0) + (0,) * m)]
+        values += [-h, h]
+    return slots, values
+
+
+def _angular_cross_map(n, m, phi, uslots):
+    """The linear map from u-slot values x to r*f_2's cross term with the angular part h.
+
+    r*f_2 is quadratic in the first-order tables, so its value on h + x is
+    Q(h) + 2 B(h, x) + Q(x); column a is the symmetrized B(h, e_a) in slot a's
+    zone (the other zone's fields of e_a vanish).  Returns the matrix and its
+    (component, monomial) row keys.
+    """
+    base = zero_spec(n, m, m, phi)
+    hspec = _spec_from_slots(n, m, phi, *_angular_part(m))
+    hfields = {sign: _ZoneFields(hspec, sign) for sign in ("+", "-")}
+    cols = [_cross_rf2(base, slot[1], hfields[slot[1]], _unit_fields(n, m, phi, slot)) for slot in uslots]
+    keys = _monomial_basis(cols)
+    return np.stack([_poly_vec_to_coeffs(pv, keys) for pv in cols], axis=1), keys
+
+
 def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = None) -> GeneratorResult:
     """Realize the reduced system r*P_l(nu) + Q_l(nu) = 0 through f_2.
 
     Scales the tail/radial perturbations by delta against an order-one
     angular perturbation split across the two zones, so that
-    r*f_2l / (2*delta) = r*P_l + Q_l + O(delta).  The Q_l targets must be
-    divisible by r (the angular factor always carries one power of r).  The
-    radial slots are z-free and the slots of component l >= 1 are entries
-    in z_l alone, so only P_0, Q_0/r in r alone and P_l, Q_l/r (l >= 1) in
-    z_l alone are realizable.  A target outside the image raises
-    InfeasibleTargetError with rank info.
+    r*f_2l / (2*delta) = r*P_l + Q_l + O(delta).  Every first- and
+    second-order table entry of total degree <= n is a slot, so any P_l of
+    degree <= n and any Q_l = r * (degree <= n) is realizable.  The Q_l
+    targets must be divisible by r (the angular factor always carries one
+    power of r); a target outside the image raises InfeasibleTargetError
+    with rank info.
     """
     m = len(P_polys) - 1
     if m < 1:
@@ -745,54 +771,29 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
         raise ValueError("P and Q must have the same number of components")
     nv = m + 1
     if n is None:
-        n = max(
-            [1]
-            + [p.degree() for p in P_polys]
-            + [max(q.degree() - 1, 1) for q in Q_polys]
-        )
+        n = max([1] + [p.degree() for p in P_polys] + [q.degree() - 1 for q in Q_polys])
     _require_generic_angle("gen_th4", phi)
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    # order-one angular part: A_1^+ = 1/2, A_1^- = -1/2, with zero radial part
-    # (X_a = -y*H, X_b = x*H picks the angular direction only)
-    angular, angular_values = [], []
-    for sign, h in (("+", 0.5), ("-", -0.5)):
-        angular += [("a", sign, None, (0, 1) + (0,) * m), ("b", sign, None, (1, 0) + (0,) * m)]
-        angular_values += [-h, h]
+    angular, angular_values = _angular_part(m)
 
     # Q map: columns over kernel-constrained first-order slots.  The angular
     # part contributes nothing to f_1, so the kernel constraints involve only
     # the delta-scaled part, even on the entries the angular part shares.
-    uslots = _scalar_slots(n, m, ("a", "b"))
-    for ell in range(1, m + 1):
-        uslots += _axis_slots(n, m, "c", ell - 1, ell)
+    uslots = _full_slots(n, m, ("a", "b", "c"))
     N = _kernel_basis(n, m, phi, uslots)
-
-    def q_map_column(uvec):
-        # r*f_2 is quadratic in the first-order tables and vanishes on the
-        # angular part alone, so half this difference is its cross term with
-        # the angular part, which is linear in the first-order values
-        values = N @ uvec
-        both = build_f2(_spec_from_slots(n, m, phi, angular + uslots,
-                                         np.concatenate([angular_values, values])), check_f1=False)
-        alone = build_f2(_spec_from_slots(n, m, phi, uslots, values), check_f1=False)
-        return PolyVec([(p - q).scaled(0.5) for p, q in zip(both, alone)])
-
-    qcols = [q_map_column(col) for col in np.eye(N.shape[1])]
+    Q, qkeys = _angular_cross_map(n, m, phi, uslots)
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
-    u = _fit_linear(qcols, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
+    u = _fit_linear(Q @ N, qkeys, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
                     "of {shape}; note Q_l must be divisible by r")
 
-    # P map: second-order tables through the f_1-shaped linear integrals
-    pslots = _scalar_slots(n, m, ("alpha", "beta"))
-    for ell in range(1, m + 1):
-        pslots += _axis_slots(n, m, "gamma", ell - 1, ell)
-    proxy = {"alpha": "a", "beta": "b", "gamma": "c"}
-    pcols = [build_f1(_spec_from_slots(n, m, phi, [(proxy[fam], sign, ell, idx)], [1.0]))
-             for fam, sign, ell, idx in pslots]
+    # P map: each second-order entry enters r*f_2 through the integral its
+    # first-order twin has in f_1, and pslots lists the twins of uslots in order
+    pslots = _full_slots(n, m, ("alpha", "beta", "gamma"))
+    P, pkeys = _f1_matrix(n, m, phi, uslots)
     p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
-    v = _fit_linear(pcols, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
+    v = _fit_linear(P, pkeys, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
 
     # assemble: angular part, then the delta-scaled first and second order
     spec = _spec_from_slots(n, m, phi, angular + uslots + pslots,

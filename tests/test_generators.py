@@ -12,6 +12,10 @@ from avgcycles.generators import (
     TUNING_STARTS,
     ConstructionError,
     InfeasibleTargetError,
+    _angular_cross_map,
+    _angular_part,
+    _f1_matrix,
+    _full_slots,
     _kernel_basis,
     _monomial_basis,
     _poly_vec_to_coeffs,
@@ -268,16 +272,53 @@ class TestTh4:
             gen_th4(P, Q, PHI, n=1)
 
 
-@pytest.mark.xfail(strict=True, raises=InfeasibleTargetError, reason=(
-    "gen_th4 realizes only P_l and Q_l/r (l >= 1) that are polynomials in z_l "
-    "alone; P_1 = r is outside its slots (README: Count formulas and honest caveats)"))
-def test_th4_mixed_component_target():
+    @pytest.mark.parametrize("n, m, phi", [(1, 1, PHI), (2, 1, 1.0)])
+    def test_q_map_is_the_cross_term_of_build_f2(self, n, m, phi):
+        # reference: half the difference of the real pipeline with and without
+        # the angular part, on each kernel direction N e_k
+        hslots, hvalues = _angular_part(m)
+        uslots = _full_slots(n, m, ("a", "b", "c"))
+        N = _kernel_basis(n, m, phi, uslots)
+        Q, keys = _angular_cross_map(n, m, phi, uslots)
+        QN = Q @ N
+        for k, col in enumerate(N.T):
+            both = build_f2(_spec_from_slots(n, m, phi, hslots + uslots, np.concatenate([hvalues, col])),
+                            check_f1=False)
+            alone = build_f2(_spec_from_slots(n, m, phi, uslots, col), check_f1=False)
+            ref = PolyVec([(p - q).scaled(0.5) for p, q in zip(both, alone)])
+            assert set(_monomial_basis([ref])) <= set(keys)
+            np.testing.assert_allclose(QN[:, k], _poly_vec_to_coeffs(ref, keys), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("component, kind, mono", [
+    (1, "P", (1, 0, 0)),  # P_1 = r
+    (1, "P", (0, 0, 1)),  # P_1 = z_2
+    (1, "Q", (2, 0, 0)),  # Q_1 = r^2
+    (2, "Q", (1, 1, 0)),  # Q_2 = r z_1
+])
+def test_th4_mixed_component_target(component, kind, mono):
+    # every table entry of degree <= n is a slot, so P_l and Q_l / r (l >= 1)
+    # need not be polynomials in z_l alone
     r = Poly.variable(3, 0)
-    P = [r + Poly.constant(3, -1.0), r, Poly(3)]
+    P = [r + Poly.constant(3, -1.0), Poly(3), Poly(3)]
     Q = [Poly(3)] * 3
-    result = gen_th4(P, Q, 1.0)  # raises "P target not realizable"
+    (P if kind == "P" else Q)[component] = Poly(3, {mono: 1.0})
+    result = gen_th4(P, Q, 1.0)
     for p, q in zip(result.notes["normalized"], result.notes["reduced_system"]):
         assert all(abs(p.terms.get(mo, 0) - q.terms.get(mo, 0)) < 1e-2 for mo in set(p.terms) | set(q.terms))
+
+
+class TestF1Matrix:
+    @pytest.mark.parametrize("n, m, phi", [(2, 1, PHI), (2, 1, math.pi), (2, 0, TWO_PI), (3, 2, PHI)])
+    def test_columns_are_unit_slot_build_f1(self, n, m, phi):
+        slots = _full_slots(n, m, ("a", "b", "c"))
+        A, keys = _f1_matrix(n, m, phi, slots)
+        assert len(set(keys)) == len(keys)
+        for col, slot in zip(A.T, slots):
+            f1 = build_f1(_spec_from_slots(n, m, phi, [slot], [1.0]))
+            assert set(_monomial_basis([f1])) <= set(keys)
+            # build_f1 drops coefficients below polyalg.PRUNE_TOL = 1e-15
+            np.testing.assert_allclose(col, _poly_vec_to_coeffs(f1, keys), rtol=0, atol=1e-15)
 
 
 # each generator that needs a generic switching angle, at a small size

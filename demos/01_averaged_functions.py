@@ -2,8 +2,10 @@
 
 Builds a random two-zone perturbation of the rotation-plus-contraction
 field, computes the first-order averaged function in closed form, checks it
-against adaptive quadrature along the unperturbed flow, then projects the
-first-order tables onto the kernel and computes the second-order function.
+against the quadrature oracle along the unperturbed flow (one Chebyshev
+spectral rule per zone, its node count doubled from N to 2N until the two
+results agree to 1e-12; Greengard 1991), then projects the first-order
+tables onto the kernel and computes the second-order function.
 """
 
 import math

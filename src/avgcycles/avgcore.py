@@ -13,10 +13,13 @@ integrand as a finite sum of terms
 
 and integrating termwise.  An independent route, :func:`numeric_g`,
 evaluates the same objects along the unperturbed flow; the two must agree
-and the tests enforce it.  There g_1 is the variation-of-constants integral,
-taken by scipy's adaptive ``quad_vec``; g_2 and dg_1/dz_tail come from one
-variational ODE solve per zone (``solve_ivp``), which carries y_1, y_2 and
-the tail tangents of y_1 together.
+and the tests enforce it.  There each zone is one Chebyshev spectral rule
+(Greengard, SIAM J. Numer. Anal. 28, 1991): every field is evaluated in one
+batch at the Chebyshev-Lobatto nodes of the zone's angle interval, and the
+spectral integration matrix gives y_1, y_2 and dy_1/dz_tail.  The integrands
+are entire, so the rule converges geometrically in its node count N: from
+N = 32, doubling, the 2N result is accepted once N and 2N agree to
+QUAD_TOL * max(1, |y|_inf).
 
 Conventions fixed here (and pinned against the oracle):
 
@@ -31,11 +34,12 @@ Conventions fixed here (and pinned against the oracle):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec, solve_ivp
+from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .polyalg import CompiledPolyVec, Poly, PolyVec
 from .sysspec import SystemSpec, multi_indices
@@ -44,7 +48,9 @@ from .trigkernel import TWO_PI, HarmonicSum, TrigKey, trig_I, trig_J, trig_monom
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
 KERNEL_WEIGHT_TOL = 1e-12  # integral weights below this cannot carry a kernel constraint
-QUAD_TOL = 1e-12  # absolute max-norm error target of the order-1 quadrature
+QUAD_TOL = 1e-12  # the oracle's N and 2N Chebyshev results must agree to QUAD_TOL * max(1, |y|_inf)
+NODE_START = 32  # N of the oracle's first N/2N comparison
+NODE_CAP = 512  # largest N compared; past it the oracle raises QuadratureFailure
 
 
 class DegenerateEigenvalueError(ValueError):
@@ -60,7 +66,7 @@ class InfeasibleConstraintError(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """The oracle's integration failed: quad_vec (order 1) or solve_ivp (order 2) did not converge."""
+    """The oracle's Chebyshev rule did not converge: N and 2N still disagreed at the node cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +421,13 @@ def build_averaged_system(spec: SystemSpec) -> AveragedSystem:
 # ---------------------------------------------------------------------------
 
 
-def _Y_diag(spec: SystemSpec, theta: float) -> np.ndarray:
-    """Diagonal of the fundamental matrix: 1 on (r, z_1..z_m), e^(mu_w*theta) on the tail."""
-    diag = np.ones(spec.d + 1)
-    for w in range(spec.m + 1, spec.d + 1):
-        diag[w] = math.exp(spec.mu[w - 1] * theta)
-    return diag
+def _Y_diag(spec: SystemSpec, theta) -> np.ndarray:
+    """Fundamental matrix diagonal (a row per angle for K angles): 1 on r, z_1..z_m, e^(mu_w*theta) on the tail."""
+    return np.exp(np.multiply.outer(theta, (0.0,) + spec.mu))
 
 
-def flow(spec: SystemSpec, theta: float, zz: np.ndarray) -> np.ndarray:
-    """Unperturbed flow from (r, z) at time theta: tail scales by e^(mu*theta)."""
+def flow(spec: SystemSpec, theta, zz: np.ndarray) -> np.ndarray:
+    """Unperturbed flow from (r, z) at time theta (or at each of K angles): tail scales by e^(mu*theta)."""
     return _Y_diag(spec, theta) * zz
 
 
@@ -441,130 +444,126 @@ def compile_fields(spec: SystemSpec, order, sign: str) -> CompiledPolyVec:
     return CompiledPolyVec(spec.d + 2, [t.entries for t in tables])
 
 
-def _cartesian(theta: float, x: np.ndarray):
-    """cos(theta), sin(theta) and the point (r cos, r sin, z) as a batch of one."""
-    cx, sx = math.cos(theta), math.sin(theta)
-    point = np.empty((1, len(x) + 1))
-    point[0, 0], point[0, 1], point[0, 2:] = x[0] * cx, x[0] * sx, x[1:]
-    return cx, sx, point
-
-
-def _cylindrical(vals: np.ndarray, cx: float, sx: float, r: float) -> np.ndarray:
+def _cylindrical(vals: np.ndarray, cx, sx, r) -> np.ndarray:
     """Table values (a, b, c_1..c_d) at a point -> cylindrical components, in place."""
     va, vb = vals[0], vals[1]
     vals[0], vals[1] = (vb * cx - va * sx) / r, va * cx + vb * sx
     return vals
 
 
-def eval_fields(C: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
-    """Cylindrical field components (A or B), numbered 1..d+2, at a state.
+def _node_points(s: np.ndarray, X: np.ndarray):
+    """cos(s), sin(s) and the points (r cos s, r sin s, z) of K angles s and states X (K, d+1)."""
+    cx, sx = np.cos(s), np.sin(s)
+    return cx, sx, np.column_stack([X[:, 0] * cx, X[:, 0] * sx, X[:, 1:]])
+
+
+def _node_fields(C: CompiledPolyVec, s: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Cylindrical field components (A or B), numbered 1..d+2, at K angles s and states X: (K, d+2).
 
     ``C`` is the zone's compile_fields vector of the wanted order.
     """
-    cx, sx, point = _cartesian(theta, x)
-    return _cylindrical(C.values(point)[0], cx, sx, x[0])
+    cx, sx, points = _node_points(s, X)
+    return _cylindrical(C.values(points).T, cx, sx, X[:, 0]).T
 
 
-def _F1_of(spec: SystemSpec, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """First-order theta-time field (d+1 components) from the order-1 fields A."""
-    out = np.empty(spec.d + 1)
-    out[: spec.m + 1] = A[1 : spec.m + 2]
-    for w in range(spec.m + 1, spec.d + 1):
-        out[w] = A[w + 1] - spec.mu[w - 1] * x[w] * A[0]
-    return out
+def _F1_of(spec: SystemSpec, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """First-order theta-time field (K, d+1) from the order-1 fields A at K states X."""
+    return A[:, 1:] - np.array((0.0,) + spec.mu) * X * A[:, :1]
 
 
-def _F2_of(spec: SystemSpec, A: np.ndarray, B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Second-order theta-time field (d+1 components) from the order-1 and -2 fields A, B."""
-    out = np.empty(spec.d + 1)
-    for ell in range(spec.m + 1):
-        out[ell] = B[ell + 1] - A[0] * A[ell + 1]
-    for w in range(spec.m + 1, spec.d + 1):
-        mu = spec.mu[w - 1]
-        out[w] = B[w + 1] + mu * x[w] * A[0] ** 2 - A[0] * A[w + 1] - mu * x[w] * B[0]
-    return out
+def _F2_of(spec: SystemSpec, A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Second-order theta-time field (K, d+1) from the order-1 and -2 fields A, B at K states X."""
+    return B[:, 1:] - A[:, :1] * A[:, 1:] + np.array((0.0,) + spec.mu) * X * (A[:, :1] ** 2 - B[:, :1])
 
 
-def eval_F1(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray) -> np.ndarray:
-    """First-order theta-time field (d+1 components) from the zone's order-1 tables."""
-    return _F1_of(spec, eval_fields(C1, theta, x), x)
-
-
-def _F1_jac(spec: SystemSpec, C1: CompiledPolyVec, theta: float, x: np.ndarray):
-    """The fields A and the analytic Jacobian of F_1 wrt (r, z), from one table evaluation."""
-    r = x[0]
-    cx, sx, point = _cartesian(theta, x)
-    A = _cylindrical(C1.values(point)[0], cx, sx, r)
-    G = C1.jacobians(point)[0]
-    # gradients wrt (x, y, z) -> wrt (r, z) along x = r cos, y = r sin
-    g = np.empty((spec.d + 2, spec.d + 1))
-    g[:, 0] = cx * G[:, 0] + sx * G[:, 1]
-    g[:, 1:] = G[:, 2:]
-    dA1 = (cx * g[1] - sx * g[0]) / r
-    dA1[0] -= A[0] / r
-
-    J = np.empty((spec.d + 1, spec.d + 1))
-    J[0] = cx * g[0] + sx * g[1]
-    J[1:] = g[2:]
-    for k in range(spec.m + 1, spec.d + 1):
-        mu = spec.mu[k - 1]
-        J[k] -= mu * x[k] * dA1
-        J[k, k] -= mu * A[0]
+def _F1_jacobians(spec: SystemSpec, C1: CompiledPolyVec, s: np.ndarray, X: np.ndarray):
+    """The fields A (K, d+2) and the analytic Jacobians of F_1 wrt (r, z), (K, d+1, d+1), at K nodes."""
+    A = _node_fields(C1, s, X)
+    cx, sx, points = _node_points(s, X)
+    G = C1.jacobians(points)
+    # gradients wrt (x, y, z) -> wrt (r, z) along x = r cos, y = r sin, then
+    # rotated like the fields: g[:, 0] is grad(r*A_1)/r, g[:, 1:] grad A_2..A_{d+2}
+    g = G[:, :, 1:].copy()
+    g[:, :, 0] = cx[:, None] * G[:, :, 0] + sx[:, None] * G[:, :, 1]
+    _cylindrical(g.transpose(1, 0, 2), cx[:, None], sx[:, None], X[:, :1])
+    g[:, 0, 0] -= A[:, 0] / X[:, 0]
+    dmu = np.array((0.0,) + spec.mu)
+    J = g[:, 1:] - (dmu * X)[:, :, None] * g[:, :1]
+    diag = np.arange(spec.d + 1)
+    J[:, diag, diag] -= dmu * A[:, :1]
     return A, J
 
 
-def _y1(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray) -> np.ndarray:
-    """First variation y_1(theta) by variation of constants, on scipy's quad_vec."""
-    C1 = compile_fields(spec, 1, sign)
+@functools.cache
+def _cheb_rule(N: int):
+    """Chebyshev-Lobatto nodes x_j = -cos(pi*j/N) on [-1, 1] and the cumulative-integration matrix S.
 
-    def integrand(s):
-        return eval_F1(spec, C1, s, flow(spec, s, zz)) / _Y_diag(spec, s)
-
-    val, err, info = quad_vec(integrand, 0.0, theta, epsabs=QUAD_TOL, epsrel=0, norm="max", full_output=True)
-    # scipy only warns.  Status 2 stops where the rounding-error estimate
-    # exceeds the discretization error: the arithmetic's floor, accepted.
-    if info.status not in (0, 2):
-        raise QuadratureFailure(f"first-variation quadrature on [0, {theta}]: {info.message} (err={err:.2e})")
-    return _Y_diag(spec, theta) * val
-
-
-def _variations(spec: SystemSpec, sign: str, theta: float, zz: np.ndarray):
-    """Joint integration of y_1, y_2 and the tail tangents of y_1.
-
-    y_1 and the second variation y_2 satisfy linear equations y' = D y +
-    forcing along the unperturbed flow (D the diagonal of tail eigenvalues).
-    The flow is linear in z, so T_w = d y_1/d z_w obeys T_w' = D T_w +
-    (dF_1/dz_w) e^(mu_w*s).  One ODE solve per zone returns
-    (y_1, y_2, T) at theta, with T[:, k] the tangent for w = m+1+k.
+    (S @ f)[j] is the integral over [-1, x_j] of the degree-N interpolant of
+    the node values f, so S[-1] holds the Clenshaw-Curtis weights.
     """
-    nvar, m, ntail = spec.d + 1, spec.m, spec.d - spec.m
+    x = -np.cos(np.pi * np.arange(N + 1) / N)
+    S = chebvander(x, N + 1) @ chebint(np.eye(N + 1), lbnd=-1) @ np.linalg.inv(chebvander(x, N))
+    return x, S
+
+
+def _zone_samples(spec: SystemSpec, fields: list, s: np.ndarray, zz: np.ndarray):
+    """Y and F_1 at the angles s; with the order-2 tables also F_2 and the Jacobians J of F_1."""
+    Y = _Y_diag(spec, s)
+    X = flow(spec, s, zz)
+    if len(fields) == 1:
+        return Y, _F1_of(spec, _node_fields(fields[0], s, X), X)
+    A, J = _F1_jacobians(spec, fields[0], s, X)
+    return Y, _F1_of(spec, A, X), _F2_of(spec, A, _node_fields(fields[1], s, X), X), J
+
+
+def _zone_integrals(spec: SystemSpec, theta: float, S: np.ndarray, Y, F1, F2=None, J=None) -> list:
+    """[y_1(theta)], or [y_1, y_2, T] at theta, from one zone's node samples and the rule S.
+
+    Each solves y' = D y + forcing along the unperturbed flow, so y(theta) =
+    Y(theta) * int Y^-1 forcing.  y_1 at every node forces y_2; T_w = dy_1/dz_w
+    is forced by (dF_1/dz_w) e^(mu_w*s), and T[:, k] is the tangent for w = m+1+k.
+    """
+    h = 0.5 * theta
+    y1 = Y * (h * S @ (F1 / Y))
+    if F2 is None:
+        return [y1[-1]]
+    w, tail = h * S[-1], slice(spec.m + 1, None)
+    y2 = Y[-1] * (w @ (2.0 * (F2 + np.einsum("kij,kj->ki", J, y1)) / Y))
+    T = Y[-1, :, None] * np.einsum("k,kij->ij", w, J[:, :, tail] * Y[:, None, tail] / Y[:, :, None])
+    return [y1[-1], y2, T]
+
+
+def _zone_variations(spec: SystemSpec, sign: str, order: int, zz: np.ndarray) -> list:
+    """One zone's [y_1] (order 1) or [y_1, y_2, T] (order 2) at its end angle, by the Chebyshev rule.
+
+    One sampling at the level-2N nodes serves level N too (its nodes are the
+    even ones); N doubles from NODE_START until the two levels agree.
+    """
+    theta = spec.phi if sign == "+" else spec.phi - TWO_PI
     if theta == 0.0:
-        return np.zeros(nvar), np.zeros(nvar), np.zeros((nvar, ntail))
-    dmu = np.array((0.0,) + spec.mu)
-    C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
+        return [np.zeros(spec.d + 1), np.zeros(spec.d + 1), np.zeros((spec.d + 1, spec.d - spec.m))][: 2 * order - 1]
+    fields = [compile_fields(spec, o, sign) for o in range(1, order + 1)]
+    N = NODE_START
+    while True:
+        x, S = _cheb_rule(2 * N)
+        samples = _zone_samples(spec, fields, 0.5 * theta * (x + 1.0), zz)
+        fine = _zone_integrals(spec, theta, S, *samples)
+        coarse = _zone_integrals(spec, theta, _cheb_rule(N)[1], *(a[::2] for a in samples))
+        diff = max(np.abs(f - c).max(initial=0.0) for f, c in zip(fine, coarse))
+        tol = QUAD_TOL * max(1.0, *(np.abs(f).max(initial=0.0) for f in fine))
+        if diff <= tol:
+            return fine
+        N *= 2
+        if N > NODE_CAP:
+            raise QuadratureFailure(
+                f"{sign} zone on [0, {theta:.6g}]: the Chebyshev rule at N = {N // 2} and {N} "
+                f"still differs by {diff:.3e} (tolerance {tol:.3e}) at the node cap N = {NODE_CAP}"
+            )
 
-    def rhs(s, y):
-        xs = flow(spec, s, zz)
-        y1, y2, T = y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
-        A, J = _F1_jac(spec, C1, s, xs)
-        d1 = dmu * y1 + _F1_of(spec, A, xs)
-        d2 = dmu * y2 + 2.0 * _F2_of(spec, A, eval_fields(C2, s, xs), xs) + 2.0 * J @ y1
-        dT = dmu[:, None] * T + J[:, m + 1 :] * _Y_diag(spec, s)[m + 1 :]
-        return np.concatenate([d1, d2, dT.ravel()])
 
-    y0 = np.zeros(nvar * (2 + ntail))
-    sol = solve_ivp(rhs, (0.0, theta), y0, method="DOP853", rtol=1e-12, atol=1e-13)
-    if not sol.success:
-        raise QuadratureFailure(f"variational integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    return y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
-
-
-def _zone_variations(spec: SystemSpec, zz: np.ndarray):
-    """Differences plus-zone minus minus-zone of (y_1, y_2, T): g_1, 2*g_2 and dg_1/dz_tail."""
-    plus = _variations(spec, "+", spec.phi, zz)
-    minus = _variations(spec, "-", spec.phi - TWO_PI, zz)
-    return [p - q for p, q in zip(plus, minus)]
+def _g_variations(spec: SystemSpec, order: int, zz: np.ndarray) -> list:
+    """Plus zone minus minus zone: [g_1], or [g_1, 2*g_2, dg_1/dz_tail]."""
+    return [p - q for p, q in zip(*(_zone_variations(spec, sign, order, zz) for sign in "+-"))]
 
 
 def numeric_g(spec: SystemSpec, order: int, z) -> np.ndarray:
@@ -572,11 +571,10 @@ def numeric_g(spec: SystemSpec, order: int, z) -> np.ndarray:
     zz = np.asarray(z, dtype=float)
     if zz.shape != (spec.d + 1,):
         raise ValueError(f"state has shape {zz.shape}, expected ({spec.d + 1},)")
-    if order == 1:
-        return _y1(spec, "+", spec.phi, zz) - _y1(spec, "-", spec.phi - TWO_PI, zz)
-    if order == 2:
-        return 0.5 * _zone_variations(spec, zz)[1]
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    g = _g_variations(spec, order, zz)
+    return g[0] if order == 1 else 0.5 * g[1]
 
 
 def _embed(spec: SystemSpec, nu) -> np.ndarray:
@@ -603,7 +601,7 @@ def oracle_gamma(spec: SystemSpec, nu) -> np.ndarray:
 def oracle_f2(spec: SystemSpec, nu) -> np.ndarray:
     """Variational route for f_2: 2*(d(xi g_1)/dv) gamma + 2*xi g_2.
 
-    g_1, 2*g_2 and dg_1/dv all come from the one joint ODE solve per zone.
+    g_1, 2*g_2 and dg_1/dv all come from one Chebyshev rule per zone.
     """
-    g1, two_g2, dg1 = _zone_variations(spec, _embed(spec, nu))
+    g1, two_g2, dg1 = _g_variations(spec, 2, _embed(spec, nu))
     return two_g2[: spec.m + 1] + 2.0 * dg1[: spec.m + 1] @ _gamma_from_g1(spec, g1)

@@ -1,25 +1,27 @@
 """Closed-form averaged functions against the quadrature oracle."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
+from scipy.integrate import quad_vec, solve_ivp
 
 from avgcycles import avgcore
 from avgcycles.avgcore import (
     DegenerateEigenvalueError,
     QuadratureFailure,
-    _F1_jac,
+    _F1_jacobians,
+    _F1_of,
+    _F2_of,
+    _node_fields,
+    _zone_variations,
     build_averaged_system,
     build_f1,
     build_f2,
     build_gamma,
     compile_fields,
-    eval_F1,
-    eval_fields,
     f1_kernel_constraints,
+    numeric_g,
     oracle_f1,
     oracle_f2,
     oracle_gamma,
@@ -73,14 +75,81 @@ class TestF1Oracle:
             assert max(abs(poly.terms.get(mo, 0.0) - ref.terms.get(mo, 0.0)) for mo in monos) < 4e-15
 
 
+def _scipy_zone_reference(spec, sign, zz):
+    """One zone by scipy's adaptive integrators: y_1 by quad_vec, and (y_1, y_2, T) by DOP853.
+
+    The ODE is the joint variational system y_1' = D y_1 + F_1, y_2' = D y_2
+    + 2 F_2 + 2 J y_1, T' = D T + J[:, tail] e^(mu_tail*s) along the
+    unperturbed flow, with D the diagonal of tail eigenvalues.
+    """
+    nvar, m, ntail = spec.d + 1, spec.m, spec.d - spec.m
+    theta = spec.phi if sign == "+" else spec.phi - TWO_PI
+    dmu = np.array((0.0,) + spec.mu)
+    C1, C2 = compile_fields(spec, 1, sign), compile_fields(spec, 2, sign)
+
+    def fields(s):
+        s, x = np.array([s]), (np.exp(dmu * s) * zz)[None]
+        A, J = _F1_jacobians(spec, C1, s, x)
+        return _F1_of(spec, A, x)[0], _F2_of(spec, A, _node_fields(C2, s, x), x)[0], J[0]
+
+    def rhs(s, y):
+        y1, y2, T = y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)
+        F1, F2, J = fields(s)
+        dT = dmu[:, None] * T + J[:, m + 1 :] * np.exp(dmu[m + 1 :] * s)
+        return np.concatenate([dmu * y1 + F1, dmu * y2 + 2.0 * F2 + 2.0 * J @ y1, dT.ravel()])
+
+    sol = solve_ivp(rhs, (0.0, theta), np.zeros(nvar * (2 + ntail)), method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    y = sol.y[:, -1]
+    v1 = quad_vec(lambda s: fields(s)[0] * np.exp(-dmu * s), 0.0, theta, epsabs=1e-13, epsrel=0, norm="max")[0]
+    return np.exp(dmu * theta) * v1, [y[:nvar], y[nvar : 2 * nvar], y[2 * nvar :].reshape(nvar, ntail)]
+
+
+class TestChebyshevRule:
+    """The oracle's spectral rule against scipy's adaptive integrators at tight tolerances."""
+
+    @pytest.mark.parametrize("n,m,d,phi,seed", [
+        (1, 0, 3, math.pi / 3, 7),  # minus zone output above 100
+        (2, 1, 2, math.pi / 3, 1),
+        (3, 0, 1, math.pi / 3, 2),
+        (2, 0, 1, math.pi, 3),
+        (1, 1, 2, math.pi, 4),
+        (3, 2, 3, math.pi, 5),
+        (2, 0, 2, TWO_PI, 6),
+        (2, 2, 3, TWO_PI, 8),
+    ])
+    def test_matches_scipy_reference(self, n, m, d, phi, seed):
+        spec = random_spec(n, m, d, phi, seed, scale=0.4)
+        rng = np.random.default_rng(seed)
+        zz = avgcore._embed(spec, np.concatenate([[rng.uniform(0.4, 1.6)], rng.uniform(-0.8, 0.8, m)]))
+        g1 = 0.0
+        for sign in ("+", "-"):
+            y1_ref, triple_ref = _scipy_zone_reference(spec, sign, zz)
+            g1 = g1 + (y1_ref if sign == "+" else -y1_ref)
+            for got, want in zip(_zone_variations(spec, sign, 2, zz), triple_ref, strict=True):
+                np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(numeric_g(spec, 1, zz), g1, atol=1e-10, rtol=0)
+        if seed == 7:
+            assert max(np.abs(v).max() for v in _zone_variations(spec, "-", 2, zz)) > 100
+
+    def test_empty_minus_zone_evaluates_nothing(self, monkeypatch):
+        spec = random_spec(2, 0, 2, TWO_PI, 6, scale=0.4)
+        monkeypatch.setattr(avgcore, "compile_fields", None)
+        y1, y2, T = _zone_variations(spec, "-", 2, np.array([0.8, 0.1, -0.2]))
+        assert not y1.any() and not y2.any() and T.shape == (3, 2) and not T.any()
+
+
 class TestQuadratureFailure:
-    def test_nonconvergence_reported_by_scipy_raises(self, monkeypatch):
-        # scipy's quad_vec only warns when it stops short of its target; a
-        # one-interval budget makes it stop at once with status 1
-        monkeypatch.setattr(avgcore, "quad_vec", functools.partial(scipy.integrate.quad_vec, limit=1))
-        spec = random_spec(2, 1, 2, math.pi / 3, 11, scale=0.5)
-        with pytest.raises(QuadratureFailure, match="Target precision not reached"):
-            oracle_f1(spec, [0.8, 0.2])
+    @pytest.mark.parametrize("oracle", [oracle_f1, oracle_f2])
+    def test_nonconvergence_at_the_node_cap_raises(self, monkeypatch, oracle):
+        # degree-9 trigonometric integrands over the 11*pi/6-long minus zone
+        # need more than 32 Chebyshev intervals; with the cap at the starting
+        # N the rule gives up after its first N/2N comparison
+        spec = random_spec(8, 0, 1, math.pi / 6, 11, scale=0.5)
+        oracle(spec, [0.8])
+        monkeypatch.setattr(avgcore, "NODE_CAP", avgcore.NODE_START)
+        with pytest.raises(QuadratureFailure, match=r"- zone on \[0, -5\.7\d*\]: .* N = 32 and 64 still differs by"):
+            oracle(spec, [0.8])
 
 
 class TestKernelConstraints:
@@ -123,9 +192,9 @@ class TestF2Oracle:
 
     @pytest.mark.parametrize("n,m,d", [(2, 1, 2), (3, 2, 3)])
     def test_slave_derivative_is_not_a_difference_quotient(self, n, m, d):
-        # dg_1/dv comes from the variational ODE, so the agreement sits near
-        # the integrator's tolerance; a central difference of g_1 missed
-        # 1e-10 on these specs
+        # dg_1/dv comes from the tail tangents the oracle integrates with y_1,
+        # so the agreement sits near the rule's tolerance; a central
+        # difference of g_1 missed 1e-10 on these specs
         spec = project_to_kernel(random_spec(n, m, d, math.pi / 3, 61, scale=0.4))
         rf2 = build_f2(spec, check_f1=False)
         for nu in _points(m):
@@ -162,7 +231,9 @@ class TestCompiledFields:
     """The flow and oracle fields evaluate the spec's tables through CompiledPolyVec."""
 
     spec = random_spec(2, 1, 3, 1.1, 23)  # d > m: two slave components
-    states = [np.array([0.7, -0.4, 0.3, -0.6]), np.array([1.4, 0.5, -0.2, 0.9])]
+    thetas = np.array([0.3, 2.9, 0.3, 2.9])
+    states = np.array([[0.7, -0.4, 0.3, -0.6], [0.7, -0.4, 0.3, -0.6],
+                       [1.4, 0.5, -0.2, 0.9], [1.4, 0.5, -0.2, 0.9]])
 
     @staticmethod
     def _table_sum(table, point):
@@ -173,25 +244,37 @@ class TestCompiledFields:
     def test_fields_match_per_monomial_sums(self, order, sign):
         fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
         C = compile_fields(self.spec, order, sign)
-        for theta in (0.3, 2.9):
-            for x in self.states:
-                r, cx, sx = x[0], math.cos(theta), math.sin(theta)
-                point = (r * cx, r * sx, *x[1:])
-                va = self._table_sum(self.spec.table(fam_a, sign), point)
-                vb = self._table_sum(self.spec.table(fam_b, sign), point)
-                vc = [self._table_sum(self.spec.table(fam_c, sign, k), point) for k in range(self.spec.d)]
-                want = [(vb * cx - va * sx) / r, va * cx + vb * sx, *vc]
-                np.testing.assert_allclose(eval_fields(C, theta, x), want, rtol=1e-13, atol=1e-13)
+        got = _node_fields(C, self.thetas, self.states)
+        for theta, x, row in zip(self.thetas, self.states, got):
+            r, cx, sx = x[0], math.cos(theta), math.sin(theta)
+            point = (r * cx, r * sx, *x[1:])
+            va = self._table_sum(self.spec.table(fam_a, sign), point)
+            vb = self._table_sum(self.spec.table(fam_b, sign), point)
+            vc = [self._table_sum(self.spec.table(fam_c, sign, k), point) for k in range(self.spec.d)]
+            want = [(vb * cx - va * sx) / r, va * cx + vb * sx, *vc]
+            np.testing.assert_allclose(row, want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_f1_jacobian_matches_central_differences(self, sign):
         C1 = compile_fields(self.spec, 1, sign)
         h = 1e-6
-        for theta in (0.3, 2.9):
-            for x in self.states:
-                J = _F1_jac(self.spec, C1, theta, x)[1]
-                for k in range(len(x)):
-                    dx = np.zeros(len(x))
-                    dx[k] = h
-                    fd = (eval_F1(self.spec, C1, theta, x + dx) - eval_F1(self.spec, C1, theta, x - dx)) / (2 * h)
-                    np.testing.assert_allclose(J[:, k], fd, rtol=1e-7, atol=1e-8)
+        J = _F1_jacobians(self.spec, C1, self.thetas, self.states)[1]
+        for k in range(self.states.shape[1]):
+            dx = np.zeros(self.states.shape[1])
+            dx[k] = h
+            plus, minus = self.states + dx, self.states - dx
+            fd = (_F1_of(self.spec, _node_fields(C1, self.thetas, plus), plus)
+                  - _F1_of(self.spec, _node_fields(C1, self.thetas, minus), minus)) / (2 * h)
+            np.testing.assert_allclose(J[:, :, k], fd, rtol=1e-7, atol=1e-8)
+
+    def test_batch_equals_batches_of_one(self):
+        # equal up to the summation order BLAS picks for each batch size
+        C1, C2 = compile_fields(self.spec, 1, "+"), compile_fields(self.spec, 2, "+")
+        A, J = _F1_jacobians(self.spec, C1, self.thetas, self.states)
+        B = _node_fields(C2, self.thetas, self.states)
+        for k in range(len(self.thetas)):
+            s, x = self.thetas[k : k + 1], self.states[k : k + 1]
+            A1, J1 = _F1_jacobians(self.spec, C1, s, x)
+            np.testing.assert_allclose(A1[0], A[k], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(J1[0], J[k], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(_node_fields(C2, s, x)[0], B[k], rtol=1e-14, atol=1e-14)

@@ -2,7 +2,8 @@
 
 Every simple zero of the averaged function predicts a periodic solution of
 the full discontinuous system for small eps.  This demo integrates the
-discontinuous system through its switching planes, polishes each predicted
+discontinuous system through its switching planes (each smooth zone segment
+by Chebyshev-Picard iteration on a spectral rule), polishes each predicted
 zero into a fixed point of the 2*pi return map with Newton, and shows that
 the distance between prediction and actual cycle shrinks linearly in eps.
 """

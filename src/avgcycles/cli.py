@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .avgcore import build_averaged_system
-from .flowsim import DEFAULT_EPS_SWEEP, CycleError, eps_sweep, write_cycle_csv
+from .flowsim import DEFAULT_EPS_SWEEP, CycleError, check_eps_values, eps_sweep, write_cycle_csv
 from .generators import default_box
 from .polyalg import PolyVec
 from .repro import RunConfig, build_report
@@ -47,6 +47,14 @@ def _parse_phi(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"bad angle {text!r}: expected a finite number, 'pi', '2pi', 'kpi' or 'pi/k'")
     return val
+
+
+def _parse_eps_sweep(text: str) -> tuple:
+    """'1e-2,5e-3' -> (0.01, 0.005); every eps must be a finite number > 0."""
+    try:
+        return check_eps_values(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad eps sweep {text!r}: {exc}")
 
 
 def _parse_box(text: str, dim: int) -> SearchBox:
@@ -126,8 +134,7 @@ def cmd_verify(args) -> int:
     system, order = _system_for_zeros(spec)
     dim = spec.m + 1
     box = _parse_box(args.box, dim) if args.box else default_box(dim - 1)
-    eps_values = tuple(float(v) for v in args.eps_sweep.split(",")) if args.eps_sweep \
-        else DEFAULT_EPS_SWEEP
+    eps_values = args.eps_sweep or DEFAULT_EPS_SWEEP
     zero_records = [r for r in find_simple_zeros(system, box) if r.simple]
     if not zero_records:
         print("no simple zeros to verify")
@@ -158,7 +165,7 @@ def cmd_reproduce(args) -> int:
             phi=args.phi,
             seed=args.seed,
             verify_cycles=args.verify_cycles,
-            eps_values=tuple(float(v) for v in args.eps_sweep.split(",")) if args.eps_sweep else (),
+            eps_values=args.eps_sweep or (),
         )
     except ValueError as exc:
         args.usage_error(str(exc))  # exits with status 2
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify predicted cycles by direct integration")
     common(p, spec=True)
     p.add_argument("--box", help="search box 'lo1,..:hi1,..' in (r, z_1..z_m)")
-    p.add_argument("--eps-sweep", help="comma-separated eps values")
+    p.add_argument("--eps-sweep", type=_parse_eps_sweep, help="comma-separated eps values")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="run the generator matrix and emit the count report")
@@ -209,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="0,1", help="comma-separated tail dimensions")
     p.add_argument("--phi", type=_parse_phi, default="pi/3",
                    help="switching angle for the generic suite (th3)")
-    p.add_argument("--eps-sweep", help="comma-separated eps values for cycle verification")
+    p.add_argument("--eps-sweep", type=_parse_eps_sweep,
+                   help="comma-separated eps values for cycle verification")
     p.add_argument("--verify-cycles", action="store_true",
                    help="also integrate one cycle per first-order row")
     p.set_defaults(func=cmd_reproduce, usage_error=p.error)

@@ -6,13 +6,20 @@ eps^2*B_1.  The two smooth zones meet at the coordinate planes theta = 0 and
 theta = phi (mod 2*pi), so the switching is handled exactly by splitting the
 integration span there — no event detection is needed.
 
+Each zone carries a smooth polynomial field, so a zone segment is one
+Chebyshev spectral rule, the one the quadrature oracle uses, iterated to the
+flow by Picard iteration (Clenshaw & Norton, Comput. J. 6, 1963; Bai &
+Junkins, J. Astronaut. Sci. 58, 2011).  Writing x = e^(mu*(theta - a)) * w
+keeps the linear part exact and the iterated part O(eps); each iterate is
+one batched field evaluation at every node.  A segment whose iteration does
+not contract, or whose iterate leaves r > 0 or positive angular speed before
+it converges, is halved; only at the depth bound is the guard's error
+raised.
+
 All rows of a batch of (eps, z) share those zone segments, so _integrate
-carries the batch as one stacked state: one solve_ivp per segment, whose
-right-hand side evaluates both perturbation orders of every row with one
-compiled-table call.  Its tolerances are INTEGRATION_TOL / sqrt(B) for a
-batch of B rows, which keeps each row's own error estimate within
-INTEGRATION_TOL (scipy's error norm is an RMS over the stacked state).  The
-single-point functions (integrate_theta, return_map, displacement) are
+carries the batch as one stacked state, every node and row of an iterate in
+one compiled-table call, and holds each row to INTEGRATION_TOL on its own.
+The single-point functions (integrate_theta, return_map, displacement) are
 batches of one.
 
 Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
@@ -25,21 +32,25 @@ records how far it moved.  refine_cycle is the sweep of one eps.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import chebvander
 
-from .avgcore import _cylindrical, compile_fields
+from .avgcore import _cheb_rule, _cylindrical, compile_fields
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
 
-INTEGRATION_TOL = 1e-12
+INTEGRATION_TOL = 1e-12  # a row's last Picard update and N/2N rule difference, relative to its max norm
 PERIOD_RESIDUAL_TOL = 1e-10
 FD_STEP = 1e-7
 DEFAULT_EPS_SWEEP = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 NEWTON_MAX_ITERS = 50
+NODE_START = 16  # N of a zone segment's first N/2N comparison
+NODE_CAP = 256  # largest N compared; past it the segment raises IntegrationFailure
+MAX_HALVINGS = 10  # a segment is halved at most this deep before its failure is raised
 
 
 class CycleError(RuntimeError):
@@ -52,6 +63,10 @@ class DenominatorVanishedError(CycleError):
 
 class RCrossedZeroError(CycleError):
     """Radial coordinate left the r > 0 half-space during integration."""
+
+
+class IntegrationFailure(CycleError):
+    """The Chebyshev-Picard march failed on a zone segment (no contraction, or no agreement at the node cap)."""
 
 
 class NoConvergenceError(CycleError):
@@ -101,37 +116,41 @@ def _zone_sign(spec: SystemSpec, theta: float) -> str:
     return "+" if frac < spec.phi else "-"
 
 
-def _rhs(spec: SystemSpec, E: np.ndarray, sign: str):
-    """One zone's right-hand side for a batch of flows, row b at eps E[b], stacked flat."""
+def _zone_field(spec: SystemSpec, E: np.ndarray, sign: str):
+    """One zone's nonlinear theta-time field F for a batch of flows, row b at eps E[b].
+
+    The flow is x' = mu*x + F(theta, x); field(theta, X) takes K angles and
+    the states X (K, B, d+1) and returns F there, with both perturbation
+    orders of every node and row from one compiled-table call.  It raises the
+    guard's error when r <= 0 or the angular speed is not positive at a node.
+    """
     C = compile_fields(spec, (1, 2), sign)
     B, n = len(E), spec.d + 1
     E2 = E * E
-    mu = np.asarray(spec.mu, dtype=float)
+    mu = np.array((0.0,) + spec.mu)
 
-    def rhs(theta, y):
-        x = y.reshape(B, n)
-        r = x[:, 0]
+    def field(theta, X):
+        K, r = len(theta), X[..., 0]
         if (r <= 0.0).any():
-            raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta:.6f}")
-        cx, sx = math.cos(theta), math.sin(theta)
-        point = np.empty((B, n + 1))
-        point[:, 0], point[:, 1], point[:, 2:] = r * cx, r * sx, x[:, 1:]
-        # AB[b, 0] and AB[b, 1]: the order-1 fields A and order-2 fields B of row b
-        AB = C.values(point).reshape(B, 2, n + 1)
-        _cylindrical(AB.transpose(2, 0, 1), cx, sx, r[:, None])
-        A, Bf = AB[:, 0], AB[:, 1]
-        denom = 1.0 + E * A[:, 0] + E2 * Bf[:, 0]
-        if (denom <= 0.0).any():
+            k = np.argmax((r <= 0.0).any(axis=1))
+            raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta[k]:.6f}")
+        cx, sx = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        point = np.empty((K, B, n + 1))
+        point[..., 0], point[..., 1], point[..., 2:] = r * cx, r * sx, X[..., 1:]
+        # AB[k, b, 0] and AB[k, b, 1]: the order-1 fields A and order-2 fields B of row b at node k
+        AB = C.values(point.reshape(K * B, n + 1)).reshape(K, B, 2, n + 1)
+        _cylindrical(AB.transpose(3, 0, 1, 2), cx[..., None], sx[..., None], r[..., None])
+        A, Bf = AB[:, :, 0], AB[:, :, 1]
+        tilt = E * A[..., 0] + E2 * Bf[..., 0]  # the angular speed is 1 + tilt
+        if (tilt <= -1.0).any():
+            k = np.argmax((tilt <= -1.0).any(axis=1))
             raise DenominatorVanishedError(
-                f"angular speed {denom.min():.3e} at theta = {theta:.6f}; reduce eps"
+                f"angular speed {1.0 + tilt.min():.3e} at theta = {theta[k]:.6f}; reduce eps"
             )
-        num = np.zeros((B, n))
-        num[:, 1:] = mu * x[:, 1:]
-        num += E[:, None] * A[:, 1:]
-        num += E2[:, None] * Bf[:, 1:]
-        return (num / denom[:, None]).ravel()
+        num = E[:, None] * A[..., 1:] + E2[:, None] * Bf[..., 1:] - mu * X * tilt[..., None]
+        return num / (1.0 + tilt[..., None])
 
-    return rhs
+    return field
 
 
 def _breakpoints(spec: SystemSpec, t0: float, t1: float):
@@ -148,12 +167,89 @@ def _breakpoints(spec: SystemSpec, t0: float, t1: float):
     return pts if t0 <= t1 else pts[::-1]
 
 
+@functools.cache
+def _cheb_refine(N: int) -> np.ndarray:
+    """Interpolation matrix from the N+1 Chebyshev-Lobatto nodes to the 2N+1 ones."""
+    return chebvander(_cheb_rule(2 * N)[0], N) @ np.linalg.inv(chebvander(_cheb_rule(N)[0], N))
+
+
+class _NotContracting(Exception):
+    """A Picard iterate's update did not shrink: the segment must be halved."""
+
+
+def _picard(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The states (B, d+1) at b of the flows from the states W0 at a, by Chebyshev-Picard iteration.
+
+    x = e^(mu*(theta - a)) * w, so w' = e^(-mu*(theta - a)) * F is O(eps) and
+    the linear part is exact.  At the 2N+1 Chebyshev-Lobatto nodes of [a, b]
+    each iterate is W <- W0 + h*S @ G(W).  It is accepted once every row's
+    update is at most INTEGRATION_TOL * |w|_inf (r > 0 keeps that positive)
+    and the N-rule on the same samples agrees with it to the same bound;
+    otherwise N doubles from NODE_START, the iterate interpolated onto the
+    new nodes.  An update above half the previous one raises _NotContracting.
+    """
+    h, N = 0.5 * (b - a), NODE_START
+    x, S = _cheb_rule(2 * N)
+    W = np.broadcast_to(W0, (len(x),) + W0.shape)
+    prev = math.inf
+    while True:
+        theta = a + h * (x + 1.0)
+        Y = np.exp(np.multiply.outer(theta - a, mu))[:, None, :]
+        G = field(theta, Y * W) / Y
+        W_new = W0 + h * np.tensordot(S, G, axes=1)
+        tol = INTEGRATION_TOL * np.abs(W_new).max(axis=(0, 2))
+        update = (np.abs(W_new - W).max(axis=(0, 2)) / tol).max()
+        W = W_new
+        if update <= 1.0:
+            coarse = W0 + h * np.tensordot(_cheb_rule(N)[1], G[::2], axes=1)
+            diff = np.abs(coarse - W[::2]).max(axis=(0, 2))
+            if (diff <= tol).all():
+                return W[-1] * Y[-1, 0]
+            N *= 2
+            if N > NODE_CAP:
+                k = np.argmax(diff / tol)
+                raise IntegrationFailure(
+                    f"segment [{a:.6f}, {b:.6f}]: the Chebyshev-Picard rule at N = {N // 2} and {N} "
+                    f"still differs by {diff[k]:.3e} (tolerance {tol[k]:.3e}) at the node cap N = {NODE_CAP}"
+                )
+            W = np.tensordot(_cheb_refine(N), W, axes=1)
+            x, S = _cheb_rule(2 * N)
+            prev = math.inf
+        elif not update <= 0.5 * prev:  # also when the update is nan
+            raise _NotContracting
+        else:
+            prev = update
+
+
+def _march(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float, depth: int = 0, tripped=None) -> np.ndarray:
+    """_picard on [a, b], halving it where the iteration does not contract or a guard trips.
+
+    At MAX_HALVINGS the failure is raised.  If a guard tripped on this
+    segment or on one enclosing it, that is the guard's own error: the
+    iteration fails to contract as the angular speed goes to 0, so a
+    DenominatorVanishedError means the flow itself lost angular speed.
+    """
+    try:
+        return _picard(field, mu, W0, a, b)
+    except (_NotContracting, RCrossedZeroError, DenominatorVanishedError) as exc:
+        if not isinstance(exc, _NotContracting):
+            tripped = exc
+        if depth == MAX_HALVINGS:
+            if tripped is not None:
+                raise tripped
+            raise IntegrationFailure(
+                f"segment [{a:.6f}, {b:.6f}]: the Picard iteration does not contract "
+                f"after {MAX_HALVINGS} halvings") from None
+    mid = 0.5 * (a + b)
+    W_mid = _march(field, mu, W0, a, mid, depth + 1, tripped)
+    return _march(field, mu, W_mid, mid, b, depth + 1, tripped)
+
+
 def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
     """Integrate every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together.
 
-    One stacked solve_ivp per zone segment.  scipy's error norm is an RMS over
-    the stacked state, so tolerances of INTEGRATION_TOL / sqrt(B) keep each
-    row's own error estimate within INTEGRATION_TOL, as if it ran alone.
+    One stacked Chebyshev-Picard march per zone segment; each row is held to
+    INTEGRATION_TOL in the max norm on its own, as if it ran alone.
     """
     t0, t1 = float(theta_span[0]), float(theta_span[1])
     E = np.asarray(E, dtype=float)
@@ -162,19 +258,12 @@ def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
         raise ValueError(f"states have shape {X.shape}, expected ({len(E)}, {spec.d + 1})")
     if np.any(X[:, 0] <= 0.0):
         raise RCrossedZeroError(f"initial r = {X[:, 0].min():.3e} must be positive")
-    tol = INTEGRATION_TOL / math.sqrt(len(E))
+    mu = np.array((0.0,) + spec.mu)
     knots = [t0] + _breakpoints(spec, t0, t1) + [t1]
     for a, b in zip(knots[:-1], knots[1:]):
         if a == b:
             continue
-        sign = _zone_sign(spec, 0.5 * (a + b))
-        sol = solve_ivp(
-            _rhs(spec, E, sign), (a, b), X.ravel(), method="DOP853",
-            rtol=tol, atol=tol, dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{a:.6f}, {b:.6f}]: {sol.message}")
-        X = sol.y[:, -1].reshape(X.shape)
+        X = _march(_zone_field(spec, E, _zone_sign(spec, 0.5 * (a + b))), mu, X, a, b)
     return X
 
 
@@ -207,6 +296,15 @@ def refine_cycle(spec: SystemSpec, eps: float, nu_star) -> CycleRecord:
     return eps_sweep(spec, nu_star, (eps,))[0]
 
 
+def check_eps_values(eps_values) -> tuple:
+    """The eps values of a sweep as floats, each finite and > 0 (at eps = 0 every point is a fixed point)."""
+    values = tuple(float(e) for e in eps_values)
+    for e in values:
+        if not (math.isfinite(e) and e > 0.0):
+            raise ValueError(f"eps values must be finite and > 0, got {e!r}")
+    return values
+
+
 def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     """Refine the prediction nu_star at every eps of the sweep, in lockstep.
 
@@ -215,9 +313,10 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     halvings that keeps r > 0 and must lower the residual, a stop below
     PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS iterations.  Each round
     integrates the Jacobian points of every unconverged eps as one batch, and
-    each line-search trial of every eps still searching as one batch.
+    each line-search trial of every eps still searching as one batch.  Every
+    eps must be finite and > 0.
     """
-    E = np.asarray(eps_values, dtype=float)
+    E = np.array(check_eps_values(eps_values))
     if not len(E):
         return []
     n = spec.d + 1

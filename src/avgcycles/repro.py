@@ -36,7 +36,7 @@ from .generators import (
     second_order_lower_bound,
     second_order_upper_bound,
 )
-from .flowsim import DEFAULT_EPS_SWEEP, CycleError, eps_sweep
+from .flowsim import DEFAULT_EPS_SWEEP, CycleError, check_eps_values, eps_sweep
 from .polyalg import bezout_bound
 from .rootfind import certify_count
 from .trigkernel import TWO_PI
@@ -66,6 +66,7 @@ class RunConfig:
         self.m_values = tuple(int(m) for m in self.m_values)
         if any(m < 0 or m > DESK_MAX_M for m in self.m_values):
             raise ValueError(f"m values must be in [0, {DESK_MAX_M}], got {self.m_values}")
+        self.eps_values = check_eps_values(self.eps_values)
         if "th3" in self.suites():
             _require_generic_angle(f"the th3 suite (phi = {self.phi:.10g})", self.phi)
 

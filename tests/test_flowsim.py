@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from avgcycles.avgcore import numeric_g
+from avgcycles import flowsim
+from avgcycles.avgcore import _node_fields, compile_fields, numeric_g
 from avgcycles.flowsim import (
     DEFAULT_EPS_SWEEP,
     PERIOD_RESIDUAL_TOL,
+    CycleError,
     DenominatorVanishedError,
+    IntegrationFailure,
     RCrossedZeroError,
+    _breakpoints,
     _integrate,
+    _zone_sign,
     displacement,
     distance_slope,
     eps_sweep,
@@ -27,8 +33,8 @@ from avgcycles.trigkernel import TWO_PI
 
 
 def _shrinking_spec(c):
-    # X_a = -c x, X_b = -c y: the radial speed -eps*c*r drives r to round-off
-    # level, where a Runge-Kutta stage lands at r <= 0 for large eps*c
+    # X_a = -c x, X_b = -c y: r' = -eps*c*r at unit angular speed, so the
+    # flow decays as r = e^(-eps*c*theta) and never reaches r = 0
     spec = zero_spec(1, 0, 0, 1.0)
     for sign in ("+", "-"):
         spec.table("a", sign).set((1, 0), -c)
@@ -72,24 +78,50 @@ class TestIntegration:
             return_map(_slow_spec(), 0.5, [1.0])
 
 
+def _dop853_reference(spec, eps, z, span):
+    """One flow by scipy's DOP853 at rtol = atol = 1e-13, split at the zone boundaries."""
+    dmu = np.array((0.0,) + spec.mu)
+    x = np.array(z, dtype=float)
+    knots = [span[0]] + _breakpoints(spec, *span) + [span[1]]
+    for a, b in zip(knots[:-1], knots[1:]):
+        C1, C2 = (compile_fields(spec, order, _zone_sign(spec, 0.5 * (a + b))) for order in (1, 2))
+
+        def rhs(s, y):
+            s, y = np.array([s]), y[None]
+            A, B = _node_fields(C1, s, y)[0], _node_fields(C2, s, y)[0]
+            return (dmu * y[0] + eps * A[1:] + eps**2 * B[1:]) / (1.0 + eps * A[0] + eps**2 * B[0])
+
+        sol = solve_ivp(rhs, (a, b), x, method="DOP853", rtol=1e-13, atol=1e-13)
+        assert sol.success, sol.message
+        x = sol.y[:, -1]
+    return x
+
+
+BATCH_SPECS = [
+    random_spec(2, 1, 1, math.pi / 3, 5, scale=0.4),
+    random_spec(1, 0, 2, 1.2, 6, scale=0.4),  # d > m: a contracting tail
+]
+BATCH_SPANS = [(0.0, TWO_PI), (0.4, 5.0), (5.0, -0.3)]  # forward, offset and backward
+
+
+def _mixed_batch(spec):
+    rng = np.random.default_rng(7)
+    E = np.array([1e-2, 0.0, 2.5e-3, 1e-2, 3e-2])
+    return E, np.column_stack([rng.uniform(0.6, 1.4, len(E)), rng.uniform(-0.5, 0.5, (len(E), spec.d))])
+
+
 class TestBatchedIntegration:
-    @pytest.mark.parametrize("spec", [
-        random_spec(2, 1, 1, math.pi / 3, 5, scale=0.4),
-        random_spec(1, 0, 2, 1.2, 6, scale=0.4),  # d > m: a contracting tail
-    ], ids=["master", "tail"])
-    @pytest.mark.parametrize("span", [(0.0, TWO_PI), (0.4, 5.0), (5.0, -0.3)])
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["master", "tail"])
+    @pytest.mark.parametrize("span", BATCH_SPANS)
     def test_mixed_batch_matches_rows_alone(self, spec, span):
-        rng = np.random.default_rng(7)
-        E = np.array([1e-2, 0.0, 2.5e-3, 1e-2, 3e-2])
-        Z = np.column_stack([rng.uniform(0.6, 1.4, len(E)), rng.uniform(-0.5, 0.5, (len(E), spec.d))])
+        E, Z = _mixed_batch(spec)
         batch = _integrate(spec, E, Z, span)
         alone = np.array([integrate_theta(spec, e, z, span).x for e, z in zip(E, Z)])
         np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("spec,eps,error", [
-        (_shrinking_spec(50.0), 1.0, RCrossedZeroError),
         (_slow_spec(), 0.5, DenominatorVanishedError),
-    ], ids=["r-crosses-zero", "angular-speed-lost"])
+    ], ids=["angular-speed-lost"])
     def test_one_failing_row_fails_the_batch_as_alone(self, spec, eps, error):
         with pytest.raises(error):
             return_map(spec, eps, [1.0])
@@ -102,6 +134,44 @@ class TestBatchedIntegration:
     def test_initial_r_checked_per_row(self):
         with pytest.raises(RCrossedZeroError):
             _integrate(zero_spec(1, 0, 0, 1.0), [0.0, 0.0], [[1.0], [-1.0]], (0.0, 1.0))
+
+
+class TestChebyshevPicard:
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["master", "tail"])
+    @pytest.mark.parametrize("span", BATCH_SPANS)
+    def test_matches_dop853_reference(self, spec, span):
+        E, Z = _mixed_batch(spec)
+        batch = _integrate(spec, E, Z, span)
+        ref = np.array([_dop853_reference(spec, e, z, span) for e, z in zip(E, Z)])
+        np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-10)
+
+    def test_halving_resolves_a_fast_decay(self, monkeypatch):
+        # r' = -2r: on a whole zone the first Picard iterate, 1 - 2*(theta - a),
+        # leaves r > 0; the halved segments converge
+        spec = _shrinking_spec(2.0)
+        assert return_map(spec, 1.0, [1.0])[0] == pytest.approx(math.exp(-4.0 * math.pi), rel=1e-8)
+        monkeypatch.setattr(flowsim, "MAX_HALVINGS", 0)
+        with pytest.raises(RCrossedZeroError):
+            return_map(spec, 1.0, [1.0])
+
+    def test_halving_resolves_a_fast_growth(self, monkeypatch):
+        # r' = 2r: on the whole zone [1, 2*pi] the Picard iteration does not
+        # contract; the halved segments converge
+        spec = _shrinking_spec(-2.0)
+        assert return_map(spec, 1.0, [1.0])[0] == pytest.approx(math.exp(4.0 * math.pi), rel=1e-8)
+        monkeypatch.setattr(flowsim, "MAX_HALVINGS", 0)
+        with pytest.raises(IntegrationFailure, match=r"segment \[1\.000000, 6\.283185\]: .* does not contract"):
+            integrate_theta(spec, 1.0, [1.0], (1.0, TWO_PI))
+
+    def test_nonconvergence_at_the_node_cap_raises(self, monkeypatch):
+        # degree-8 fields over the 11*pi/6-long minus zone need more than 16
+        # Chebyshev intervals; with the cap at the starting N the rule gives
+        # up after its first N/2N comparison
+        spec = random_spec(8, 0, 1, math.pi / 6, 11, scale=0.5)
+        return_map(spec, 1e-2, [0.8, 0.1])
+        monkeypatch.setattr(flowsim, "NODE_CAP", flowsim.NODE_START)
+        with pytest.raises(CycleError, match=r"segment \[0\.523599, 6\.283185\]: .* N = 16 and 32 still differs by"):
+            return_map(spec, 1e-2, [0.8, 0.1])
 
 
 class TestDisplacementExpansion:
@@ -177,6 +247,14 @@ class TestLockstepSweep:
                 alone = np.max(np.abs(displacement(result.spec, rec.epsilon, rec.fixed_point)))
                 assert alone < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon, alone)
 
+    def test_fixed_points_hold_under_the_reference(self):
+        # each refined fixed point, re-integrated by DOP853, is still a fixed point
+        result = gen_prop10(2, 1, math.pi / 3)
+        for nu in result.zeros:
+            for rec in eps_sweep(result.spec, nu, DEFAULT_EPS_SWEEP):
+                ref = _dop853_reference(result.spec, rec.epsilon, rec.fixed_point, (0.0, TWO_PI))
+                assert np.max(np.abs(ref - rec.fixed_point)) < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon)
+
     def test_refine_cycle_is_the_one_eps_sweep(self):
         result = gen_prop10(2, 1, math.pi / 3)
         rec = refine_cycle(result.spec, 5e-3, result.zeros[1])
@@ -185,6 +263,13 @@ class TestLockstepSweep:
         assert np.array_equal(rec.fixed_point, swept.fixed_point)
         assert np.array_equal(rec.predicted, swept.predicted)
         assert (rec.period_residual, rec.distance) == (swept.period_residual, swept.distance)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-2, math.nan, math.inf])
+    def test_sweep_rejects_eps_that_is_not_positive(self, eps):
+        # at eps = 0 the return map is the identity: every point would verify
+        result = gen_prop10(1, 0, math.pi / 2)
+        with pytest.raises(ValueError, match="eps values must be finite and > 0"):
+            eps_sweep(result.spec, result.zeros[0], (1e-2, eps))
 
     def test_failing_eps_fails_the_sweep(self):
         result = gen_prop10(1, 0, math.pi / 2)

@@ -11,6 +11,7 @@ from avgcycles.cli import main, _parse_phi
 from avgcycles.flowsim import (
     DEFAULT_EPS_SWEEP,
     DenominatorVanishedError,
+    IntegrationFailure,
     NoConvergenceError,
     RCrossedZeroError,
 )
@@ -35,6 +36,12 @@ class TestRunConfig:
                 RunConfig(suite=suite, phi=math.pi)
         for suite in ("th6", "th7"):
             assert RunConfig(suite=suite, phi=math.pi).phi == math.pi
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-2, math.nan, math.inf])
+    def test_eps_values_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps values must be finite and > 0"):
+            RunConfig(eps_values=(1e-2, eps))
+        assert RunConfig(eps_values=("1e-2", 5e-3)).eps_values == (1e-2, 5e-3)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,7 @@ class TestReport:
         NoConvergenceError("return-map Newton stalled", 1e-3),
         DenominatorVanishedError("angular speed -1e-3"),
         RCrossedZeroError("r = -1e-15"),
+        IntegrationFailure("segment [1.047198, 6.283185]: the Chebyshev-Picard rule ..."),
     ], ids=lambda e: type(e).__name__)
     def test_each_cycle_error_is_reported(self, monkeypatch, error):
         def fails(*args, **kwargs):
@@ -166,6 +174,17 @@ class TestCli:
         assert f"the th3 suite ({shown}) needs phi in (0, 2*pi)" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "reproduce"])
+    @pytest.mark.parametrize("text", ["1e-2,abc", "0,1e-2", "1e-2,-5e-3", "nan", "inf", ""])
+    def test_bad_eps_sweep_is_a_usage_error(self, command, text, spec_path, tmp_path, capsys):
+        # eps = 0 would verify anything: the return map is the identity
+        args = [command, "--eps-sweep", text, "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + (["--spec", spec_path] if command == "verify" else []))
+        assert exc.value.code == 2
+        assert f"bad eps sweep {text!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_averaged(self, spec_path, tmp_path, capsys):
         code = main(["averaged", "--spec", spec_path, "--out-dir", str(tmp_path)])
         assert code == 0
@@ -208,6 +227,7 @@ class TestCli:
         NoConvergenceError("return-map Newton stalled", 1e-3),
         DenominatorVanishedError("angular speed -1e-3"),
         RCrossedZeroError("r = -1e-15"),
+        IntegrationFailure("segment [1.047198, 6.283185]: the Chebyshev-Picard rule ..."),
     ], ids=lambda e: type(e).__name__)
     def test_verify_reports_each_cycle_error(self, spec_path, tmp_path, capsys, monkeypatch, error):
         def fails(*args, **kwargs):

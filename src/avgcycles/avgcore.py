@@ -6,17 +6,19 @@ f_1 is linear in the first-order tables: each of its coefficients is the
 residual of one kernel constraint, whose weights are the trigonometric
 integrals of :mod:`trigkernel`.  r*f_2 is the slave term plus, per zone, the
 integral of the order-2 field and of one bilinear form of the zone's
-first-order fields (:class:`_ZoneFields`), computed by representing every
-integrand as a finite sum of terms
+first-order fields (:class:`_ZoneFields`).  Every integrand is one
+:class:`trigkernel.HarmonicSum`, a finite sum of terms
 
-    coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex)
+    coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex, a >= -1)
 
-and integrating termwise.  An independent route, :func:`numeric_g`,
-evaluates the same objects along the unperturbed flow; the two must agree
-and the tests enforce it.  There each zone is one Chebyshev spectral rule
-(Greengard, SIAM J. Numer. Anal. 28, 1991): every field is evaluated in one
-batch at the Chebyshev-Lobatto nodes of the zone's angle interval, and the
-spectral integration matrix gives y_1, y_2 and dy_1/dz_tail.  The integrands
+keyed by the nu-monomial (a, k), j and lam.  It is integrated termwise,
+and :func:`_g_contribution` turns the result into a Poly in nu.  An
+independent route, :func:`numeric_g`, evaluates the same objects along the
+unperturbed flow; the two must agree and the tests enforce it.  There each
+zone is one Chebyshev spectral rule (Greengard, SIAM J. Numer. Anal. 28,
+1991): every field is evaluated in one batch at the Chebyshev-Lobatto nodes
+of the zone's angle interval, and the spectral integration matrix gives
+y_1, y_2 and dy_1/dz_tail.  The integrands
 are entire, so the rule converges geometrically in its node count N: from
 N = 32, doubling, the 2N result is accepted once N and 2N agree to
 QUAD_TOL * max(1, |y|_inf).
@@ -43,7 +45,7 @@ from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .polyalg import CompiledPolyVec, Poly, PolyVec
 from .sysspec import SystemSpec, multi_indices
-from .trigkernel import TWO_PI, HarmonicSum, TrigKey, trig_I, trig_J, trig_monomial
+from .trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, trig_I, trig_J
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
@@ -70,100 +72,11 @@ class QuadratureFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# nu-monomial x harmonic series
-# ---------------------------------------------------------------------------
-
-
-class NuTrigSeries:
-    """Sum of terms (r^a * z-monomial) * HarmonicSum(s); a may be -1."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms=None):
-        self.m = m
-        self.terms: dict = {}  # (r_exp, zexps) -> HarmonicSum
-        if terms:
-            for mono, hs in terms.items():
-                self.terms[mono] = HarmonicSum(hs.terms)
-
-    def accum(self, r_exp, zexps, hs: HarmonicSum, factor=1.0):
-        mono = (r_exp, tuple(zexps))
-        cur = self.terms.get(mono)
-        if cur is None:
-            cur = HarmonicSum()
-            self.terms[mono] = cur
-        for (k, lam), c in hs.terms.items():
-            cur._accum(k, lam, c * factor)
-
-    def __add__(self, other: "NuTrigSeries") -> "NuTrigSeries":
-        out = NuTrigSeries(self.m, self.terms)
-        for mono, hs in other.terms.items():
-            out.accum(mono[0], mono[1], hs)
-        return out
-
-    def scaled(self, c) -> "NuTrigSeries":
-        out = NuTrigSeries(self.m)
-        for mono, hs in self.terms.items():
-            out.accum(mono[0], mono[1], hs.scaled(c))
-        return out
-
-    def __mul__(self, other: "NuTrigSeries") -> "NuTrigSeries":
-        out = NuTrigSeries(self.m)
-        for (a1, z1), h1 in self.terms.items():
-            for (a2, z2), h2 in other.terms.items():
-                out.accum(a1 + a2, tuple(x + y for x, y in zip(z1, z2)), h1 * h2)
-        return out
-
-    def shifted(self, lam) -> "NuTrigSeries":
-        out = NuTrigSeries(self.m)
-        for mono, hs in self.terms.items():
-            out.accum(mono[0], mono[1], hs.shifted(lam))
-        return out
-
-    def antider(self) -> "NuTrigSeries":
-        """s-antiderivative vanishing at s = 0."""
-        out = NuTrigSeries(self.m)
-        for mono, hs in self.terms.items():
-            out.accum(mono[0], mono[1], hs.integral_from_zero())
-        return out
-
-    def diff_r(self) -> "NuTrigSeries":
-        out = NuTrigSeries(self.m)
-        for (a, z), hs in self.terms.items():
-            if a != 0:
-                out.accum(a - 1, z, hs.scaled(float(a)))
-        return out
-
-    def diff_z(self, rho: int) -> "NuTrigSeries":
-        """Formal derivative in z_rho (1-based index into the z block)."""
-        out = NuTrigSeries(self.m)
-        for (a, z), hs in self.terms.items():
-            e = z[rho - 1]
-            if e:
-                z2 = tuple(v - 1 if k == rho - 1 else v for k, v in enumerate(z))
-                out.accum(a, z2, hs.scaled(float(e)))
-        return out
-
-    def definite(self, a: float, b: float, rshift: int = 0) -> Poly:
-        """Integrate over [a, b] (b may be below a) into a Poly in nu."""
-        poly = Poly(self.m + 1)
-        for (re, zex), hs in self.terms.items():
-            val = hs.definite(a, b)
-            re2 = re + rshift
-            if re2 < 0:
-                if abs(val) > 1e-11:
-                    raise ValueError(f"residual 1/r term with weight {val}")
-                continue
-            poly._accum((re2,) + zex, val)
-        return poly
-
-
-# ---------------------------------------------------------------------------
 # symbolic field components restricted to the cycle manifold (tail z = 0)
 # ---------------------------------------------------------------------------
 
 
-def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick: int | None = None) -> NuTrigSeries:
+def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick: int | None = None) -> HarmonicSum:
     """Symbolic A (order 1) or B (order 2) component at tail z = 0.
 
     ``comp`` follows the cylindrical numbering: 1 is the angular component
@@ -171,7 +84,7 @@ def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick:
     """
     m = spec.m
     fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
-    out = NuTrigSeries(m)
+    out = HarmonicSum()
 
     def add(table, dp, dq, r_off, scale):
         for idx, coeff in table.entries.items():
@@ -185,7 +98,9 @@ def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick:
                 want = tuple(1 if k == tail_pick - 1 else 0 for k in range(spec.d - m))
                 if tail != want:
                     continue
-            out.accum(i + j + r_off, head, trig_monomial(i + dp, j + dq), coeff * scale)
+            mono = (i + j + r_off,) + head
+            for h, c in _harmonics(i + dp, j + dq):
+                out._accum(mono, 0, 1j * h, c * (coeff * scale))
 
     if comp == 1:
         add(spec.table(fam_b, sign), 1, 0, -1, 1.0)
@@ -203,10 +118,21 @@ def _zone_bounds(spec: SystemSpec, sign: str):
     return (0.0, spec.phi) if sign == "+" else (0.0, spec.phi - TWO_PI)
 
 
-def _g_contribution(spec: SystemSpec, sign: str, series: NuTrigSeries, rshift: int = 0) -> Poly:
-    """Contribution of one zone to g = y+(phi) - y-(phi - 2*pi)."""
+def _g_contribution(spec: SystemSpec, sign: str, series: HarmonicSum, rshift: int = 0) -> Poly:
+    """Contribution of one zone to g = y+(phi) - y-(phi - 2*pi), as a Poly in nu.
+
+    The series is integrated over the zone and each r exponent raised by
+    ``rshift``; a 1/r term left over must have integrated to zero.
+    """
     a, b = _zone_bounds(spec, sign)
-    poly = series.definite(a, b, rshift=rshift)
+    poly = Poly(spec.m + 1)
+    for mono, val in series.integrals(a, b).items():
+        r_exp = mono[0] + rshift
+        if r_exp < 0:
+            if abs(val) > 1e-11:
+                raise ValueError(f"residual 1/r term with weight {val}")
+            continue
+        poly._accum((r_exp,) + mono[1:], val)
     return poly if sign == "+" else poly.scaled(-1.0)
 
 
@@ -315,11 +241,8 @@ def build_gamma(spec: SystemSpec) -> list:
     for w, mu, denom in _delta_entries(spec):
         poly = Poly(spec.m + 1)
         for sign in ("+", "-"):
-            a, b = _zone_bounds(spec, sign)
-            contrib = _field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).definite(a, b)
-            if sign == "-":
-                contrib = contrib.scaled(-math.exp(-TWO_PI * mu))
-            poly = poly + contrib
+            contrib = _g_contribution(spec, sign, _field_series(spec, 1, sign, w + 2).shifted(complex(-mu)))
+            poly = poly + (contrib if sign == "+" else contrib.scaled(math.exp(-TWO_PI * mu)))
         gammas.append(poly.scaled(-1.0 / denom))
     return gammas
 
@@ -338,14 +261,14 @@ class _ZoneFields:
         self.a1 = _field_series(spec, 1, sign, 1)
         self.f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
         self.grads = [
-            [f.diff_r()] + [f.diff_z(rho) for rho in range(1, m + 1)]
+            [f.diff(var) for var in range(m + 1)]
             + [_field_series(spec, 1, sign, ell + 2, tail_pick=w - m) for w in tails]
             for ell, f in enumerate(self.f1)
         ]
-        self.y1 = [f.antider() for f in self.f1]
+        self.y1 = [f.integral_from_zero() for f in self.f1]
         for w in tails:  # the tail components by variation of constants
             mu = spec.mu[w - 1]
-            self.y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).antider().shifted(complex(mu)))
+            self.y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).integral_from_zero().shifted(complex(mu)))
 
     def bilinear(self, other, ell):
         """B_l(self, other) = -A_1 f_1l + grad(f_1l) . y_1, with A_1, y_1 of self and f_1l of other.

@@ -6,6 +6,8 @@ are reported but do not fail the run, since the report carries the
 diagnostic.  Failed rows (a generator that gave up) fail the run, and so does
 a cycle sweep that fails (the flow leaves r > 0 or loses angular speed, or
 the return-map Newton fails): its zero counts as 0 eps values verified.
+Malformed input (a spec file that is missing or not a valid spec, a bad
+--box, --phi or --eps-sweep) is a usage error: a message and exit status 2.
 """
 
 from __future__ import annotations
@@ -57,23 +59,28 @@ def _parse_eps_sweep(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad eps sweep {text!r}: {exc}")
 
 
-def _parse_box(text: str, dim: int) -> SearchBox:
-    """'lo1,lo2:hi1,hi2' -> SearchBox; dimension must match the system."""
+def _search_box(args, dim: int) -> SearchBox:
+    """--box 'lo1,..:hi1,..' as a SearchBox of dimension dim, else the default box."""
+    if not args.box:
+        return default_box(dim - 1)
     try:
-        lo_txt, hi_txt = text.split(":")
+        lo_txt, hi_txt = args.box.split(":")
         lo = [float(v) for v in lo_txt.split(",")]
         hi = [float(v) for v in hi_txt.split(",")]
-    except ValueError as exc:
-        raise SystemExit(f"bad --box {text!r}: expected 'lo1,..:hi1,..' ({exc})")
-    if len(lo) != dim or len(hi) != dim:
-        raise SystemExit(f"--box has dimension {len(lo)}, the system needs {dim}")
-    return SearchBox(lo, hi)
+        if len(lo) != dim or len(hi) != dim:
+            raise ValueError(f"lo has {len(lo)} values and hi has {len(hi)}, the system needs {dim}")
+        return SearchBox(lo, hi)
+    except ValueError as exc:  # EmptyBoxError included
+        args.usage_error(f"bad --box {args.box!r}: expected 'lo1,..:hi1,..' ({exc})")
 
 
-def _load_spec(path: str) -> SystemSpec:
-    if not os.path.exists(path):
-        raise SystemExit(f"spec file not found: {path}")
-    return SystemSpec.load(path)
+def _load_spec(args) -> SystemSpec:
+    try:
+        return SystemSpec.load(args.spec)
+    # SpecError is a ValueError; JSON values of the wrong type (a number for
+    # the spec, a string for a table) fail with TypeError or AttributeError
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        args.usage_error(f"bad --spec {args.spec!r}: {exc}")
 
 
 def _poly_text(pv: PolyVec, names):
@@ -86,7 +93,7 @@ def _out_path(args, name: str) -> str:
 
 
 def cmd_averaged(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args)
     avg = build_averaged_system(spec)
     names_f1 = [f"f1_{k}" for k in range(spec.m + 1)]
     names_f2 = [f"r*f2_{k}" for k in range(spec.m + 1)]
@@ -115,10 +122,10 @@ def _system_for_zeros(spec: SystemSpec):
 
 
 def cmd_zeros(args) -> int:
-    spec = _load_spec(args.spec)
-    system, order = _system_for_zeros(spec)
+    spec = _load_spec(args)
     dim = spec.m + 1
-    box = _parse_box(args.box, dim) if args.box else default_box(dim - 1)
+    box = _search_box(args, dim)
+    system, order = _system_for_zeros(spec)
     records = find_simple_zeros(system, box)
     write_zero_csv(_out_path(args, "zeros.csv"), records, dim)
     simple = sum(1 for r in records if r.simple)
@@ -130,10 +137,10 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
-    system, order = _system_for_zeros(spec)
+    spec = _load_spec(args)
     dim = spec.m + 1
-    box = _parse_box(args.box, dim) if args.box else default_box(dim - 1)
+    box = _search_box(args, dim)
+    system, order = _system_for_zeros(spec)
     eps_values = args.eps_sweep or DEFAULT_EPS_SWEEP
     zero_records = [r for r in find_simple_zeros(system, box) if r.simple]
     if not zero_records:
@@ -188,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, spec=False):
+        p.set_defaults(usage_error=p.error)
         p.add_argument("--out-dir", default=".", help="directory for output files")
         if spec:
             p.add_argument("--spec", required=True, help="system spec JSON file")
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated eps values for cycle verification")
     p.add_argument("--verify-cycles", action="store_true",
                    help="also integrate one cycle per first-order row")
-    p.set_defaults(func=cmd_reproduce, usage_error=p.error)
+    p.set_defaults(func=cmd_reproduce)
     return parser
 
 

@@ -3,9 +3,12 @@
 Every coefficient of the averaged functions reduces to definite integrals of
 ``s^k * e^(mu*s) * cos^p(s) * sin^q(s)``.  These have finite closed forms:
 ``cos^p sin^q`` linearizes into complex harmonics ``e^(i*n*s)`` and each
-``s^k e^(lam*s)`` term has an elementary antiderivative.  The public kernels
-below are thin wrappers over that machinery, memoized because the polynomial
-assembly re-requests the same exponent keys many times.
+``s^k e^(lam*s)`` term has an elementary antiderivative.  :class:`HarmonicSum`
+is the one series type of that machinery: a finite sum of terms
+``c * nu^mono * s^k * e^(lam*s)``, where nu^mono is a monomial in the
+averaged-function variables (r, z_1, ..., z_m), or () for a function of s
+alone.  The public kernels I, J and their nested forms are thin wrappers
+over it, or over the memoized power-reduction recurrence for I.
 """
 
 from __future__ import annotations
@@ -39,25 +42,8 @@ class TrigKey:
             raise KernelError(f"phi must lie in (0, 2*pi], got {self.phi}")
 
 
-@dataclass(frozen=True)
-class ExpTrigKey:
-    mu: float
-    p: int
-    q: int
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise KernelError(f"exponents must be nonnegative, got p={self.p} q={self.q}")
-        if self.a > self.b:
-            raise KernelError(f"integration limits reversed: a={self.a} > b={self.b}")
-        if not math.isfinite(self.mu):
-            raise KernelError("mu must be finite")
-
-
 # ---------------------------------------------------------------------------
-# Harmonic sums: finite sums of c * s^k * e^(lam*s) with complex c, lam.
+# Harmonic sums: finite sums of c * nu^mono * s^k * e^(lam*s), complex c and lam.
 # ---------------------------------------------------------------------------
 
 
@@ -81,16 +67,21 @@ def _harmonics(p: int, q: int) -> tuple:
 
 
 class HarmonicSum:
-    """Finite sum of terms coeff * s^k * e^(lam*s)."""
+    """Finite sum of terms coeff * nu^mono * s^k * e^(lam*s).
+
+    ``mono`` is the exponent tuple of nu = (r, z_1, ..., z_m), its r exponent
+    possibly -1; the empty tuple () marks a function of s alone, and is the
+    unit of the monomial product.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # key (k, lam), value complex coefficient
+        # key (mono, k, lam), value complex coefficient
         self.terms: dict = dict(terms) if terms else {}
 
-    def _accum(self, k, lam, c):
-        key = (k, lam)
+    def _accum(self, mono, k, lam, c):
+        key = (mono, k, lam)
         v = self.terms.get(key, 0.0j) + c
         if v == 0:
             self.terms.pop(key, None)
@@ -99,8 +90,8 @@ class HarmonicSum:
 
     def __add__(self, other):
         out = HarmonicSum(self.terms)
-        for (k, lam), c in other.terms.items():
-            out._accum(k, lam, c)
+        for key, c in other.terms.items():
+            out._accum(*key, c)
         return out
 
     def scaled(self, c):
@@ -108,34 +99,66 @@ class HarmonicSum:
 
     def __mul__(self, other):
         out = HarmonicSum()
-        for (k1, l1), c1 in self.terms.items():
-            for (k2, l2), c2 in other.terms.items():
-                out._accum(k1 + k2, l1 + l2, c1 * c2)
+        for (m1, k1, l1), c1 in self.terms.items():
+            for (m2, k2, l2), c2 in other.terms.items():
+                out._accum(_mono_product(m1, m2), k1 + k2, l1 + l2, c1 * c2)
         return out
 
     def shifted(self, lam):
         """Multiply by e^(lam*s)."""
-        return HarmonicSum({(k, l + lam): c for (k, l), c in self.terms.items()})
+        return HarmonicSum({(mono, k, l + lam): c for (mono, k, l), c in self.terms.items()})
+
+    def diff(self, var: int) -> "HarmonicSum":
+        """Formal derivative in nu_var: 0 is r, rho is z_rho."""
+        out = HarmonicSum()
+        for (mono, k, lam), c in self.terms.items():
+            e = mono[var]
+            if e:
+                out._accum(mono[:var] + (e - 1,) + mono[var + 1 :], k, lam, c * e)
+        return out
 
     def antiderivative(self) -> "HarmonicSum":
         out = HarmonicSum()
-        for (k, lam), c in self.terms.items():
+        for (mono, k, lam), c in self.terms.items():
             for (k2, l2), c2 in _antider_term(k, lam):
-                out._accum(k2, l2, c * c2)
+                out._accum(mono, k2, l2, c * c2)
         return out
 
     def integral_from_zero(self) -> "HarmonicSum":
         """The running integral over [0, s]: the antiderivative vanishing at s = 0."""
         anti = self.antiderivative()
-        anti._accum(0, 0.0j, -anti.eval(0.0))
+        for mono, v in anti._by_mono(0.0).items():
+            anti._accum(mono, 0, 0.0j, -v)
         return anti
 
+    def _by_mono(self, s: float) -> dict:
+        """Each nu-monomial's coefficient at s: {mono: complex}."""
+        out = {}
+        for (mono, k, lam), c in self.terms.items():
+            out[mono] = out.get(mono, 0.0j) + c * s**k * cmath.exp(lam * s)
+        return out
+
     def eval(self, s: float) -> complex:
-        return sum(c * s**k * cmath.exp(lam * s) for (k, lam), c in self.terms.items())
+        """Value at s of a function of s alone."""
+        return self._by_mono(s).get((), 0.0j)
+
+    def integrals(self, a: float, b: float) -> dict:
+        """Integral over [a, b] (b may be below a) of each nu-monomial's coefficient: {mono: float}."""
+        anti = self.antiderivative()
+        lo = anti._by_mono(a)
+        return {mono: (v - lo[mono]).real for mono, v in anti._by_mono(b).items()}
 
     def definite(self, a: float, b: float) -> float:
-        anti = self.antiderivative()
-        return (anti.eval(b) - anti.eval(a)).real
+        """Integral over [a, b] of a function of s alone."""
+        return self.integrals(a, b).get((), 0.0)
+
+
+@lru_cache(maxsize=None)
+def _mono_product(m1: tuple, m2: tuple) -> tuple:
+    """Product of two nu-monomials: exponents add, () is the unit."""
+    if not m1 or not m2:
+        return m1 or m2
+    return tuple(a + b for a, b in zip(m1, m2))
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +189,7 @@ def trig_monomial(p: int, q: int, k: int = 0, lam: complex = 0.0j) -> HarmonicSu
     """HarmonicSum of s^k e^(lam*s) cos^p(s) sin^q(s)."""
     out = HarmonicSum()
     for n, c in _harmonics(p, q):
-        out._accum(k, lam + 1j * n, c)
+        out._accum((), k, lam + 1j * n, c)
     return out
 
 
@@ -228,20 +251,6 @@ def nested_J(i: int, j: int, p: int, q: int, phi: float) -> float:
     _check_exponents(i, j, p, q)
     TrigKey(p, q, phi)
     return (trig_monomial(i, j) * trig_monomial(p, q).integral_from_zero()).definite(phi, TWO_PI)
-
-
-def exp_trig(key: ExpTrigKey) -> float:
-    """Integral of e^(mu*s) cos^p s sin^q s over [a, b]."""
-    return trig_monomial(key.p, key.q, lam=complex(key.mu)).definite(key.a, key.b)
-
-
-def double_exp_trig(i: int, j: int, p: int, q: int, mu: float, a: float, b: float) -> float:
-    """Integral over [a, b] of cos^i s sin^j s * int_0^s e^(mu(s-tau)) cos^p tau sin^q tau dtau."""
-    _check_exponents(i, j, p, q)
-    if a > b:
-        raise KernelError(f"integration limits reversed: a={a} > b={b}")
-    inner = trig_monomial(p, q, lam=complex(-mu)).integral_from_zero().shifted(complex(mu))
-    return (trig_monomial(i, j) * inner).definite(a, b)
 
 
 # ---------------------------------------------------------------------------

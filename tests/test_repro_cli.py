@@ -262,6 +262,30 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["averaged", "--spec", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
 
+    @pytest.mark.parametrize("command,spec_text,box,shown", [
+        *((c, '{"n": 1}', None, "missing spec fields") for c in ("averaged", "zeros", "verify")),
+        *((c, "not json", None, "invalid JSON at line 1") for c in ("averaged", "zeros", "verify")),
+        *((c, None, box, shown) for c in ("zeros", "verify") for box, shown in [
+            ("0.5:0.4", "degenerate box"),
+            ("0:1", "lo[0] >= r_min"),
+            ("0.1:2,3", "lo has 1 values and hi has 2, the system needs 1"),
+            ("abc", "expected 'lo1,..:hi1,..'"),
+        ]),
+    ])
+    def test_bad_input_is_a_usage_error(self, command, spec_text, box, shown, spec_path, tmp_path, capsys):
+        path = spec_path
+        if spec_text is not None:
+            path = str(tmp_path / "bad.json")
+            (tmp_path / "bad.json").write_text(spec_text)
+        args = [command, "--spec", path, "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(args + (["--box", box] if box else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"bad --box {box!r}" if box else f"bad --spec {path!r}") in err
+        assert shown in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_box_rejected(self, spec_path, tmp_path):
         with pytest.raises(SystemExit):
             main(["zeros", "--spec", spec_path, "--box", "0.1:2.0,1.0",

@@ -6,15 +6,19 @@ f_1 is linear in the first-order tables: each of its coefficients is the
 residual of one kernel constraint, whose weights are the trigonometric
 integrals of :mod:`trigkernel`.  r*f_2 is the slave term plus, per zone, the
 integral of the order-2 field and of one bilinear form of the zone's
-first-order fields (:class:`_ZoneFields`).  Every integrand is one
+first-order fields (:class:`_ZoneFields`).  Every field is one
 :class:`trigkernel.HarmonicSum`, a finite sum of terms
 
     coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex, a >= -1)
 
-keyed by the nu-monomial (a, k), j and lam.  It is integrated termwise,
-and :func:`_g_contribution` turns the result into a Poly in nu.  An
-independent route, :func:`numeric_g`, evaluates the same objects along the
-unperturbed flow; the two must agree and the tests enforce it.  There each
+keyed by the nu-monomial (a, k), j and lam.  A linear integrand is
+integrated termwise, and :func:`_g_contribution` turns the result into a
+Poly in nu.  The bilinear form is never multiplied out: each series is a
+dense matrix C over nu-monomials and the zone's (j, lam) basis, and the
+integral of a product F*G is Re(C_F W C_G^T), W the basis Gram matrix
+(:func:`_quadratic_rf2`).  An independent route, :func:`numeric_g`,
+evaluates the same objects along the unperturbed flow; the two must agree
+and the tests enforce it.  There each
 zone is one Chebyshev spectral rule (Greengard, SIAM J. Numer. Anal. 28,
 1991): every field is evaluated in one batch at the Chebyshev-Lobatto nodes
 of the zone's angle interval, and the spectral integration matrix gives
@@ -43,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
-from .polyalg import CompiledPolyVec, Poly, PolyVec
+from .polyalg import PRUNE_TOL, CompiledPolyVec, Poly, PolyVec
 from .sysspec import SystemSpec, multi_indices
-from .trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, trig_I, trig_J
+from .trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, gram_matrix, trig_I, trig_J
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
@@ -248,38 +252,109 @@ def build_gamma(spec: SystemSpec) -> list:
 
 
 class _ZoneFields:
-    """The first-order fields of one zone at tail z = 0.
+    """The first-order fields of one zone at tail z = 0, as the two sides of one bilinear form.
 
-    A_1 (the angular component), f_1l for l = 0..m, each f_1l's derivatives
-    (d_r, d_z1, ..., d_zm, then d_zw for each tail w, those taken at z = 0),
-    and the closed forms of y_1 (functions of s, d+1 components): every
-    series the quadratic part of r*f_2 takes from a zone.
+    The quadratic part of a zone's integrand of r*f_2l is B_l(Z, Z), Z the
+    zone's fields, with
+
+        B_l(F, G) = -A_1^F f_1l^G + grad(f_1l^G) . y_1^F,
+
+    bilinear in the first-order tables.  It is a sum of termwise products
+    left[t] * right[l][t]: ``left`` holds A_1 (the angular component) and the
+    closed forms of y_1 (functions of s, d+1 components); ``right[l]`` holds
+    -f_1l and f_1l's derivatives ``grads[l]`` (d_r, d_z1, ..., d_zm, then d_zw
+    for each tail w, those taken at z = 0).  :func:`_quadratic_rf2`
+    integrates the form without forming the products.
     """
 
     def __init__(self, spec: SystemSpec, sign: str):
         m, tails = spec.m, range(spec.m + 1, spec.d + 1)
-        self.a1 = _field_series(spec, 1, sign, 1)
-        self.f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
+        f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
         self.grads = [
             [f.diff(var) for var in range(m + 1)]
             + [_field_series(spec, 1, sign, ell + 2, tail_pick=w - m) for w in tails]
-            for ell, f in enumerate(self.f1)
+            for ell, f in enumerate(f1)
         ]
-        self.y1 = [f.integral_from_zero() for f in self.f1]
+        y1 = [f.integral_from_zero() for f in f1]
         for w in tails:  # the tail components by variation of constants
             mu = spec.mu[w - 1]
-            self.y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).integral_from_zero().shifted(complex(mu)))
+            y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).integral_from_zero().shifted(complex(mu)))
+        self.left = [_field_series(spec, 1, sign, 1)] + y1
+        self.right = [[f.scaled(-1.0)] + g for f, g in zip(f1, self.grads)]
 
-    def bilinear(self, other, ell):
-        """B_l(self, other) = -A_1 f_1l + grad(f_1l) . y_1, with A_1, y_1 of self and f_1l of other.
 
-        B_l(Z, Z) for a zone's fields Z is the quadratic part of that zone's
-        integrand of r*f_2l; it is bilinear in the first-order tables.
-        """
-        ftil = other.grads[ell][0] * self.y1[0]
-        for df, y in zip(other.grads[ell][1:], self.y1[1:]):
-            ftil = ftil + df * y
-        return (self.a1 * other.f1[ell]).scaled(-1.0) + ftil
+def _dense_rows(groups, basis: dict, monos: dict, width: int, rshift: int = 0):
+    """Stacked series as dense-matrix rows, one per (group key, nu-monomial).
+
+    ``groups`` yields (key, series), key a tuple of width - 1 ints.  Each
+    (k, lam) is a column of ``basis`` and each monomial, its r exponent raised
+    by ``rshift``, an entry of ``monos``; both dicts gain the new ones.
+    Returns the rows as an int array (key..., monomial's entry) and the
+    (row, column, coeff) entries.
+    """
+    rows, entries = {}, []
+    for key, series in groups:
+        for (mono, k, lam), c in series.terms.items():
+            mono = (mono[0] + rshift,) + mono[1:]
+            row = rows.setdefault(key + (monos.setdefault(mono, len(monos)),), len(rows))
+            entries.append((row, basis.setdefault((k, lam), len(basis)), c))
+    return np.array(list(rows), dtype=np.intp).reshape(len(rows), width), entries
+
+
+def _quadratic_rf2(spec: SystemSpec, sign: str, fa: list, fb: list):
+    """One zone's contribution to r*f_2 of the symmetrized quadratic part, for every pair of fields.
+
+    Returns (monos, X): X[a, b, l, k] is the coefficient of nu^monos[k] in
+    2*g of (B_l(fa[a], fb[b]) + B_l(fb[b], fa[a])) / 2 over the zone, so that
+    X[a, a] is B_l(fa[a], fa[a]) itself when fb is fa.  Every series of the
+    fields is a dense matrix C (nu-monomials x the zone's (k, lam) basis), and
+    the integral of a product F*G over the zone is Re(C_F W C_G^T), W the
+    basis Gram matrix: one W serves every pair.  Each entry lands on
+    mono_F + mono_G with r raised by one; entries below PRUNE_TOL are zeroed.
+    """
+    m, basis, lmonos, rmonos = spec.m, {}, {}, {}
+    sides = []  # left rows (field, term, mono) and right rows (field, component, term, mono)
+    for left, right in ((fa, fb), (fb, fa))[: 1 if fb is fa else 2]:
+        L = _dense_rows((((a, t), s) for a, F in enumerate(left) for t, s in enumerate(F.left)),
+                        basis, lmonos, 3, rshift=1)
+        R = _dense_rows((((b, ell, t), s) for b, G in enumerate(right)
+                         for ell, comp in enumerate(G.right) for t, s in enumerate(comp)), basis, rmonos, 4)
+        sides.append((L, R))
+    W = gram_matrix(list(basis), *_zone_bounds(spec, sign))
+    out = {}  # the output monomial of each (left, right) monomial pair
+    target = np.array([[out.setdefault(tuple(e + f for e, f in zip(p, q)), len(out)) for q in rmonos]
+                       for p in lmonos], dtype=np.intp).reshape(len(lmonos), len(rmonos))
+
+    # every product in real form, so no complex BLAS kernel is paged in:
+    # (Re C_F, Im C_F) Wr is (Re, Im) of C_F W, and its product with
+    # (Re C_G, -Im C_G)^T is Re(C_F W C_G^T)
+    Wr = np.block([[W.real, W.imag], [-W.imag, W.real]])
+
+    def dense(rows, entries, imag_sign):
+        C = np.zeros((len(rows), 2, len(basis)))
+        if entries:
+            r, col, c = zip(*entries)
+            C[r, 0, col], C[r, 1, col] = np.real(c), imag_sign * np.imag(c)
+        return rows, C.reshape(len(rows), 2 * len(basis))
+
+    flat, vals = [], []  # each product term's index in X and its integral
+    for swap, (L, R) in enumerate(sides):
+        (Lrows, CL), (Rrows, CR) = dense(*L, 1.0), dense(*R, -1.0)
+        CLW = CL @ Wr
+        for t in range(spec.d + 2):
+            i, j = np.flatnonzero(Lrows[:, 1] == t), np.flatnonzero(Rrows[:, 2] == t)
+            a, b = Lrows[i, :1], Rrows[j, 0]  # broadcast to the (i, j) pairs
+            a, b = (b, a) if swap else (a, b)
+            k = target[Lrows[i, 2:], Rrows[j, 3]]
+            flat.append((((a * len(fb) + b) * (m + 1) + Rrows[j, 1]) * len(out) + k).ravel())
+            vals.append((CLW[i] @ CR[j].T).ravel())
+    shape = (len(fa), len(fb), m + 1, len(out))
+    X = np.bincount(np.concatenate(flat), weights=np.concatenate(vals), minlength=math.prod(shape)).reshape(shape)
+    if fb is fa:
+        X = X + X.transpose(1, 0, 2, 3)
+    X = X * (1.0 if sign == "+" else -1.0)  # 2 * g of the half-sum
+    X[np.abs(X) < PRUNE_TOL] = 0.0
+    return list(out), X
 
 
 def check_f1_zero(spec: SystemSpec):
@@ -297,17 +372,22 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     Requires f_1 to vanish identically (kernel-projected spec).  Components
     have total degree <= 2n; divide values by r to evaluate f_2 itself.
     Component l is the slave term 2*r*(dg_1l/dz_tail) gamma plus, per zone,
-    2*g of the order-2 field and the quadratic part Z.bilinear(Z, l).
+    2*g of the order-2 field and of the quadratic part B_l(Z, Z).
     """
     if check_f1:
         check_f1_zero(spec)
     m = spec.m
     gammas = build_gamma(spec) if m < spec.d else []
     zones = {sign: _ZoneFields(spec, sign) for sign in ("+", "-")}
+    quadratic = {sign: _quadratic_rf2(spec, sign, [Z], [Z]) for sign, Z in zones.items()}
     r_poly = Poly.variable(m + 1, 0)
     comps = []
     for ell in range(m + 1):
-        total = Poly(m + 1)
+        terms = {}
+        for monos, X in quadratic.values():
+            for mono, c in zip(monos, X[0, 0, ell]):
+                terms[mono] = terms.get(mono, 0.0) + c
+        total = Poly(m + 1, terms)
         for w, gam in enumerate(gammas, start=m + 1):
             # d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
             mu = complex(spec.mu[w - 1])
@@ -315,9 +395,8 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
             for sign, Z in zones.items():
                 dg = dg + _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu))
             total = total + (dg * gam * r_poly).scaled(2.0)
-        for sign, Z in zones.items():
-            series = _field_series(spec, 2, sign, ell + 2) + Z.bilinear(Z, ell)
-            total = total + _g_contribution(spec, sign, series, rshift=1).scaled(2.0)
+        for sign in zones:
+            total = total + _g_contribution(spec, sign, _field_series(spec, 2, sign, ell + 2), rshift=1).scaled(2.0)
         comps.append(total)
     return PolyVec(comps)
 

@@ -20,12 +20,13 @@ first-order coefficients.  They build an exact algebraic surrogate
 slot values x = N u, v the second-order tables, which enter linearly).
 Q(u)_k = u^T S_k u is built in slot coordinates: each u-slot's zone fields
 (avgcore._ZoneFields) are computed once in its own zone, and S_slot[a, b]
-is the symmetrized _ZoneFields.bilinear on slots a and b, the same form
+is the symmetrized bilinear form B on slots a and b, the same form
 build_f2 integrates, its diagonal the form itself (no polarization);
 S = N^T S_slot N.  Only slots of the same zone are paired: a "+" and a "-"
-slot never interact in r*f_2 at d = m.  L's columns are the v-slots'
-order-2 field series.  The generators then tune u by least squares with
-multistart, each start run once with scipy's default scaling and stopped
+slot never interact in r*f_2 at d = m.  All pairs of one zone come from
+one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
+products.  L's columns are the v-slots' order-2 field series.  The
+generators then tune u by least squares with multistart, each start run once with scipy's default scaling and stopped
 once it reaches its target or stalls, and recover v by a linear solve.  Every converged start is
 re-verified against the real build_f1/build_f2 pipeline and certified by
 root search; one that fails either is recorded as an "undercount" and the
@@ -48,6 +49,7 @@ from scipy.optimize import least_squares
 from .avgcore import (
     _field_series,
     _g_contribution,
+    _quadratic_rf2,
     _ZoneFields,
     build_f1,
     build_f2,
@@ -360,15 +362,25 @@ def _zone_rf2(base: SystemSpec, sign, series) -> PolyVec:
     return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
 
 
-def _cross_rf2(base: SystemSpec, sign, fa, fb) -> PolyVec:
-    """r*f_2's quadratic part as a symmetric bilinear form on two sets of fields of one zone.
+def _cross_rf2(n, m, phi, uslots, hspec=None):
+    """r*f_2's quadratic part as a symmetric bilinear form on the unit u-slots, one zone at a time.
 
-    (B(fa, fb) + B(fb, fa)) / 2 in each component; B(fa, fa) itself when fb
-    is fa, so the diagonal needs no polarization.
+    Yields (idx, keys, X) per zone, idx the zone's positions in uslots and
+    X[a, b, k] the coefficient of keys[k] = (component, monomial) in
+    (B(e_a, e_b) + B(e_b, e_a)) / 2 for slots idx[a] and idx[b], B(e_a, e_a)
+    itself on the diagonal, so it needs no polarization; with ``hspec``,
+    X[0, b] pairs hspec's fields with slot idx[b] instead.  Only keys with a
+    nonzero coefficient are kept.  Every pair of a zone shares one Gram matrix.
     """
-    return _zone_rf2(base, sign, [
-        fa.bilinear(fa, ell) if fb is fa else (fa.bilinear(fb, ell) + fb.bilinear(fa, ell)).scaled(0.5)
-        for ell in range(base.m + 1)])
+    base = zero_spec(n, m, m, phi)
+    for sign in ("+", "-"):
+        idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
+        fields = [_unit_fields(n, m, phi, uslots[k]) for k in idx]
+        left = fields if hspec is None else [_ZoneFields(hspec, sign)]
+        monos, X = _quadratic_rf2(base, sign, left, fields)
+        X = X.reshape(len(left), len(fields), (m + 1) * len(monos))
+        keep = np.flatnonzero(X.any(axis=(0, 1)))
+        yield idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[:, :, keep]
 
 
 class _QuadModel:
@@ -383,29 +395,25 @@ class _QuadModel:
         # part in component l is the bilinear form B_l(x, x) of the zone
         # fields, each term a product of two fields of one zone: a "+" slot
         # and a "-" slot never interact, and cross-zone pairs are skipped.
-        base = zero_spec(n, m, m, phi)
-        fields = [_unit_fields(n, m, phi, slot) for slot in uslots]
-        pairs = [(a, b) for a, b in itertools.combinations_with_replacement(range(len(uslots)), 2)
-                 if uslots[a][1] == uslots[b][1]]
-        blocks = [_cross_rf2(base, uslots[a][1], fields[a], fields[b]) for a, b in pairs]
+        zones = list(_cross_rf2(n, m, phi, uslots))
         # the second-order tables enter r*f_2 linearly, through their own
         # order-2 field series only
+        base = zero_spec(n, m, m, phi)
         lcols = []
         for slot in vslots:
             spec = _spec_from_slots(n, m, phi, [slot], [1.0])
             lcols.append(_zone_rf2(base, slot[1], [_field_series(spec, 2, slot[1], ell + 2) for ell in range(m + 1)]))
 
-        self.monos = _monomial_basis(blocks + lcols)
+        self.monos = sorted(set(_monomial_basis(lcols)).union(*(keys for _, keys, _ in zones)))
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
-        vec = lambda pv: _poly_vec_to_coeffs(pv, self.monos)
         S_slot = np.zeros((len(self.monos), len(uslots), len(uslots)))
-        for (a, b), pv in zip(pairs, blocks):
-            S_slot[:, a, b] = S_slot[:, b, a] = vec(pv)
+        for idx, keys, X in zones:
+            S_slot[np.ix_([self.pos[key] for key in keys], idx, idx)] = X.transpose(2, 0, 1)
         # x = N u, so S = N^T S_slot N; symmetrized exactly, so that
         # quad_jac = 2 S u is the exact derivative of quad
         S = Nbasis.T @ (S_slot @ Nbasis)
         self.S = 0.5 * (S + S.transpose(0, 2, 1))
-        self.L = np.stack([vec(pv) for pv in lcols], axis=1)
+        self.L = np.stack([_poly_vec_to_coeffs(pv, self.monos) for pv in lcols], axis=1)
         U, s, _ = np.linalg.svd(self.L, full_matrices=False)
         self.Lbasis = U[:, : int(np.sum(s > 1e-10 * s[0]))]
 
@@ -744,12 +752,13 @@ def _angular_cross_map(n, m, phi, uslots):
     zone (the other zone's fields of e_a vanish).  Returns the matrix and its
     (component, monomial) row keys.
     """
-    base = zero_spec(n, m, m, phi)
-    hspec = _spec_from_slots(n, m, phi, *_angular_part(m))
-    hfields = {sign: _ZoneFields(hspec, sign) for sign in ("+", "-")}
-    cols = [_cross_rf2(base, slot[1], hfields[slot[1]], _unit_fields(n, m, phi, slot)) for slot in uslots]
-    keys = _monomial_basis(cols)
-    return np.stack([_poly_vec_to_coeffs(pv, keys) for pv in cols], axis=1), keys
+    zones = list(_cross_rf2(n, m, phi, uslots, hspec=_spec_from_slots(n, m, phi, *_angular_part(m))))
+    keys = sorted(set().union(*(zkeys for _, zkeys, _ in zones)))
+    pos = {key: k for k, key in enumerate(keys)}
+    Q = np.zeros((len(keys), len(uslots)))
+    for idx, zkeys, X in zones:
+        Q[np.ix_([pos[key] for key in zkeys], idx)] = X[0].T
+    return Q, keys
 
 
 def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = None) -> GeneratorResult:

@@ -66,6 +66,10 @@ class RunConfig:
         self.m_values = tuple(int(m) for m in self.m_values)
         if any(m < 0 or m > DESK_MAX_M for m in self.m_values):
             raise ValueError(f"m values must be in [0, {DESK_MAX_M}], got {self.m_values}")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ValueError(f"m values must be distinct, got {self.m_values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.eps_values = check_eps_values(self.eps_values)
         if "th3" in self.suites():
             _require_generic_angle(f"the th3 suite (phi = {self.phi:.10g})", self.phi)

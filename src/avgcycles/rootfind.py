@@ -53,6 +53,8 @@ class SearchBox:
         self.hi = np.asarray(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise EmptyBoxError("lo and hi must be vectors of equal length")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise EmptyBoxError(f"box bounds must be finite: lo={self.lo} hi={self.hi}")
         if not np.all(self.lo < self.hi):
             raise EmptyBoxError(f"degenerate box: lo={self.lo} hi={self.hi}")
         if self.r_min <= 0:

@@ -55,10 +55,18 @@ class CoefficientTable:
         clean = {}
         for idx, val in self.entries.items():
             idx = tuple(int(e) for e in idx)
-            self._check_index(idx)
+            val = self._check_entry(idx, val)
             if val != 0.0:
-                clean[idx] = float(val)
+                clean[idx] = val
         self.entries = clean
+
+    def _check_entry(self, idx, val) -> float:
+        """The entry's value as a float, once its index and value are valid."""
+        self._check_index(idx)
+        val = float(val)
+        if not math.isfinite(val):
+            raise SpecError(f"non-finite coefficient {val} at index {idx}")
+        return val
 
     def _check_index(self, idx):
         if len(idx) != self.d + 2:
@@ -73,11 +81,11 @@ class CoefficientTable:
 
     def set(self, idx, val: float):
         idx = tuple(int(e) for e in idx)
-        self._check_index(idx)
+        val = self._check_entry(idx, val)
         if val == 0.0:
             self.entries.pop(idx, None)
         else:
-            self.entries[idx] = float(val)
+            self.entries[idx] = val
 
     def copy(self) -> "CoefficientTable":
         return CoefficientTable(self.degree, self.d, dict(self.entries))
@@ -107,6 +115,8 @@ class SystemSpec:
         self.mu = tuple(float(v) for v in self.mu)
         if len(self.mu) != self.d:
             raise SpecError(f"mu has length {len(self.mu)}, expected d={self.d}")
+        if not all(math.isfinite(v) for v in self.mu):
+            raise SpecError(f"mu must be finite, got {self.mu}")
         if any(self.mu[k] != 0.0 for k in range(self.m)):
             raise SpecError("mu_1..mu_m must be zero")
         if any(self.mu[k] == 0.0 for k in range(self.m, self.d)):

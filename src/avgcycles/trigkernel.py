@@ -9,6 +9,9 @@ is the one series type of that machinery: a finite sum of terms
 averaged-function variables (r, z_1, ..., z_m), or () for a function of s
 alone.  The public kernels I, J and their nested forms are thin wrappers
 over it, or over the memoized power-reduction recurrence for I.
+:func:`gram_matrix` integrates every pairwise product of a basis of
+``s^k * e^(lam*s)`` terms, so that two series' product integrates as a
+bilinear form of their coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,6 +188,21 @@ def _antider_term(k: int, lam: complex) -> tuple:
     for j in range(k, 0, -1):
         coeffs[j - 1] = -j * coeffs[j] / lam
     return tuple(((j, lam), coeffs[j]) for j in range(k + 1))
+
+
+def gram_matrix(basis, a: float, b: float) -> np.ndarray:
+    """W[i, j] = integral over [a, b] of s^(k_i + k_j) e^((lam_i + lam_j)*s), for a basis of (k, lam) pairs.
+
+    Each entry is the antiderivative of the product term, the one
+    HarmonicSum.integrals takes, so a series product integrates to C_F W C_G^T.
+    """
+    W = np.empty((len(basis), len(basis)), dtype=complex)
+    for i, (ki, li) in enumerate(basis):
+        for j in range(i, len(basis)):
+            kj, lj = basis[j]
+            W[i, j] = W[j, i] = sum(c * (b**k * cmath.exp(lam * b) - a**k * cmath.exp(lam * a))
+                                    for (k, lam), c in _antider_term(ki + kj, li + lj))
+    return W
 
 
 def trig_monomial(p: int, q: int, k: int = 0, lam: complex = 0.0j) -> HarmonicSum:

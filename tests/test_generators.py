@@ -1,12 +1,13 @@
 """Constructive generators: count formulas, certification, infeasibility."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from avgcycles import generators
-from avgcycles.avgcore import build_f1, build_f2
+from avgcycles.avgcore import _field_series, _g_contribution, build_f1, build_f2
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
@@ -37,7 +38,8 @@ from avgcycles.generators import (
 )
 from avgcycles.polyalg import Poly, PolyVec
 from avgcycles.rootfind import SearchBox, find_simple_zeros
-from avgcycles.trigkernel import TWO_PI
+from avgcycles.sysspec import zero_spec
+from avgcycles.trigkernel import TWO_PI, HarmonicSum
 
 PHI = math.pi / 3
 
@@ -160,6 +162,41 @@ class TestSecondOrderTuning:
         lcols = np.stack([probe(zero_u, e) for e in np.eye(len(model.vslots))], axis=1)
         np.testing.assert_allclose(model.L, lcols, rtol=0, atol=1e-14)
         assert seen <= set(model.monos)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+    def test_surrogate_matches_pairwise_series_reference(self, n, m):
+        # reference: S_slot from the symmetrized bilinear form of each
+        # same-zone slot pair as one series product, integrated termwise
+        model = _quad_model(n, m)
+        base = zero_spec(n, m, m, PHI)
+        fields = [generators._unit_fields(n, m, PHI, slot) for slot in model.uslots]
+
+        def series_b(F, G, ell):
+            out = HarmonicSum()
+            for left, right in zip(F.left, G.right[ell]):
+                out = out + left * right
+            return out
+
+        blocks = {}
+        for a, b in itertools.combinations_with_replacement(range(len(model.uslots)), 2):
+            sign = model.uslots[a][1]
+            if sign == model.uslots[b][1]:
+                blocks[a, b] = PolyVec([
+                    _g_contribution(base, sign, (series_b(fields[a], fields[b], ell)
+                                                 + series_b(fields[b], fields[a], ell)).scaled(0.5),
+                                    rshift=1).scaled(2.0)
+                    for ell in range(m + 1)])
+        lcols = [generators._zone_rf2(base, slot[1], [
+            _field_series(_spec_from_slots(n, m, PHI, [slot], [1.0]), 2, slot[1], ell + 2) for ell in range(m + 1)])
+            for slot in model.vslots]
+        assert model.monos == _monomial_basis(list(blocks.values()) + lcols)
+
+        S_slot = np.zeros((len(model.monos), len(model.uslots), len(model.uslots)))
+        for (a, b), pv in blocks.items():
+            S_slot[:, a, b] = S_slot[:, b, a] = _poly_vec_to_coeffs(pv, model.monos)
+        S = model.N.T @ (S_slot @ model.N)
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        assert np.max(np.abs(model.S - S)) <= 1e-15 * np.max(np.abs(model.S))
 
     @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
     def test_zones_do_not_interact(self, n, m):

@@ -1,6 +1,7 @@
 """Reproduction report assembly and the command-line front end."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from avgcycles.flowsim import (
 )
 from avgcycles.generators import ConstructionError, gen_prop10, gen_prop12
 from avgcycles.repro import Report, RunConfig, _run_case, build_report
+from avgcycles.sysspec import zero_spec
 
 
 class TestRunConfig:
@@ -139,6 +141,15 @@ class TestReport:
                         lambda: gen_prop10(1, 0, math.pi / 3), True, ())
         assert (row.verified_cycles, row.status) == (0, "unverified")
         assert type(error).__name__ in row.detail
+
+
+def _spec_text(mu=None, **tables):
+    """JSON of a zero n = 1, m = 0, d = 1 spec with the given mu and tables."""
+    data = zero_spec(1, 0, 1, 1.0).to_json_dict()
+    data["tables"].update(tables)
+    if mu is not None:
+        data["mu"] = mu
+    return json.dumps(data)  # writes inf and nan as Infinity and NaN, which json.load reads back
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +281,8 @@ class TestCli:
             ("0:1", "lo[0] >= r_min"),
             ("0.1:2,3", "lo has 1 values and hi has 2, the system needs 1"),
             ("abc", "expected 'lo1,..:hi1,..'"),
+            ("0.1:inf", "box bounds must be finite"),
+            ("nan:1", "box bounds must be finite"),
         ]),
     ])
     def test_bad_input_is_a_usage_error(self, command, spec_text, box, shown, spec_path, tmp_path, capsys):
@@ -285,6 +298,32 @@ class TestCli:
         assert (f"bad --box {box!r}" if box else f"bad --spec {path!r}") in err
         assert shown in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec_text,shown", [
+        (_spec_text(b_plus={"1,0,0": math.inf}), "non-finite coefficient inf at index (1, 0, 0)"),
+        (_spec_text(mu=[math.nan]), "mu must be finite"),
+    ], ids=["inf_table_entry", "nan_mu"])
+    @pytest.mark.parametrize("command", ["averaged", "zeros", "verify"])
+    def test_non_finite_spec_is_a_usage_error(self, command, spec_text, shown, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(spec_text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", str(path), "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"bad --spec {str(path)!r}" in err and shown in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,shown", [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--m", "1,1"], "m values must be distinct, got (1, 1)"),
+    ])
+    def test_bad_run_config_is_a_usage_error(self, args, shown, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", *args, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_bad_box_rejected(self, spec_path, tmp_path):
         with pytest.raises(SystemExit):

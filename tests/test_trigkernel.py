@@ -11,6 +11,7 @@ from avgcycles.trigkernel import (
     HarmonicSum,
     KernelError,
     TrigKey,
+    gram_matrix,
     lemma_vanish_predicate,
     nested_I,
     trig_monomial,
@@ -108,6 +109,31 @@ class TestNuMonomialSeries:
                 for mono, val in ref_d.items():
                     assert got_d[mono] == pytest.approx(val, abs=1e-12)
         assert set(fg.diff(0).integrals(0.0, 1.0)) == {(0, 3), (0, 1), (-2, 2), (-2, 0)}
+
+class TestGramMatrix:
+    # the last pair sums to lam = 1e-10, the antiderivative's Taylor branch
+    BASIS = [(0, 0j), (1, 0j), (0, 2j), (1, -2j), (0, -0.5 + 1j), (2, 0.3j), (0, 5e-11 + 0j)]
+
+    @pytest.mark.parametrize("a,b", [(0.0, 2.1), (0.0, -2.5), (0.4, 1.3)])
+    def test_entries_are_product_integrals(self, a, b):
+        W = gram_matrix(self.BASIS, a, b)
+        np.testing.assert_array_equal(W, W.T)
+        for i, (ki, li) in enumerate(self.BASIS):
+            for j, (kj, lj) in enumerate(self.BASIS):
+                f = lambda s: s ** (ki + kj) * np.exp((li + lj) * s)
+                re, im = (quad(lambda s: part(f(s)), a, b, epsabs=1e-13)[0] for part in (np.real, np.imag))
+                assert abs(W[i, j] - (re + 1j * im)) < 1e-12, (i, j)
+
+    def test_contracts_a_series_product(self):
+        # Re(C_F W C_G^T) is the integral of F*G, monomial by monomial
+        F = trig_monomial(2, 1) + trig_monomial(0, 1, k=1)
+        G = trig_monomial(1, 1).integral_from_zero()
+        basis = sorted({(k, lam) for _, k, lam in F.terms} | {(k, lam) for _, k, lam in G.terms},
+                       key=lambda kl: (kl[0], kl[1].real, kl[1].imag))
+        CF, CG = (np.array([[S.terms.get(((),) + kl, 0.0) for kl in basis]]) for S in (F, G))
+        W = gram_matrix(basis, 0.3, 2.9)
+        np.testing.assert_allclose((CF @ W @ CG.T).real[0, 0], (F * G).definite(0.3, 2.9), rtol=0, atol=1e-14)
+
 
 class TestVanishPredicate:
     def test_plain_at_pi_iff_p_odd(self):

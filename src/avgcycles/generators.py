@@ -362,23 +362,21 @@ def _zone_rf2(base: SystemSpec, sign, series) -> PolyVec:
     return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
 
 
-def _cross_rf2(n, m, phi, uslots, hspec=None):
+def _cross_rf2(n, m, phi, uslots):
     """r*f_2's quadratic part as a symmetric bilinear form on the unit u-slots, one zone at a time.
 
     Yields (idx, keys, X) per zone, idx the zone's positions in uslots and
     X[a, b, k] the coefficient of keys[k] = (component, monomial) in
     (B(e_a, e_b) + B(e_b, e_a)) / 2 for slots idx[a] and idx[b], B(e_a, e_a)
-    itself on the diagonal, so it needs no polarization; with ``hspec``,
-    X[0, b] pairs hspec's fields with slot idx[b] instead.  Only keys with a
+    itself on the diagonal, so it needs no polarization.  Only keys with a
     nonzero coefficient are kept.  Every pair of a zone shares one Gram matrix.
     """
     base = zero_spec(n, m, m, phi)
     for sign in ("+", "-"):
         idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
         fields = [_unit_fields(n, m, phi, uslots[k]) for k in idx]
-        left = fields if hspec is None else [_ZoneFields(hspec, sign)]
-        monos, X = _quadratic_rf2(base, sign, left, fields)
-        X = X.reshape(len(left), len(fields), (m + 1) * len(monos))
+        monos, X = _quadratic_rf2(base, sign, fields, fields)
+        X = X.reshape(len(idx), len(idx), (m + 1) * len(monos))
         keep = np.flatnonzero(X.any(axis=(0, 1)))
         yield idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[:, :, keep]
 
@@ -752,13 +750,17 @@ def _angular_cross_map(n, m, phi, uslots):
     zone (the other zone's fields of e_a vanish).  Returns the matrix and its
     (component, monomial) row keys.
     """
-    zones = list(_cross_rf2(n, m, phi, uslots, hspec=_spec_from_slots(n, m, phi, *_angular_part(m))))
-    keys = sorted(set().union(*(zkeys for _, zkeys, _ in zones)))
-    pos = {key: k for k, key in enumerate(keys)}
-    Q = np.zeros((len(keys), len(uslots)))
-    for idx, zkeys, X in zones:
-        Q[np.ix_([pos[key] for key in zkeys], idx)] = X[0].T
-    return Q, keys
+    base = zero_spec(n, m, m, phi)
+    hspec = _spec_from_slots(n, m, phi, *_angular_part(m))
+    rows = {}  # (component, monomial) -> its row over the u-slots
+    for sign in ("+", "-"):
+        idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
+        fields = [_unit_fields(n, m, phi, uslots[k]) for k in idx]
+        monos, X = _quadratic_rf2(base, sign, [_ZoneFields(hspec, sign)], fields)
+        for ell, j in zip(*np.nonzero(X[0].any(axis=0))):
+            rows.setdefault((int(ell), monos[j]), np.zeros(len(uslots)))[idx] = X[0, :, ell, j]
+    keys = sorted(rows)
+    return np.array([rows[key] for key in keys]).reshape(len(keys), len(uslots)), keys
 
 
 def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = None) -> GeneratorResult:

@@ -30,7 +30,7 @@ from avgcycles.avgcore import (
 )
 from avgcycles.polyalg import Poly
 from avgcycles.sysspec import random_spec, zero_spec
-from avgcycles.trigkernel import TWO_PI, HarmonicSum
+from avgcycles.trigkernel import TWO_PI
 
 POINTS = [np.array(v) for v in ([0.8], [1.3], [0.45])]
 
@@ -214,14 +214,6 @@ class TestF2Oracle:
             build_f2(project_to_kernel(spec), check_f1=False)
 
 
-def _series_bilinear(F, G, ell):
-    """B_l(F, G) as one HarmonicSum, by termwise series products."""
-    out = HarmonicSum()
-    for left, right in zip(F.left, G.right[ell]):
-        out = out + left * right
-    return out
-
-
 class TestQuadraticContraction:
     """The Gram-matrix contraction against series products integrated termwise."""
 
@@ -230,13 +222,13 @@ class TestQuadraticContraction:
 
     @pytest.mark.parametrize("phi", [math.pi / 3, math.pi, TWO_PI, 1.1])
     @pytest.mark.parametrize("n,m,d", DIMS)
-    def test_matches_series_products(self, n, m, d, phi):
+    def test_matches_series_products(self, n, m, d, phi, series_bilinear):
         spec = project_to_kernel(random_spec(n, m, d, phi, 100 * n + 10 * m + d, scale=0.5))
         for sign in ("+", "-"):
             Z = _ZoneFields(spec, sign)
             monos, X = avgcore._quadratic_rf2(spec, sign, [Z], [Z])
             for ell in range(m + 1):
-                ref = avgcore._g_contribution(spec, sign, _series_bilinear(Z, Z, ell), rshift=1).scaled(2.0)
+                ref = avgcore._g_contribution(spec, sign, series_bilinear(Z, Z, ell), rshift=1).scaled(2.0)
                 got = dict(zip(monos, X[0, 0, ell]))
                 worst = max(abs(got.get(mo, 0.0) - ref.terms.get(mo, 0.0)) for mo in set(got) | set(ref.terms))
                 assert worst <= 1e-14 * ref.max_coeff()  # 0 <= 0 on the empty minus zone at 2*pi

@@ -39,7 +39,7 @@ from avgcycles.generators import (
 from avgcycles.polyalg import Poly, PolyVec
 from avgcycles.rootfind import SearchBox, find_simple_zeros
 from avgcycles.sysspec import zero_spec
-from avgcycles.trigkernel import TWO_PI, HarmonicSum
+from avgcycles.trigkernel import TWO_PI
 
 PHI = math.pi / 3
 
@@ -164,26 +164,20 @@ class TestSecondOrderTuning:
         assert seen <= set(model.monos)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
-    def test_surrogate_matches_pairwise_series_reference(self, n, m):
+    def test_surrogate_matches_pairwise_series_reference(self, n, m, series_bilinear):
         # reference: S_slot from the symmetrized bilinear form of each
         # same-zone slot pair as one series product, integrated termwise
         model = _quad_model(n, m)
         base = zero_spec(n, m, m, PHI)
         fields = [generators._unit_fields(n, m, PHI, slot) for slot in model.uslots]
 
-        def series_b(F, G, ell):
-            out = HarmonicSum()
-            for left, right in zip(F.left, G.right[ell]):
-                out = out + left * right
-            return out
-
         blocks = {}
         for a, b in itertools.combinations_with_replacement(range(len(model.uslots)), 2):
             sign = model.uslots[a][1]
             if sign == model.uslots[b][1]:
                 blocks[a, b] = PolyVec([
-                    _g_contribution(base, sign, (series_b(fields[a], fields[b], ell)
-                                                 + series_b(fields[b], fields[a], ell)).scaled(0.5),
+                    _g_contribution(base, sign, (series_bilinear(fields[a], fields[b], ell)
+                                                 + series_bilinear(fields[b], fields[a], ell)).scaled(0.5),
                                     rshift=1).scaled(2.0)
                     for ell in range(m + 1)])
         lcols = [generators._zone_rf2(base, slot[1], [

@@ -25,12 +25,14 @@ build_f2 integrates, its diagonal the form itself (no polarization);
 S = N^T S_slot N.  Only slots of the same zone are paired: a "+" and a "-"
 slot never interact in r*f_2 at d = m.  All pairs of one zone come from
 one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
-products.  L's columns are the v-slots' order-2 field series.  The
-generators then tune u by least squares with multistart, each start run once with scipy's default scaling and stopped
-once it reaches its target or stalls, and recover v by a linear solve.  Every converged start is
+products.  L's columns are the v-slots' order-2 field series.  Every
+first-order entry of degree <= n is a u-slot.  The generators tune u by
+least squares against the exact target with multistart, each start run
+once with scipy's default scaling and stopped once it reaches its target
+or stalls, and recover v by a linear solve.  Every converged start is
 re-verified against the real build_f1/build_f2 pipeline and certified by
 root search; one that fails either is recorded as an "undercount" and the
-attempt moves on to its next start.  gen_th4 realizes a prescribed reduced
+tuning moves on to its next start.  gen_th4 realizes a prescribed reduced
 system by two linear fits over every table entry of degree <= n: its P map
 is _f1_matrix of the second-order slots, its Q map the cross term of the
 same bilinear form with a fixed angular part.  The generators call
@@ -231,12 +233,15 @@ def _axis_slots(n, m, fam, ell, var, signs=("+", "-")):
 
 
 def _full_slots(n, m, families):
-    """Every entry of total degree <= n of the given families in both zones; vector families per component."""
+    """Every entry of total degree <= n of the given families in both zones; vector families per component.
+
+    Entries run in sorted index order, which at m = 0 is _scalar_slots' order.
+    """
     out = []
     for fam in families:
         for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
             for sign in ("+", "-"):
-                out += [(fam, sign, ell, idx) for idx in multi_indices(n, m + 2)]
+                out += [(fam, sign, ell, idx) for idx in sorted(multi_indices(n, m + 2))]
     return out
 
 
@@ -421,13 +426,13 @@ class _QuadModel:
     def quad_jac(self, u) -> np.ndarray:
         return 2.0 * (self.S @ u)  # (nmono, udim)
 
-    def residual_reduced(self, u, t, weights) -> np.ndarray:
+    def residual_reduced(self, u, t) -> np.ndarray:
         gap = self.quad(u) - t
-        return (gap - self.Lbasis @ (self.Lbasis.T @ gap)) * weights
+        return gap - self.Lbasis @ (self.Lbasis.T @ gap)
 
-    def residual_jac(self, u, t, weights) -> np.ndarray:
+    def residual_jac(self, u, t) -> np.ndarray:
         J = self.quad_jac(u)
-        return weights[:, None] * (J - self.Lbasis @ (self.Lbasis.T @ J))
+        return J - self.Lbasis @ (self.Lbasis.T @ J)
 
     def solve_v(self, u, t) -> np.ndarray:
         v, *_ = np.linalg.lstsq(self.L, t - self.quad(u), rcond=None)
@@ -456,7 +461,7 @@ class _QuadModel:
 class _StopRule:
     """least_squares callback ending a start at its target misfit or on a stall.
 
-    The misfit is the largest weighted coefficient residual: ``fun`` without
+    The misfit is the largest coefficient residual: ``fun`` without
     its norm-penalty tail.  A start stalls when its best misfit has not
     halved over the last STALL_WINDOW iterations.
     """
@@ -477,28 +482,22 @@ class _StopRule:
             raise StopIteration
 
 
-def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0, seed=0,
-                    free_monos=(), free_weight=0.0, tol=LINEAR_TOL):
+def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0, seed=0):
     """Multistart least squares on u; returns (spec, rf2, misfit, zeros).
 
-    A start converges when its misfit is below tol * scale.  Every converged
-    start is re-verified against the real build_f1/build_f2 pipeline and its
-    simple zeros certified in the default box; the first with at least
-    ``expected`` of them wins.  Each start appends {"reason", "nfev",
-    "misfit"} to ``starts``, its reason being how it stopped ("target",
-    "stall" or "max_nfev") or "undercount" for a converged start whose spec
-    failed its re-verification or certified too few zeros; a successful
-    tuning's winning start is the last one appended.
+    A start converges when its misfit is below LINEAR_TOL * scale.  Every
+    converged start is re-verified against the real build_f1/build_f2
+    pipeline and its simple zeros certified in the default box; the first
+    with at least ``expected`` of them wins.  Each start appends {"reason",
+    "nfev", "misfit"} to ``starts``, its reason being how it stopped
+    ("target", "stall" or "max_nfev") or "undercount" for a converged start
+    whose spec failed its re-verification or certified too few zeros; a
+    successful tuning's winning start is the last one appended.
     """
     t = model.target_vector(target)
-    weights = np.ones(len(model.monos))
-    free = set(free_monos)
-    for k, mo in enumerate(model.monos):
-        if mo in free:
-            weights[k] = free_weight
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
-    stop_at = 1e-3 * tol * scale
+    stop_at = 1e-3 * LINEAR_TOL * scale
     # A tiny norm penalty keeps the optimizer off the asymptotic escape
     # directions (huge-norm parameter vectors whose first-order tables
     # amplify round-off past the kernel check downstream); the induced bias
@@ -507,10 +506,10 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
     eye = lam * np.eye(model.udim)
 
     def res_aug(u):
-        return np.concatenate([model.residual_reduced(u, t, weights), lam * u])
+        return np.concatenate([model.residual_reduced(u, t), lam * u])
 
     def jac_aug(u):
-        return np.vstack([model.residual_jac(u, t, weights), eye])
+        return np.vstack([model.residual_jac(u, t), eye])
 
     best = math.inf
     rejected = None
@@ -521,16 +520,16 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
             res_aug, u0, jac=jac_aug, callback=rule,
             xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000,
         )
-        err = float(np.max(np.abs(model.residual_reduced(sol.x, t, weights))))
+        err = float(np.max(np.abs(model.residual_reduced(sol.x, t))))
         best = min(best, err)
         if sol.status == 0:
             reason = "max_nfev"
         else:  # the rule's verdict, or scipy's own tolerances: no more progress
             reason = rule.reason or ("target" if err < stop_at else "stall")
         tuned = None
-        if err < tol * scale:
+        if err < LINEAR_TOL * scale:
             try:
-                tuned = _certify_tuned(model, sol.x, t, free, tol, scale, expected)
+                tuned = _certify_tuned(model, sol.x, t, scale, expected)
             except ConstructionError as exc:
                 rejected, reason = exc, "undercount"
         starts.append({"reason": reason, "nfev": int(sol.nfev), "misfit": err})
@@ -539,12 +538,12 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
     if rejected is not None:
         raise rejected
     raise ConstructionError(
-        f"second-order tuning stalled: weighted coefficient misfit {best:.3e} "
+        f"second-order tuning stalled: coefficient misfit {best:.3e} "
         f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
     )
 
 
-def _certify_tuned(model: _QuadModel, u, t, free, tol, scale, expected):
+def _certify_tuned(model: _QuadModel, u, t, scale, expected):
     """Re-verify a converged start against the real pipeline and certify its zeros."""
     v = model.solve_v(u, t)
     spec = model.assemble(u, v)
@@ -555,9 +554,8 @@ def _certify_tuned(model: _QuadModel, u, t, free, tol, scale, expected):
     rf2 = build_f2(spec, check_f1=False)
     want = {key: t[k] for key, k in model.pos.items()}
     keys = {(ci, mo) for ci, p in enumerate(rf2) for mo in p.terms} | set(want)
-    misfit = max((abs(rf2[ci].terms.get(mo, 0.0) - want.get((ci, mo), 0.0)) for ci, mo in keys - free),
-                 default=0.0)
-    if misfit > max(VERIFY_TOL, 10.0 * tol) * scale:
+    misfit = max((abs(rf2[ci].terms.get(mo, 0.0) - want.get((ci, mo), 0.0)) for ci, mo in keys), default=0.0)
+    if misfit > VERIFY_TOL * scale:
         raise ConstructionError(f"surrogate/pipeline disagreement: {misfit:.3e}")
     zeros = [rec.nu for rec in find_simple_zeros(rf2, default_box(model.m)) if rec.simple]
     if len(zeros) < expected:
@@ -568,22 +566,16 @@ def _certify_tuned(model: _QuadModel, u, t, free, tol, scale, expected):
 def _second_order_slots(n, m):
     """Slot families for the second-order engine.
 
-    First-order (quadratic) unknowns: the full z-free radial families a, b,
-    each tail component's family on its own variable and, for m >= 1, the
-    radial families with pure z_1 powers.  Second-order (linear) unknowns:
-    z-free alpha/beta, per-component gamma on its own variable, plus
-    z-dependent alpha/beta entries that absorb mixed cross terms of the
-    quadratic part; these are never empty.  No slot appears twice.
+    First-order (quadratic) unknowns: every entry of total degree <= n of
+    the families a, b and c in both zones (_full_slots).  Second-order
+    (linear) unknowns: z-free alpha/beta, per-component gamma on its own
+    variable, plus z-dependent alpha/beta entries that absorb mixed cross
+    terms of the quadratic part; these are never empty.  No slot appears
+    twice.
     """
-    uslots = _scalar_slots(n, m, ("a", "b"))
-    if m >= 1:
-        for sign in ("+", "-"):
-            for k in range(1, n + 1):
-                uslots.append(("a", sign, None, (0, 0) + (k,) + (0,) * (m - 1)))
-                uslots.append(("b", sign, None, (0, 0) + (k,) + (0,) * (m - 1)))
+    uslots = _full_slots(n, m, ("a", "b", "c"))
     vslots = _scalar_slots(n, m, ("alpha", "beta"))
     for ell in range(1, m + 1):
-        uslots += _axis_slots(n, m, "c", ell - 1, ell)
         vslots += _axis_slots(n, m, "gamma", ell - 1, ell)
     for ell in range(1, m + 1):
         for sign in ("+", "-"):
@@ -612,45 +604,20 @@ def second_order_upper_bound(n: int, m: int) -> int:
     return (2 * n) ** (m + 1)
 
 
-def _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=0):
+def _second_order_generator(n, m, phi, expected, target, seed=0):
     """Shared driver: tune, re-verify, and certify one second-order target."""
+    uslots, vslots = _second_order_slots(n, m)
     N = _kernel_basis(n, m, phi, uslots)
     if N.shape[1] == 0:
         raise InfeasibleTargetError("kernel constraints leave no first-order freedom")
     model = _QuadModel(n, m, phi, uslots, N, vslots)
-
-    target_support = {(ci, mo) for ci, p in enumerate(target) for mo in p.terms}
-    loose = [key for key in model.monos if key not in target_support]
-    # monomials with no radial factor: the weakly controllable leftovers
-    pure_z = [(ci, mo) for ci, mo in loose if mo[0] == 0] if m else []
-    attempts = [
-        dict(free_monos=(), free_weight=0.0),
-        dict(free_monos=pure_z, free_weight=1e-5, tol=1e-7),
-        dict(free_monos=loose, free_weight=1e-5, tol=1e-7),
-    ]
     starts = []
-    last_exc = None
-    for k, kw in enumerate(attempts):
-        log = []
-        try:
-            spec, rf2, misfit, zeros = _tune_quadratic(model, target, log, expected, seed=seed + 17 * k, **kw)
-        except ConstructionError as exc:
-            last_exc = exc
-            continue
-        finally:
-            starts += [dict(rec, attempt=k) for rec in log]
-        return GeneratorResult(spec, 2, rf2, expected, default_box(m), zeros,
-                               {"misfit": misfit, "attempt": k, "starts": starts})
-    raise last_exc
+    spec, rf2, misfit, zeros = _tune_quadratic(model, target, starts, expected, seed=seed)
+    return GeneratorResult(spec, 2, rf2, expected, default_box(m), zeros, {"misfit": misfit, "starts": starts})
 
 
 def _mixed_targets(n, m, n_radial, n_z, radial_shift=0):
-    """comp 0: product over positive radii; comp l: product over z_l roots.
-
-    The z-products are taken without a radial factor: z-degrees above n are
-    only reachable through the pure-z channel (radial-family entries carrying
-    z powers), whose contributions come in with no power of r.
-    """
+    """comp 0: product over positive radii; comp l: product over z_l roots, with no radial factor."""
     nv = m + 1
     targets = [poly_from_roots(nv, 0, positive_nodes(n_radial), shift=(radial_shift,) + (0,) * m)]
     for ell in range(1, m + 1):
@@ -663,22 +630,20 @@ def gen_prop12(n: int, m: int, phi: float, seed: int = 0) -> GeneratorResult:
     """Kernel spec whose f_2 attains 2n(2n-1)^m simple zeros (generic phi)."""
     _require_generic_angle("gen_prop12", phi)
     expected = second_order_lower_bound(n, m, phi)
-    uslots, vslots = _second_order_slots(n, m)
     target = _mixed_targets(n, m, 2 * n, 2 * n - 1)
-    return _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=seed)
+    return _second_order_generator(n, m, phi, expected, target, seed=seed)
 
 
 def gen_cor13(n: int, phi: float, seed: int = 0) -> GeneratorResult:
     """m = 1 kernel spec whose f_2 attains the full (2n)^2 simple zeros.
 
-    The radial families gain pure z_1 powers so that the z-component becomes
-    a z_1-only polynomial of degree 2n, giving a grid of (2n)^2 zeros.
+    The same slots as gen_prop12(n, 1), with a z-component target of degree
+    2n in z_1 alone instead of 2n - 1, giving a grid of (2n)^2 zeros.
     """
     _require_generic_angle("gen_cor13", phi)
     expected = (2 * n) ** 2
-    uslots, vslots = _second_order_slots(n, 1)
     target = _mixed_targets(n, 1, 2 * n, 2 * n)
-    return _second_order_generator(n, 1, phi, expected, target, uslots, vslots, seed=seed)
+    return _second_order_generator(n, 1, phi, expected, target, seed=seed)
 
 
 def gen_prop18(n: int, m: int, seed: int = 0) -> GeneratorResult:
@@ -691,9 +656,8 @@ def gen_prop18(n: int, m: int, seed: int = 0) -> GeneratorResult:
     phi = math.pi
     expected = second_order_lower_bound(n, m, phi)
     n_r = 2 * n - 1 if n % 2 else 2 * n - 2
-    uslots, vslots = _second_order_slots(n, m)
     target = _mixed_targets(n, m, n_r, 2 * n - 1, radial_shift=1)
-    return _second_order_generator(n, m, phi, expected, target, uslots, vslots, seed=seed)
+    return _second_order_generator(n, m, phi, expected, target, seed=seed)
 
 
 def gen_prop21(n: int, seed: int = 0, target_count: int | None = None) -> GeneratorResult:
@@ -718,10 +682,9 @@ def gen_prop21(n: int, seed: int = 0, target_count: int | None = None) -> Genera
             f"{expected} requested (the extreme coefficients cancel identically "
             f"under the kernel constraints)"
         )
-    uslots, vslots = _second_order_slots(n, 0)
     rho = [v**2 for v in positive_nodes(expected)]
     target = PolyVec([poly_from_roots(1, 0, rho, square_var=True, shift=(2,))])
-    return _second_order_generator(n, 0, phi, expected, target, uslots, vslots, seed=seed)
+    return _second_order_generator(n, 0, phi, expected, target, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -216,26 +216,28 @@ class TestSecondOrderTuning:
     def test_starts_stop_on_target(self):
         starts = gen_prop12(1, 0, PHI).notes["starts"]
         assert starts and all(rec["reason"] == "target" for rec in starts)
-        assert all(set(rec) == {"reason", "nfev", "misfit", "attempt"} for rec in starts)
+        assert all(set(rec) == {"reason", "nfev", "misfit"} for rec in starts)
         assert starts[-1]["nfev"] < 200  # the winning start
 
     def test_unreachable_target_stalls_early(self):
-        # generic coefficients on every monomial lie outside Q(u) + L v
-        model = _quad_model(2, 1)
+        # generic coefficients on every monomial lie outside Q(u) + L v: the
+        # (1, 2) model's image is short (17 of its 22 target directions)
+        n, m = 1, 2
+        model = _quad_model(n, m)
         rng = np.random.default_rng(0)
-        terms = [{}, {}]
+        terms = [{} for _ in range(m + 1)]
         for ci, mo in model.monos:
             terms[ci][mo] = rng.normal()
         starts = []
         with pytest.raises(ConstructionError, match="second-order tuning stalled"):
-            _tune_quadratic(model, PolyVec([Poly(2, t) for t in terms]), starts)
+            _tune_quadratic(model, PolyVec([Poly(m + 1, t) for t in terms]), starts)
         assert len(starts) == TUNING_STARTS  # one record per start
         assert all(rec["reason"] == "stall" for rec in starts)
         assert max(rec["nfev"] for rec in starts) < 2 * STALL_WINDOW  # max_nfev is 4000
 
     def test_undercounting_start_moves_on(self, monkeypatch):
-        # the first converged start certifies too few zeros: the same attempt
-        # goes on to its next start instead of giving up
+        # the first converged start certifies too few zeros: the tuning goes
+        # on to its next start instead of giving up
         real = generators.find_simple_zeros
         calls = []
 
@@ -246,15 +248,25 @@ class TestSecondOrderTuning:
         monkeypatch.setattr(generators, "find_simple_zeros", first_undercounts)
         result = gen_prop12(1, 0, PHI)
         starts = result.notes["starts"]
-        assert result.notes["attempt"] == 0
         assert [rec["reason"] for rec in starts] == ["undercount", "target"]
-        assert all(rec["attempt"] == 0 for rec in starts)
         assert len(calls) == 2 and len(result.zeros) == 2
 
     def test_every_start_undercounting_fails(self, monkeypatch):
         monkeypatch.setattr(generators, "find_simple_zeros", lambda system, box: [])
         with pytest.raises(ConstructionError, match="certified only 0 of 2 zeros"):
             gen_prop12(1, 0, PHI)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_prop18(3, 1, seed=0),
+        lambda: gen_cor13(2, PHI, seed=12),
+        lambda: gen_cor13(2, PHI, seed=22),
+    ], ids=["prop18-3-1-seed0", "cor13-2-seed12", "cor13-2-seed22"])
+    def test_full_first_order_slots_certify(self, make):
+        # these m = 1 targets lie outside the surrogate's image unless every
+        # first-order entry is a u-slot
+        result = make()
+        assert len(result.zeros) >= result.expected_count
+        assert all(set(rec) == {"reason", "nfev", "misfit"} for rec in result.notes["starts"])
 
     def test_seed_reproducible(self):
         one, two = (gen_prop12(1, 1, PHI, seed=5) for _ in range(2))

@@ -18,25 +18,29 @@ first-order coefficients.  They build an exact algebraic surrogate
 
 (u parametrizes the first-order tables inside the kernel of f_1 through the
 slot values x = N u, v the second-order tables, which enter linearly).
-Q(u)_k = u^T S_k u is built in slot coordinates: each u-slot's zone fields
-(avgcore._ZoneFields) are computed once in its own zone, and S_slot[a, b]
-is the symmetrized bilinear form B on slots a and b, the same form
-build_f2 integrates, its diagonal the form itself (no polarization);
-S = N^T S_slot N.  Only slots of the same zone are paired: a "+" and a "-"
-slot never interact in r*f_2 at d = m.  All pairs of one zone come from
-one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
-products.  L's columns are the v-slots' order-2 field series.  Every
-first-order entry of degree <= n is a u-slot.  The generators tune u by
-least squares against the exact target with multistart, each start run
+Every first-order entry of degree <= n is a u-slot, and the v-slots are
+their second-order twins in the same order.  One SVD of f_1's matrix A on
+the u-slots (_kernel_split) gives N, a basis of its null space, and a basis
+of its range.  At d = m a second-order entry enters r*f_2 as 2r times the
+integral its first-order twin has in f_1, so L is 2A with every row's
+monomial raised by r, and A's range is L's.  Q(u)_k = u^T S_k u is built
+in slot coordinates: each u-slot's zone fields (avgcore._ZoneFields) are
+computed once in its own zone, and S_slot[a, b] is the symmetrized
+bilinear form B on slots a and b, the same form build_f2 integrates, its
+diagonal the form itself (no polarization); S = N^T S_slot N.  Only slots
+of the same zone are paired: a "+" and a "-" slot never interact in r*f_2
+at d = m.  All pairs of one zone come from one Gram-matrix contraction
+(avgcore._quadratic_rf2), with no series products.  The generators tune u
+by least squares against the exact target with multistart, each start run
 once with scipy's default scaling and stopped once it reaches its target
 or stalls, and recover v by a linear solve.  Every converged start is
 re-verified against the real build_f1/build_f2 pipeline and certified by
 root search; one that fails either is recorded as an "undercount" and the
 tuning moves on to its next start.  gen_th4 realizes a prescribed reduced
-system by two linear fits over every table entry of degree <= n: its P map
-is _f1_matrix of the second-order slots, its Q map the cross term of the
-same bilinear form with a fixed angular part.  The generators call
-build_f1 and build_f2 only to re-verify what they built.
+system by two linear fits over the same slots: its P map is the same A,
+read on the twins, its Q map the cross term of the same bilinear form with
+a fixed angular part.  The generators call build_f1 and build_f2 only to
+re-verify what they built.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .avgcore import (
-    _field_series,
-    _g_contribution,
     _quadratic_rf2,
     _ZoneFields,
     build_f1,
@@ -59,7 +61,7 @@ from .avgcore import (
 )
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
-from .sysspec import VECTOR_FAMILIES, SystemSpec, multi_indices, zero_spec
+from .sysspec import FIRST_ORDER, SECOND_ORDER, VECTOR_FAMILIES, SystemSpec, multi_indices, zero_spec
 from .trigkernel import TWO_PI
 
 LINEAR_TOL = 1e-9
@@ -346,25 +348,24 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_basis(n, m, phi, slots) -> np.ndarray:
-    """Null-space basis of the f_1 kernel constraints restricted to the slots."""
-    A, _ = _f1_matrix(n, m, phi, slots)
-    K = A[np.any(A != 0.0, axis=1)]  # constraints that involve a slot
-    if not len(K):
-        return np.eye(len(slots))
-    _, s, Vt = np.linalg.svd(K)
+def _kernel_split(n, m, phi, slots):
+    """f_1's map on the slots, split by one SVD: (A, keys, N, R).
+
+    A and keys are _f1_matrix's, without the constraints that involve no
+    slot.  N's columns span A's null space (the slot values that keep f_1
+    zero), R's columns A's range; one rank rule, s > 1e-12 * s_0, sets both.
+    """
+    A, keys = _f1_matrix(n, m, phi, slots)
+    live = np.any(A != 0.0, axis=1)
+    A, keys = A[live], [key for key, on in zip(keys, live) if on]
+    U, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-12 * s[0]))
-    return Vt[rank:].T  # columns span the null space
+    return A, keys, Vt[rank:].T, U[:, :rank]
 
 
 def _unit_fields(n, m, phi, slot) -> _ZoneFields:
     """The zone fields of one unit slot, in the slot's own zone."""
     return _ZoneFields(_spec_from_slots(n, m, phi, [slot], [1.0]), slot[1])
-
-
-def _zone_rf2(base: SystemSpec, sign, series) -> PolyVec:
-    """r*f_2 of one zone's integrand series, one per component; base gives phi."""
-    return PolyVec([_g_contribution(base, sign, s, rshift=1).scaled(2.0) for s in series])
 
 
 def _cross_rf2(n, m, phi, uslots):
@@ -387,38 +388,44 @@ def _cross_rf2(n, m, phi, uslots):
 
 
 class _QuadModel:
-    """Exact surrogate coeffs(r*f_2) = Q(u) + L v over a fixed monomial basis."""
+    """Exact surrogate coeffs(r*f_2) = Q(u) + L v over a fixed monomial basis.
 
-    def __init__(self, n, m, phi, uslots, Nbasis, vslots):
+    The u-slots are every first-order entry of degree <= n, and x = N u keeps
+    f_1 zero.  The v-slots are their second-order twins: at d = m a twin
+    enters r*f_2 as 2r times the integral its first-order entry has in f_1,
+    so L is 2A (A being f_1's matrix on the u-slots) with each row moved from
+    its monomial to r times it.  The SVD that gives N also gives Lbasis, an
+    orthonormal basis of L's range.
+    """
+
+    def __init__(self, n, m, phi):
         self.n, self.m, self.phi = n, m, phi
-        self.uslots, self.N, self.vslots = uslots, Nbasis, vslots
-        self.udim = Nbasis.shape[1]
+        self.uslots = _full_slots(n, m, FIRST_ORDER)
+        self.vslots = _full_slots(n, m, SECOND_ORDER)  # vslots[k] is uslots[k]'s twin
+        A, keys, self.N, R = _kernel_split(n, m, phi, self.uslots)
+        self.udim = self.N.shape[1]
         # Q in slot coordinates x, Q_k = x^T S_slot,k x.  Every spec here has
         # d = m, so build_f2 has no gamma * dg_1 slave term, and its quadratic
         # part in component l is the bilinear form B_l(x, x) of the zone
         # fields, each term a product of two fields of one zone: a "+" slot
         # and a "-" slot never interact, and cross-zone pairs are skipped.
-        zones = list(_cross_rf2(n, m, phi, uslots))
-        # the second-order tables enter r*f_2 linearly, through their own
-        # order-2 field series only
-        base = zero_spec(n, m, m, phi)
-        lcols = []
-        for slot in vslots:
-            spec = _spec_from_slots(n, m, phi, [slot], [1.0])
-            lcols.append(_zone_rf2(base, slot[1], [_field_series(spec, 2, slot[1], ell + 2) for ell in range(m + 1)]))
-
-        self.monos = sorted(set(_monomial_basis(lcols)).union(*(keys for _, keys, _ in zones)))
+        zones = list(_cross_rf2(n, m, phi, self.uslots))
+        # L is 2A with every row key raised by r (see the class docstring)
+        lkeys = [(ci, (mo[0] + 1,) + mo[1:]) for ci, mo in keys]
+        self.monos = sorted(set(lkeys).union(*(zkeys for _, zkeys, _ in zones)))
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
-        S_slot = np.zeros((len(self.monos), len(uslots), len(uslots)))
-        for idx, keys, X in zones:
-            S_slot[np.ix_([self.pos[key] for key in keys], idx, idx)] = X.transpose(2, 0, 1)
+        S_slot = np.zeros((len(self.monos), len(self.uslots), len(self.uslots)))
+        for idx, zkeys, X in zones:
+            S_slot[np.ix_([self.pos[key] for key in zkeys], idx, idx)] = X.transpose(2, 0, 1)
         # x = N u, so S = N^T S_slot N; symmetrized exactly, so that
         # quad_jac = 2 S u is the exact derivative of quad
-        S = Nbasis.T @ (S_slot @ Nbasis)
+        S = self.N.T @ (S_slot @ self.N)
         self.S = 0.5 * (S + S.transpose(0, 2, 1))
-        self.L = np.stack([_poly_vec_to_coeffs(pv, self.monos) for pv in lcols], axis=1)
-        U, s, _ = np.linalg.svd(self.L, full_matrices=False)
-        self.Lbasis = U[:, : int(np.sum(s > 1e-10 * s[0]))]
+        rows = [self.pos[key] for key in lkeys]
+        self.L = np.zeros((len(self.monos), len(self.vslots)))
+        self.L[rows] = 2.0 * A
+        self.Lbasis = np.zeros((len(self.monos), R.shape[1]))  # orthonormal, spans L's range
+        self.Lbasis[rows] = R
 
     def quad(self, u) -> np.ndarray:
         return (self.S @ u) @ u
@@ -563,32 +570,6 @@ def _certify_tuned(model: _QuadModel, u, t, scale, expected):
     return spec, rf2, misfit, zeros
 
 
-def _second_order_slots(n, m):
-    """Slot families for the second-order engine.
-
-    First-order (quadratic) unknowns: every entry of total degree <= n of
-    the families a, b and c in both zones (_full_slots).  Second-order
-    (linear) unknowns: z-free alpha/beta, per-component gamma on its own
-    variable, plus z-dependent alpha/beta entries that absorb mixed cross
-    terms of the quadratic part; these are never empty.  No slot appears
-    twice.
-    """
-    uslots = _full_slots(n, m, ("a", "b", "c"))
-    vslots = _scalar_slots(n, m, ("alpha", "beta"))
-    for ell in range(1, m + 1):
-        vslots += _axis_slots(n, m, "gamma", ell - 1, ell)
-    for ell in range(1, m + 1):
-        for sign in ("+", "-"):
-            for k in range(1, n + 1):
-                for e in (0, 1):
-                    idx = [e, 0] + [0] * m
-                    idx[2 + ell - 1] = k
-                    if sum(idx) <= n:
-                        vslots.append(("alpha", sign, None, tuple(idx)))
-                        vslots.append(("beta", sign, None, tuple(idx)))
-    return uslots, vslots
-
-
 def second_order_lower_bound(n: int, m: int, phi: float) -> int:
     """Attainable simple-zero count of f_2 per switching-angle regime."""
     if abs(phi - math.pi) < 1e-9:
@@ -606,11 +587,9 @@ def second_order_upper_bound(n: int, m: int) -> int:
 
 def _second_order_generator(n, m, phi, expected, target, seed=0):
     """Shared driver: tune, re-verify, and certify one second-order target."""
-    uslots, vslots = _second_order_slots(n, m)
-    N = _kernel_basis(n, m, phi, uslots)
-    if N.shape[1] == 0:
+    model = _QuadModel(n, m, phi)
+    if model.udim == 0:
         raise InfeasibleTargetError("kernel constraints leave no first-order freedom")
-    model = _QuadModel(n, m, phi, uslots, N, vslots)
     starts = []
     spec, rf2, misfit, zeros = _tune_quadratic(model, target, starts, expected, seed=seed)
     return GeneratorResult(spec, 2, rf2, expected, default_box(m), zeros, {"misfit": misfit, "starts": starts})
@@ -755,8 +734,8 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     # Q map: columns over kernel-constrained first-order slots.  The angular
     # part contributes nothing to f_1, so the kernel constraints involve only
     # the delta-scaled part, even on the entries the angular part shares.
-    uslots = _full_slots(n, m, ("a", "b", "c"))
-    N = _kernel_basis(n, m, phi, uslots)
+    uslots = _full_slots(n, m, FIRST_ORDER)
+    P, pkeys, N, _ = _kernel_split(n, m, phi, uslots)
     Q, qkeys = _angular_cross_map(n, m, phi, uslots)
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
     u = _fit_linear(Q @ N, qkeys, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
@@ -764,8 +743,7 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
 
     # P map: each second-order entry enters r*f_2 through the integral its
     # first-order twin has in f_1, and pslots lists the twins of uslots in order
-    pslots = _full_slots(n, m, ("alpha", "beta", "gamma"))
-    P, pkeys = _f1_matrix(n, m, phi, uslots)
+    pslots = _full_slots(n, m, SECOND_ORDER)
     p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
     v = _fit_linear(P, pkeys, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
 

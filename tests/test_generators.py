@@ -17,11 +17,10 @@ from avgcycles.generators import (
     _angular_part,
     _f1_matrix,
     _full_slots,
-    _kernel_basis,
+    _kernel_split,
     _monomial_basis,
     _poly_vec_to_coeffs,
     _QuadModel,
-    _second_order_slots,
     _spec_from_slots,
     _tune_quadratic,
     first_order_count,
@@ -38,7 +37,7 @@ from avgcycles.generators import (
 )
 from avgcycles.polyalg import Poly, PolyVec
 from avgcycles.rootfind import SearchBox, find_simple_zeros
-from avgcycles.sysspec import zero_spec
+from avgcycles.sysspec import FIRST_ORDER, SECOND_ORDER, zero_spec
 from avgcycles.trigkernel import TWO_PI
 
 PHI = math.pi / 3
@@ -123,16 +122,15 @@ class TestSecondOrderGenerators:
         assert result.expected_count == 4
 
 
-def _quad_model(n, m, phi=PHI):
-    uslots, vslots = _second_order_slots(n, m)
-    return _QuadModel(n, m, phi, uslots, _kernel_basis(n, m, phi, uslots), vslots)
-
-
 class TestSecondOrderTuning:
-    @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (1, 1), (2, 1)])
-    def test_tensor_surrogate_matches_pairwise_probes(self, n, m):
+    @pytest.mark.parametrize("n, m, phi", [(1, 0, PHI), (2, 0, PHI), (1, 1, PHI), (2, 1, PHI),
+                                            (1, 1, math.pi), (2, 0, TWO_PI)],
+                             ids=["1-0", "2-0", "1-1", "2-1", "1-1-pi", "2-0-2pi"])
+    def test_tensor_surrogate_matches_pairwise_probes(self, n, m, phi):
         # reference: polarization over dense kernel directions N e_i, N (e_i + e_j)
-        model = _quad_model(n, m)
+        model = _QuadModel(n, m, phi)
+        twin = dict(zip(FIRST_ORDER, SECOND_ORDER))
+        assert [(twin[fam], *rest) for fam, *rest in model.uslots] == model.vslots
         zero_v = np.zeros(len(model.vslots))
         np.testing.assert_array_equal(model.S, model.S.transpose(0, 2, 1))
 
@@ -157,17 +155,22 @@ class TestSecondOrderTuning:
         fd = np.stack([(model.quad(u + h * e) - model.quad(u - h * e)) / (2 * h) for e in eye], axis=1)
         np.testing.assert_allclose(model.quad_jac(u), fd, rtol=0, atol=1e-10)
 
-        # L from the order-2 field series against build_f2 on each unit v-slot
+        # L from f_1's matrix against build_f2 on each unit v-slot
         zero_u = np.zeros(model.udim)
         lcols = np.stack([probe(zero_u, e) for e in np.eye(len(model.vslots))], axis=1)
         np.testing.assert_allclose(model.L, lcols, rtol=0, atol=1e-14)
         assert seen <= set(model.monos)
+        # Lbasis is an orthonormal basis of L's range
+        B = model.Lbasis
+        assert B.shape[1] == np.linalg.matrix_rank(model.L)
+        np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(B @ (B.T @ model.L), model.L, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
     def test_surrogate_matches_pairwise_series_reference(self, n, m, series_bilinear):
         # reference: S_slot from the symmetrized bilinear form of each
         # same-zone slot pair as one series product, integrated termwise
-        model = _quad_model(n, m)
+        model = _QuadModel(n, m, PHI)
         base = zero_spec(n, m, m, PHI)
         fields = [generators._unit_fields(n, m, PHI, slot) for slot in model.uslots]
 
@@ -180,8 +183,10 @@ class TestSecondOrderTuning:
                                                  + series_bilinear(fields[b], fields[a], ell)).scaled(0.5),
                                     rshift=1).scaled(2.0)
                     for ell in range(m + 1)])
-        lcols = [generators._zone_rf2(base, slot[1], [
-            _field_series(_spec_from_slots(n, m, PHI, [slot], [1.0]), 2, slot[1], ell + 2) for ell in range(m + 1)])
+        # L's columns from each v-slot's own order-2 field series
+        lcols = [PolyVec([
+            _g_contribution(base, slot[1], _field_series(_spec_from_slots(n, m, PHI, [slot], [1.0]), 2, slot[1],
+                                                         ell + 2), rshift=1).scaled(2.0) for ell in range(m + 1)])
             for slot in model.vslots]
         assert model.monos == _monomial_basis(list(blocks.values()) + lcols)
 
@@ -196,7 +201,7 @@ class TestSecondOrderTuning:
     def test_zones_do_not_interact(self, n, m):
         # at d = m, r*f_2 has no cross term between a "+" slot and a "-" slot,
         # which is why _QuadModel probes only same-zone slot pairs
-        uslots, _ = _second_order_slots(n, m)
+        uslots = _full_slots(n, m, FIRST_ORDER)
 
         def rf2(slots):
             return build_f2(_spec_from_slots(n, m, PHI, slots, [1.0] * len(slots)), check_f1=False)
@@ -223,7 +228,7 @@ class TestSecondOrderTuning:
         # generic coefficients on every monomial lie outside Q(u) + L v: the
         # (1, 2) model's image is short (17 of its 22 target directions)
         n, m = 1, 2
-        model = _quad_model(n, m)
+        model = _QuadModel(n, m, PHI)
         rng = np.random.default_rng(0)
         terms = [{} for _ in range(m + 1)]
         for ci, mo in model.monos:
@@ -320,8 +325,8 @@ class TestTh4:
         # reference: half the difference of the real pipeline with and without
         # the angular part, on each kernel direction N e_k
         hslots, hvalues = _angular_part(m)
-        uslots = _full_slots(n, m, ("a", "b", "c"))
-        N = _kernel_basis(n, m, phi, uslots)
+        uslots = _full_slots(n, m, FIRST_ORDER)
+        _, _, N, _ = _kernel_split(n, m, phi, uslots)
         Q, keys = _angular_cross_map(n, m, phi, uslots)
         QN = Q @ N
         for k, col in enumerate(N.T):

@@ -24,9 +24,10 @@ batches of one.
 
 Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
 polishes the averaged-function prediction z_nu* into an actual fixed point
-at every eps of a sweep by Newton on P(z) - z, all eps in lockstep (each
-round's Jacobian points, and each line-search trial, form one batch), and
-records how far it moved.  refine_cycle is the sweep of one eps.
+at every eps of a sweep by Newton on P(z) - z, and records how far it moved.
+That Newton is rootfind's batched damped one, with each eps a row: each
+round's Jacobian points, and each line-search trial, form one batch.
+refine_cycle is the sweep of one eps.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .avgcore import _cheb_rule, _cylindrical, compile_fields
+from .rootfind import _batch_newton
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
 
@@ -308,13 +310,14 @@ def check_eps_values(eps_values) -> tuple:
 def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     """Refine the prediction nu_star at every eps of the sweep, in lockstep.
 
-    Each eps runs its own Newton on P(z) - z from the prediction: a
-    forward-difference Jacobian (step FD_STEP), a line search of at most 20
-    halvings that keeps r > 0 and must lower the residual, a stop below
-    PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS iterations.  Each round
-    integrates the Jacobian points of every unconverged eps as one batch, and
-    each line-search trial of every eps still searching as one batch.  Every
-    eps must be finite and > 0.
+    Each eps is one row of rootfind._batch_newton on P(z) - z from the
+    prediction: a forward-difference Jacobian (step FD_STEP), a line search
+    of at most 20 halvings that keeps r > 0 and must lower the residual, a
+    stop below PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS Jacobians.
+    Each round integrates the Jacobian points of every unconverged eps as one
+    batch, and each line-search trial of every eps still searching as one
+    batch.  Every eps must be finite and > 0; if any eps fails to converge,
+    NoConvergenceError names the first.
     """
     E = np.array(check_eps_values(eps_values))
     if not len(E):
@@ -323,47 +326,23 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     nu_star = np.asarray(nu_star, dtype=float)
     predicted = np.zeros(n)
     predicted[: len(nu_star)] = nu_star
-    Z = np.tile(predicted, (len(E), 1))
-    G = _displacements(spec, E, Z)
-    res = np.max(np.abs(G), axis=1)
-    for _ in range(NEWTON_MAX_ITERS):
-        act = np.flatnonzero(res >= PERIOD_RESIDUAL_TOL)
-        if not len(act):
-            break
-        # H[i, j]: cycle i's step on component j; its n shifted points are consecutive batch rows
-        H = FD_STEP * np.maximum(1.0, np.abs(Z[act]))
-        points = Z[act][:, None, :] + H[:, :, None] * np.eye(n)
-        Gp = _displacements(spec, np.repeat(E[act], n), points.reshape(-1, n)).reshape(-1, n, n)
-        steps = np.empty((len(act), n))
-        for i, k in enumerate(act):
-            J = ((Gp[i] - G[k]) / H[i][:, None]).T
-            try:
-                steps[i] = np.linalg.solve(J, G[k])
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"singular return-map Jacobian at eps={E[k]}", res[k]) from exc
-        t = np.ones(len(act))
-        pending = np.ones(len(act), dtype=bool)
-        for _ in range(20):
-            trial = Z[act] - t[:, None] * steps
-            tried = np.flatnonzero(pending & (trial[:, 0] > 0))
-            if len(tried):
-                rows = act[tried]
-                Gt = _displacements(spec, E[rows], trial[tried])
-                rt = np.max(np.abs(Gt), axis=1)
-                better = rt < res[rows]
-                Z[rows[better]], G[rows[better]], res[rows[better]] = trial[tried[better]], Gt[better], rt[better]
-                pending[tried[better]] = False
-            if not pending.any():
-                break
-            t[pending] *= 0.5
-        else:
-            k = act[np.argmax(pending)]
-            raise NoConvergenceError(
-                f"return-map Newton stalled at residual {res[k]:.3e} (eps={E[k]})", res[k])
-    else:
-        k = act[0]
-        raise NoConvergenceError(f"return-map Newton did not converge, last residual {res[k]:.3e}", res[k])
+
+    def jac(rows, X, FX):
+        # H[i, j]: row i's step on component j; its n shifted points are consecutive batch rows
+        H = FD_STEP * np.maximum(1.0, np.abs(X))
+        points = X[:, None, :] + H[:, :, None] * np.eye(n)
+        Gp = _displacements(spec, np.repeat(E[rows], n), points.reshape(-1, n)).reshape(-1, n, n)
+        return ((Gp - FX[:, None, :]) / H[:, :, None]).transpose(0, 2, 1)
+
+    Z, G, ok, steps = _batch_newton(lambda rows, X: _displacements(spec, E[rows], X), jac,
+                                    np.tile(predicted, (len(E), 1)), PERIOD_RESIDUAL_TOL,
+                                    NEWTON_MAX_ITERS, 20, 0.0)
     # res[b] is max|G[b]|, the displacement integrated at this very Z[b]
+    res = np.max(np.abs(G), axis=1)
+    if not ok.all():
+        k = np.argmin(ok)
+        raise NoConvergenceError(f"return-map Newton failed at eps={E[k]}: residual {res[k]:.3e} "
+                                 f"after {steps[k]} of at most {NEWTON_MAX_ITERS} Jacobians", res[k])
     return [CycleRecord(float(e), z, float(r), predicted.copy(), float(np.linalg.norm(z - predicted)))
             for e, z, r in zip(E, Z, res)]
 

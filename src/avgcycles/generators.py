@@ -546,7 +546,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
         raise rejected
     raise ConstructionError(
         f"second-order tuning stalled: coefficient misfit {best:.3e} "
-        f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.vslots)} linear unknowns)"
+        f"(target scale {scale:.3g}, {model.udim} quadratic + {model.Lbasis.shape[1]} linear unknowns)"
     )
 
 

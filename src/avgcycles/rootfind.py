@@ -4,9 +4,11 @@ Dense grid seeding plus damped Newton: at desk-scale degrees every zero in
 the box is reachable from some nearby seed, so no continuation machinery is
 needed.  The system is compiled once (polyalg.CompiledPolyVec) and Newton
 runs on all seeds as one (seeds, nvars) batch, each seed keeping its own
-stopping, failure and step-halving rules.  The limits are then filtered and
-deduplicated in seed order; a seed that fails at the r_min wall counts as an
-r_min hit, any other failure as diverged.  The same compiled system gives
+stopping, failure and step-halving rules.  That Newton, _batch_newton, takes
+the residual and Jacobian as callbacks told which rows they serve, so
+flowsim's return-map Newton runs on it too.  The limits are then filtered
+and deduplicated in seed order; a seed that fails at the r_min wall counts as
+an r_min hit, any other failure as diverged.  The same compiled system gives
 each zero's final residual and Jacobian determinant: a zero is certified
 simple when the residual is tiny and the determinant clears a degree-aware
 threshold.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,31 +101,34 @@ class SearchDiagnostics:
     r_min_hits: int = 0
     diverged: int = 0
     newton_steps: int = 0
-    notes: list = field(default_factory=list)
 
 
-def _batch_newton(C: CompiledPolyVec, seeds: np.ndarray, r_min: float):
-    """Damped Newton from every seed at once, each seed by its own rules.
+def _batch_newton(fun, jac, x0, tol, max_iters, max_halvings, r_min):
+    """Damped Newton from every point of x0 at once, each point by its own rules.
 
-    A seed stops when its residual drops below RESIDUAL_TOL and fails on a
-    singular Jacobian or when MAX_HALVINGS step halvings find no point above
-    r_min with a lower residual.  Returns the final points, the converged
-    mask and each seed's number of Jacobian evaluations.
+    fun(rows, X) returns the residuals at the points X and jac(rows, X, FX)
+    their Jacobians, FX being fun there; rows holds the indices in x0 of the
+    points X, never empty, so a residual that depends on the row can look its
+    data up.  A point stops when its max-norm residual drops below tol and
+    fails on a singular Jacobian or when max_halvings step halvings find no
+    point with r above r_min and a lower residual; at most max_iters
+    Jacobians are taken.  Returns the final points, their residuals, the
+    converged mask and each point's number of Jacobian evaluations.
     """
-    x = np.array(seeds, dtype=float)
-    fx = C.values(x)
+    x = np.array(x0, dtype=float)
+    fx = fun(np.arange(len(x)), x)
     res = np.max(np.abs(fx), axis=1)
     ok = np.zeros(len(x), dtype=bool)
     steps = np.zeros(len(x), dtype=int)
     live = np.arange(len(x))
-    for _ in range(MAX_ITERS):
-        done = res[live] < RESIDUAL_TOL
+    for _ in range(max_iters):
+        done = res[live] < tol
         ok[live[done]] = True
         live = live[~done]
         if not live.size:
             break
         steps[live] += 1
-        J = C.jacobians(x[live])
+        J = jac(live, x[live], fx[live])
         det = np.linalg.det(J)
         # a finite nonzero determinant means LU met no zero pivot: solve succeeds
         regular = np.isfinite(det) & (np.abs(det) >= 1e-300)
@@ -131,23 +136,24 @@ def _batch_newton(C: CompiledPolyVec, seeds: np.ndarray, r_min: float):
         step = np.linalg.solve(J[regular], fx[live][:, :, None])[:, :, 0]
         t = 1.0
         pending = np.ones(len(live), dtype=bool)
-        for _ in range(MAX_HALVINGS):
+        for _ in range(max_halvings):
             cand = np.flatnonzero(pending)
             xn = x[live[cand]] - t * step[cand]
             above = xn[:, 0] > r_min
             cand, xn = cand[above], xn[above]
-            fn = C.values(xn)
-            rn = np.max(np.abs(fn), axis=1)
-            better = rn < res[live[cand]]
-            acc = live[cand[better]]
-            x[acc], fx[acc], res[acc] = xn[better], fn[better], rn[better]
-            pending[cand[better]] = False
+            if cand.size:
+                fn = fun(live[cand], xn)
+                rn = np.max(np.abs(fn), axis=1)
+                better = rn < res[live[cand]]
+                acc = live[cand[better]]
+                x[acc], fx[acc], res[acc] = xn[better], fn[better], rn[better]
+                pending[cand[better]] = False
             if not pending.any():
                 break
             t *= 0.5
         live = live[~pending]
-    ok[live] = res[live] < RESIDUAL_TOL
-    return x, ok, steps
+    ok[live] = res[live] < tol
+    return x, fx, ok, steps
 
 
 def simplicity_threshold(F: PolyVec) -> float:
@@ -167,7 +173,8 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
 
     seeds = box.seeds()
     C = CompiledPolyVec.of(F)
-    x, ok, steps = _batch_newton(C, seeds, box.r_min)
+    x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
+                                    seeds, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, box.r_min)
     # a seed that failed within DEDUP_TOL of the wall was stopped by r_min
     at_wall = ~ok & (x[:, 0] - box.r_min < DEDUP_TOL)
     diag.seeds += len(seeds)

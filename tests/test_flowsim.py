@@ -14,6 +14,7 @@ from avgcycles.flowsim import (
     CycleError,
     DenominatorVanishedError,
     IntegrationFailure,
+    NoConvergenceError,
     RCrossedZeroError,
     _breakpoints,
     _integrate,
@@ -275,6 +276,20 @@ class TestLockstepSweep:
         result = gen_prop10(1, 0, math.pi / 2)
         with pytest.raises(DenominatorVanishedError):
             eps_sweep(result.spec, result.zeros[0], (3.0, 1e-2))
+
+    def test_converging_on_the_last_allowed_iteration_is_accepted(self, monkeypatch):
+        # one Jacobian takes this prediction below PERIOD_RESIDUAL_TOL (3.6e-12)
+        monkeypatch.setattr(flowsim, "NEWTON_MAX_ITERS", 1)
+        result = gen_prop10(1, 0, math.pi / 2)
+        (rec,) = eps_sweep(result.spec, result.zeros[0], (1e-2,))
+        assert rec.accepted and rec.distance > 0
+
+    def test_unconverged_eps_is_named(self, monkeypatch):
+        monkeypatch.setattr(flowsim, "NEWTON_MAX_ITERS", 0)
+        result = gen_prop10(1, 0, math.pi / 2)
+        with pytest.raises(NoConvergenceError, match=r"eps=0.01: .* after 0 of at most 0 Jacobians") as info:
+            eps_sweep(result.spec, result.zeros[0], (1e-2,))
+        assert info.value.residual == np.max(np.abs(displacement(result.spec, 1e-2, result.zeros[0])))
 
     def test_empty_sweep(self):
         result = gen_prop10(1, 0, math.pi / 2)

@@ -234,7 +234,8 @@ class TestSecondOrderTuning:
         for ci, mo in model.monos:
             terms[ci][mo] = rng.normal()
         starts = []
-        with pytest.raises(ConstructionError, match="second-order tuning stalled"):
+        # the message counts L's rank as the linear unknowns, not its 40 v-slots
+        with pytest.raises(ConstructionError, match=r"second-order tuning stalled.*28 quadratic \+ 12 linear"):
             _tune_quadratic(model, PolyVec([Poly(m + 1, t) for t in terms]), starts)
         assert len(starts) == TUNING_STARTS  # one record per start
         assert all(rec["reason"] == "stall" for rec in starts)

@@ -121,6 +121,14 @@ def _reference_newton(F, x0, r_min):
     return x, res < RESIDUAL_TOL, MAX_ITERS
 
 
+def _compiled_newton(F, seeds, r_min):
+    """_batch_newton on F's compiled system with the root search's constants: (points, converged, steps)."""
+    C = CompiledPolyVec.of(F)
+    x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
+                                    seeds, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, r_min)
+    return x, ok, steps
+
+
 class TestBatchNewton:
     @pytest.mark.parametrize("make", [
         lambda: (_grid_system([0.7, 1.4], [-0.5, 0.5]), SearchBox([0.05, -1.0], [2.0, 1.0], grid=(9, 9))),
@@ -131,11 +139,31 @@ class TestBatchNewton:
     def test_matches_per_seed_reference(self, make):
         F, box = make()
         seeds = box.seeds()
-        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), seeds, box.r_min)
+        x, ok, steps = _compiled_newton(F, seeds, box.r_min)
         ref = [_reference_newton(F, s, box.r_min) for s in seeds]
         assert ok.tolist() == [r[1] for r in ref]
         assert steps.tolist() == [r[2] for r in ref]
         np.testing.assert_allclose(x, [r[0] for r in ref], rtol=0, atol=1e-9)
+
+    def test_residual_may_depend_on_the_row(self):
+        # (x^2 - c[row]^2, y - x) has its root at (c[row], c[row]): each row
+        # must be evaluated on its own data, also when the line search tries
+        # only some of the rows (the 0.6 start overshoots and is halved)
+        c = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        x0 = np.array([[1.0, 0.2], [1.0, -0.3], [0.6, 0.1], [4.0, 0.0], [1.0, 1.0]])
+
+        def fun(rows, X):
+            return np.column_stack([X[:, 0] ** 2 - c[rows] ** 2, X[:, 1] - X[:, 0]])
+
+        def jac(rows, X, FX):
+            J = np.zeros((len(X), 2, 2))
+            J[:, 0, 0], J[:, 1, 0], J[:, 1, 1] = 2.0 * X[:, 0], -1.0, 1.0
+            return J
+
+        x, fx, ok, steps = _batch_newton(fun, jac, x0, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, 1e-6)
+        assert ok.all() and (steps > 0).all()
+        np.testing.assert_allclose(x, np.column_stack([c, c]), rtol=0, atol=1e-9)
+        assert np.array_equal(fx, fun(np.arange(len(x)), x))
 
     def test_seed_uses_up_halvings(self):
         # (r - c)^2 + 1 has no zero; at r = 1 the slope is -2e-9, so the Newton
@@ -145,7 +173,7 @@ class TestBatchNewton:
         box = SearchBox([0.5], [1.5], grid=(1,))
         assert box.seeds()[0, 0] == 1.0
         assert abs(jacobian(F, [1.0])[1]) > 1e-300
-        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), box.seeds(), box.r_min)
+        x, ok, steps = _compiled_newton(F, box.seeds(), box.r_min)
         assert not ok[0] and x[0, 0] == 1.0 and steps[0] == 1
         diag = SearchDiagnostics()
         assert find_simple_zeros(F, box, diag) == []
@@ -156,7 +184,7 @@ class TestBatchNewton:
         # seed creeps down to the wall until no halving stays above it
         F = PolyVec([Poly(1, {(1,): 1.0, (0,): 0.5})])
         box = SearchBox([0.05], [2.0], grid=(1,), r_min=0.05)
-        x, ok, steps = _batch_newton(CompiledPolyVec.of(F), box.seeds(), box.r_min)
+        x, ok, steps = _compiled_newton(F, box.seeds(), box.r_min)
         assert not ok[0]
         assert box.r_min < x[0, 0] < box.r_min + 1e-6
         assert 1 < steps[0] < MAX_ITERS

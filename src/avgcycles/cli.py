@@ -101,7 +101,7 @@ def cmd_averaged(args) -> int:
     if avg.rf2 is not None:
         text += "\n" + _poly_text(avg.rf2, names_f2)
     print(text)
-    with open(_out_path(args, "averaged.txt"), "w") as fh:
+    with open(_out_path(args, "averaged.txt"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     payload = {
         "f1": [{",".join(map(str, mo)): c for mo, c in sorted(p.terms.items())} for p in avg.f1],
@@ -109,7 +109,7 @@ def cmd_averaged(args) -> int:
                [{",".join(map(str, mo)): c for mo, c in sorted(p.terms.items())} for p in avg.rf2],
         "first_order_zero": avg.rf2 is not None,
     }
-    with open(_out_path(args, "averaged.json"), "w") as fh:
+    with open(_out_path(args, "averaged.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     return 0
 
@@ -180,7 +180,7 @@ def cmd_reproduce(args) -> int:
     report.write_csv(_out_path(args, "report.csv"))
     table = report.text_table()
     print(table)
-    with open(_out_path(args, "report.txt"), "w") as fh:
+    with open(_out_path(args, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     return 0 if report.all_passed else 1
 

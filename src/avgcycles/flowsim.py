@@ -368,7 +368,7 @@ def distance_slope(records) -> float:
 
 
 def write_cycle_csv(path, records, d: int):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "r"] + [f"z{k}" for k in range(1, d + 1)]
                         + ["period_residual", "distance", "accepted"])

@@ -31,16 +31,16 @@ diagonal the form itself (no polarization); S = N^T S_slot N.  Only slots
 of the same zone are paired: a "+" and a "-" slot never interact in r*f_2
 at d = m.  All pairs of one zone come from one Gram-matrix contraction
 (avgcore._quadratic_rf2), with no series products.  The generators tune u
-by least squares against the exact target with multistart, each start run
-once with scipy's default scaling and stopped once it reaches its target
-or stalls, and recover v by a linear solve.  Every converged start is
-re-verified against the real build_f1/build_f2 pipeline and certified by
-root search; one that fails either is recorded as an "undercount" and the
-tuning moves on to its next start.  gen_th4 realizes a prescribed reduced
-system by two linear fits over the same slots: its P map is the same A,
-read on the twins, its Q map the cross term of the same bilinear form with
-a fixed angular part.  The generators call build_f1 and build_f2 only to
-re-verify what they built.
+by least squares against the exact target with multistart, each start one
+run of a trust-region Gauss-Newton loop (_gauss_newton) stopped once it
+reaches its target or stalls, and recover v by a linear solve.  Every
+converged start is re-verified against the real build_f1/build_f2
+pipeline and certified by root search; one that fails either is recorded
+as an "undercount" and the tuning moves on to its next start.  gen_th4
+realizes a prescribed reduced system by two linear fits over the same
+slots: its P map is the same A, read on the twins, its Q map the cross
+term of the same bilinear form with a fixed angular part.  The generators
+call build_f1 and build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.random import default_rng
 
 from .avgcore import (
     _quadratic_rf2,
@@ -466,11 +466,12 @@ class _QuadModel:
 
 
 class _StopRule:
-    """least_squares callback ending a start at its target misfit or on a stall.
+    """Callback of _gauss_newton ending a start at its target misfit or on a stall.
 
-    The misfit is the largest coefficient residual: ``fun`` without
-    its norm-penalty tail.  A start stalls when its best misfit has not
-    halved over the last STALL_WINDOW iterations.
+    It is called with the residual vector after each accepted step.  The
+    misfit is the largest coefficient residual: the residual without its
+    norm-penalty tail.  A start stalls when its best misfit has not halved
+    over the last STALL_WINDOW iterations.
     """
 
     def __init__(self, nmono, target):
@@ -478,8 +479,8 @@ class _StopRule:
         self.best = []  # best misfit after each iteration
         self.reason = None
 
-    def __call__(self, intermediate_result):
-        err = float(np.max(np.abs(intermediate_result.fun[: self.nmono])))
+    def __call__(self, residual):
+        err = float(np.max(np.abs(residual[: self.nmono])))
         self.best.append(min(err, self.best[-1]) if self.best else err)
         if err < self.target:
             self.reason = "target"
@@ -487,6 +488,93 @@ class _StopRule:
             self.reason = "stall"
         if self.reason:
             raise StopIteration
+
+
+def _trust_step(uf, s, Vt, radius, alpha):
+    """Minimizer of |J p + f| over |p| <= radius, with J = U diag(s) Vt and uf = U^T f; returns (p, alpha).
+
+    The Gauss-Newton step -pinv(J) f (alpha = 0) when it fits, else the
+    boundary point p(alpha) = -V (s uf / (s^2 + alpha)), alpha solving
+    |p(alpha)| = radius by Moré's safeguarded Newton iteration on 1/|p|
+    (to 1% of the radius, at most 10 steps), warm-started from ``alpha``.
+    """
+    p = -(Vt.T @ (uf / s))
+    if np.linalg.norm(p) <= radius:
+        return p, 0.0
+    suf = s * uf
+
+    def phi(a):  # |p(a)| - radius and its derivative in a
+        d = s**2 + a
+        norm = np.linalg.norm(suf / d)
+        return norm - radius, -np.sum(suf**2 / d**3) / norm
+
+    val, der = phi(0.0)
+    lower, upper = -val / der, np.linalg.norm(suf) / radius
+    for _ in range(10):
+        if not lower <= alpha <= upper:
+            alpha = max(1e-3 * upper, math.sqrt(lower * upper))
+        val, der = phi(alpha)
+        if val < 0:
+            upper = alpha
+        lower = max(lower, alpha - val / der)
+        alpha -= (val + radius) / radius * val / der
+        if abs(val) < 0.01 * radius:
+            break
+    p = -(Vt.T @ (suf / (s**2 + alpha)))
+    return p * (radius / np.linalg.norm(p)), alpha
+
+
+def _gauss_newton(fun, jac, x, callback, max_nfev=4000):
+    """Minimize |fun(x)|^2 from x by trust-region Gauss-Newton; returns (x, nfev, status).
+
+    Moré's Levenberg-Marquardt (LNM 630, 1978) on a dense Jacobian: one SVD
+    per accepted point, each trial the exact step of _trust_step.  A trial
+    is accepted when it lowers the cost; the radius starts at |x|, is cut
+    to a quarter of the step when the cost falls by less than a quarter of
+    the model's prediction, and doubles when it falls by more than three
+    quarters on a step at the boundary.  ``callback(fun(x))`` runs after
+    each accepted step.  status is "callback" when it raised StopIteration,
+    "converged" when the cost fell by less than tol * cost or the step was
+    shorter than tol * (tol + |x|), tol = 3e-16, and "max_nfev" when fun
+    ran max_nfev times.
+    """
+    tol = 3e-16
+    f = fun(x)
+    cost, nfev, alpha = f @ f, 1, 0.0
+    radius = float(np.linalg.norm(x)) or 1.0
+    while True:
+        U, s, Vt = np.linalg.svd(jac(x), full_matrices=False)
+        keep = s > np.finfo(float).eps * max(U.shape) * s[0]  # lstsq's default rank rule
+        uf, s, Vt = (U.T @ f)[keep], s[keep], Vt[keep]
+        while True:
+            if nfev >= max_nfev:
+                return x, nfev, "max_nfev"
+            step, alpha = _trust_step(uf, s, Vt, radius, alpha)
+            x_new = x + step
+            f_new = fun(x_new)
+            cost_new, nfev = f_new @ f_new, nfev + 1
+            ds = s * (Vt @ step)
+            predicted, actual = -(ds @ (ds + 2.0 * uf)), cost - cost_new
+            rho = actual / predicted if predicted > 0 else 0.0
+            step_norm = float(np.linalg.norm(step))
+            converged = (actual < tol * cost and rho > 0.25
+                         or step_norm < tol * (tol + np.linalg.norm(x)))
+            if rho > 0:
+                x, f, cost = x_new, f_new, cost_new
+                try:
+                    callback(f)
+                except StopIteration:
+                    return x, nfev, "callback"
+            if converged:
+                return x, nfev, "converged"
+            new_radius = radius
+            if not rho >= 0.25:  # also when fun(x + step) is not finite
+                new_radius = 0.25 * step_norm
+            elif rho > 0.75 and step_norm > 0.95 * radius:
+                new_radius = 2.0 * radius
+            alpha, radius = alpha * radius / new_radius, new_radius
+            if rho > 0:
+                break
 
 
 def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0, seed=0):
@@ -502,7 +590,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
     successful tuning's winning start is the last one appended.
     """
     t = model.target_vector(target)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
     stop_at = 1e-3 * LINEAR_TOL * scale
     # A tiny norm penalty keeps the optimizer off the asymptotic escape
@@ -523,23 +611,20 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
     for trial in range(TUNING_STARTS):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
         rule = _StopRule(len(model.monos), stop_at)
-        sol = least_squares(
-            res_aug, u0, jac=jac_aug, callback=rule,
-            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000,
-        )
-        err = float(np.max(np.abs(model.residual_reduced(sol.x, t))))
+        u, nfev, status = _gauss_newton(res_aug, jac_aug, u0, rule)
+        err = float(np.max(np.abs(model.residual_reduced(u, t))))
         best = min(best, err)
-        if sol.status == 0:
+        if status == "max_nfev":
             reason = "max_nfev"
-        else:  # the rule's verdict, or scipy's own tolerances: no more progress
+        else:  # the rule's verdict, or the loop's cost/step test: no more progress
             reason = rule.reason or ("target" if err < stop_at else "stall")
         tuned = None
         if err < LINEAR_TOL * scale:
             try:
-                tuned = _certify_tuned(model, sol.x, t, scale, expected)
+                tuned = _certify_tuned(model, u, t, scale, expected)
             except ConstructionError as exc:
                 rejected, reason = exc, "undercount"
-        starts.append({"reason": reason, "nfev": int(sol.nfev), "misfit": err})
+        starts.append({"reason": reason, "nfev": nfev, "misfit": err})
         if tuned is not None:
             return tuned
     if rejected is not None:

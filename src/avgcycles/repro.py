@@ -130,7 +130,7 @@ class Report:
               "verified_cycles", "status", "detail"]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             for key, val in self.metadata.items():
                 writer.writerow([f"# {key}", val])

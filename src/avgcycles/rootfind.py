@@ -234,7 +234,7 @@ def certify_count(F: PolyVec, box: SearchBox, expected: int) -> dict:
 
 def write_zero_csv(path, records, nvars: int | None = None):
     nvars = nvars if nvars is not None else (len(records[0].nu) if records else 1)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r"] + [f"z{k}" for k in range(1, nvars)] + ["residual", "jac_det", "simple"])
         for rec in records:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .trigkernel import TWO_PI
 
@@ -226,12 +227,12 @@ class SystemSpec:
         return cls(n, m, d, float(data["phi"]), tuple(data["mu"]), tables)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
 
     @classmethod
     def load(cls, path) -> "SystemSpec":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -247,7 +248,7 @@ def zero_spec(n: int, m: int, d: int, phi: float, mu=None) -> SystemSpec:
 
 def random_spec(n: int, m: int, d: int, phi: float, rng, mu=None, scale=1.0) -> SystemSpec:
     """Dense random tables, useful for oracle cross-checks."""
-    rng = np.random.default_rng(rng)
+    rng = default_rng(rng)
     spec = zero_spec(n, m, d, phi, mu)
     for fam in FIRST_ORDER + SECOND_ORDER:
         for sign in SIGNS:

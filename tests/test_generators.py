@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from avgcycles import generators
 from avgcycles.avgcore import _field_series, _g_contribution, build_f1, build_f2
@@ -17,6 +18,7 @@ from avgcycles.generators import (
     _angular_part,
     _f1_matrix,
     _full_slots,
+    _gauss_newton,
     _kernel_split,
     _monomial_basis,
     _poly_vec_to_coeffs,
@@ -278,6 +280,79 @@ class TestSecondOrderTuning:
         one, two = (gen_prop12(1, 1, PHI, seed=5) for _ in range(2))
         assert one.spec.to_json_dict() == two.spec.to_json_dict()
         assert one.notes["starts"] == two.notes["starts"]
+
+
+def _linear(A, b, lam):
+    """Residual and Jacobian of |A u - b|^2 + lam^2 |u|^2, as _tune_quadratic stacks them."""
+    eye = lam * np.eye(A.shape[1])
+    return (lambda u: np.concatenate([A @ u - b, lam * u]), lambda u: np.vstack([A, eye]))
+
+
+def _rosenbrock():
+    return (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+
+
+class TestGaussNewton:
+    def test_underdetermined_system_gives_the_minimum_norm_solution(self):
+        # the penalty rows remove u's component in A's null space only through
+        # an undamped Gauss-Newton step: the loop must land on pinv(A) b
+        rng = np.random.default_rng(5)
+        A, b = rng.normal(size=(6, 10)), rng.normal(size=6)
+        fun, jac = _linear(A, b, lam=1e-9)
+        x, nfev, status = _gauss_newton(fun, jac, rng.normal(scale=2.0, size=10), lambda f: None)
+        assert status == "converged" and nfev < 100
+        np.testing.assert_allclose(x, np.linalg.pinv(A) @ b, rtol=0, atol=1e-12)
+
+    def test_stop_iteration_ends_at_the_current_point(self):
+        fun, jac = _rosenbrock()
+        seen = []
+
+        def third_stops(f):
+            seen.append(f)
+            if len(seen) == 3:
+                raise StopIteration
+
+        x, nfev, status = _gauss_newton(fun, jac, np.array([-1.2, 1.0]), third_stops)
+        assert status == "callback" and len(seen) == 3
+        np.testing.assert_array_equal(fun(x), seen[-1])
+
+    def test_converges_on_a_nonlinear_residual(self):
+        fun, jac = _rosenbrock()
+        x, nfev, status = _gauss_newton(fun, jac, np.array([-1.2, 1.0]), lambda f: None)
+        assert status == "converged"
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
+
+    def test_inconsistent_system_ends_by_the_cost_or_step_test(self):
+        # x0^2 + 1 never vanishes: the cost stops falling well before max_nfev
+        fun = lambda x: np.array([x[0] ** 2 + 1.0, x[0] * x[1] - 2.0, x[1] - 1.0])  # noqa: E731
+        jac = lambda x: np.array([[2.0 * x[0], 0.0], [x[1], x[0]], [0.0, 1.0]])  # noqa: E731
+        calls = []
+        x, nfev, status = _gauss_newton(fun, jac, np.array([3.0, -2.0]), calls.append)
+        assert status == "converged" and nfev < 200
+        assert fun(x) @ fun(x) <= calls[0] @ calls[0]
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
+    def test_matches_scipy_trf_on_a_tuning_residual(self, n, m):
+        # the loop is trf's exact-subproblem iteration at unit scaling: the
+        # same evaluations give the same iterate up to round-off
+        model = _QuadModel(n, m, PHI)
+        t = model.target_vector(generators._mixed_targets(n, m, 2 * n, 2 * n - 1))
+        lam = 1e-9 * max(1.0, float(np.max(np.abs(t))))
+        fun = lambda u: np.concatenate([model.residual_reduced(u, t), lam * u])  # noqa: E731
+        jac = lambda u: np.vstack([model.residual_jac(u, t), lam * np.eye(model.udim)])  # noqa: E731
+        u0 = np.random.default_rng(0).normal(size=model.udim)
+        x, nfev, status = _gauss_newton(fun, jac, u0, lambda f: None, max_nfev=40)
+        ref = least_squares(fun, u0, jac=jac, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=40)
+        assert (status, nfev) == ("max_nfev", ref.nfev)
+        np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-10)
+
+    def test_max_nfev_is_the_backstop(self):
+        fun, jac = _rosenbrock()
+        x0 = np.array([-1.2, 1.0])
+        x, nfev, status = _gauss_newton(fun, jac, x0, lambda f: None, max_nfev=1)
+        assert (status, nfev) == ("max_nfev", 1)
+        np.testing.assert_array_equal(x, x0)
 
 
 def _th4_pair():

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,17 @@ from avgcycles.flowsim import (
 from avgcycles.generators import ConstructionError, gen_prop10, gen_prop12
 from avgcycles.repro import Report, RunConfig, _run_case, build_report
 from avgcycles.sysspec import zero_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_imports_no_scipy():
+    # scipy serves the tests' references only; the runtime must not pay its import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = "import sys, avgcycles, avgcycles.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRunConfig:

@@ -301,25 +301,24 @@ def _dense_rows(groups, basis: dict, monos: dict, width: int, rshift: int = 0):
     return np.array(list(rows), dtype=np.intp).reshape(len(rows), width), entries
 
 
-def _quadratic_rf2(spec: SystemSpec, sign: str, fa: list, fb: list):
+def _quadratic_rf2(spec: SystemSpec, sign: str, fields: list):
     """One zone's contribution to r*f_2 of the symmetrized quadratic part, for every pair of fields.
 
     Returns (monos, X): X[a, b, l, k] is the coefficient of nu^monos[k] in
-    2*g of (B_l(fa[a], fb[b]) + B_l(fb[b], fa[a])) / 2 over the zone, so that
-    X[a, a] is B_l(fa[a], fa[a]) itself when fb is fa.  Every series of the
-    fields is a dense matrix C (nu-monomials x the zone's (k, lam) basis), and
-    the integral of a product F*G over the zone is Re(C_F W C_G^T), W the
-    basis Gram matrix: one W serves every pair.  Each entry lands on
-    mono_F + mono_G with r raised by one; entries below PRUNE_TOL are zeroed.
+    2*g of (B_l(F_a, F_b) + B_l(F_b, F_a)) / 2 over the zone, F = fields, so
+    that X[a, a] is B_l(F_a, F_a) itself.  Every series of the fields is a
+    dense matrix C (nu-monomials x the zone's (k, lam) basis), and the
+    integral of a product F*G over the zone is Re(C_F W C_G^T), W the basis
+    Gram matrix: one W serves every pair.  One orientation B_l(F_a, F_b) is
+    integrated, then X + X^T.  Each entry lands on mono_F + mono_G with r
+    raised by one; entries below PRUNE_TOL are zeroed.
     """
     m, basis, lmonos, rmonos = spec.m, {}, {}, {}
-    sides = []  # left rows (field, term, mono) and right rows (field, component, term, mono)
-    for left, right in ((fa, fb), (fb, fa))[: 1 if fb is fa else 2]:
-        L = _dense_rows((((a, t), s) for a, F in enumerate(left) for t, s in enumerate(F.left)),
-                        basis, lmonos, 3, rshift=1)
-        R = _dense_rows((((b, ell, t), s) for b, G in enumerate(right)
-                         for ell, comp in enumerate(G.right) for t, s in enumerate(comp)), basis, rmonos, 4)
-        sides.append((L, R))
+    # left rows (field, term, mono), right rows (field, component, term, mono)
+    Lrows, Lentries = _dense_rows((((a, t), s) for a, F in enumerate(fields) for t, s in enumerate(F.left)),
+                                  basis, lmonos, 3, rshift=1)
+    Rrows, Rentries = _dense_rows((((b, ell, t), s) for b, G in enumerate(fields)
+                                   for ell, comp in enumerate(G.right) for t, s in enumerate(comp)), basis, rmonos, 4)
     W = gram_matrix(list(basis), *_zone_bounds(spec, sign))
     out = {}  # the output monomial of each (left, right) monomial pair
     target = np.array([[out.setdefault(tuple(e + f for e, f in zip(p, q)), len(out)) for q in rmonos]
@@ -335,24 +334,19 @@ def _quadratic_rf2(spec: SystemSpec, sign: str, fa: list, fb: list):
         if entries:
             r, col, c = zip(*entries)
             C[r, 0, col], C[r, 1, col] = np.real(c), imag_sign * np.imag(c)
-        return rows, C.reshape(len(rows), 2 * len(basis))
+        return C.reshape(len(rows), 2 * len(basis))
 
+    CLW, CR = dense(Lrows, Lentries, 1.0) @ Wr, dense(Rrows, Rentries, -1.0)
     flat, vals = [], []  # each product term's index in X and its integral
-    for swap, (L, R) in enumerate(sides):
-        (Lrows, CL), (Rrows, CR) = dense(*L, 1.0), dense(*R, -1.0)
-        CLW = CL @ Wr
-        for t in range(spec.d + 2):
-            i, j = np.flatnonzero(Lrows[:, 1] == t), np.flatnonzero(Rrows[:, 2] == t)
-            a, b = Lrows[i, :1], Rrows[j, 0]  # broadcast to the (i, j) pairs
-            a, b = (b, a) if swap else (a, b)
-            k = target[Lrows[i, 2:], Rrows[j, 3]]
-            flat.append((((a * len(fb) + b) * (m + 1) + Rrows[j, 1]) * len(out) + k).ravel())
-            vals.append((CLW[i] @ CR[j].T).ravel())
-    shape = (len(fa), len(fb), m + 1, len(out))
+    for t in range(spec.d + 2):
+        i, j = np.flatnonzero(Lrows[:, 1] == t), np.flatnonzero(Rrows[:, 2] == t)
+        a, b = Lrows[i, :1], Rrows[j, 0]  # broadcast to the (i, j) pairs
+        k = target[Lrows[i, 2:], Rrows[j, 3]]
+        flat.append((((a * len(fields) + b) * (m + 1) + Rrows[j, 1]) * len(out) + k).ravel())
+        vals.append((CLW[i] @ CR[j].T).ravel())
+    shape = (len(fields), len(fields), m + 1, len(out))
     X = np.bincount(np.concatenate(flat), weights=np.concatenate(vals), minlength=math.prod(shape)).reshape(shape)
-    if fb is fa:
-        X = X + X.transpose(1, 0, 2, 3)
-    X = X * (1.0 if sign == "+" else -1.0)  # 2 * g of the half-sum
+    X = (X + X.transpose(1, 0, 2, 3)) * (1.0 if sign == "+" else -1.0)  # 2 * g of the half-sum
     X[np.abs(X) < PRUNE_TOL] = 0.0
     return list(out), X
 
@@ -379,7 +373,7 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     m = spec.m
     gammas = build_gamma(spec) if m < spec.d else []
     zones = {sign: _ZoneFields(spec, sign) for sign in ("+", "-")}
-    quadratic = {sign: _quadratic_rf2(spec, sign, [Z], [Z]) for sign, Z in zones.items()}
+    quadratic = {sign: _quadratic_rf2(spec, sign, [Z]) for sign, Z in zones.items()}
     r_poly = Poly.variable(m + 1, 0)
     comps = []
     for ell in range(m + 1):

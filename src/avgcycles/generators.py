@@ -23,24 +23,26 @@ their second-order twins in the same order.  One SVD of f_1's matrix A on
 the u-slots (_kernel_split) gives N, a basis of its null space, and a basis
 of its range.  At d = m a second-order entry enters r*f_2 as 2r times the
 integral its first-order twin has in f_1, so L is 2A with every row's
-monomial raised by r, and A's range is L's.  Q(u)_k = u^T S_k u is built
-in slot coordinates: each u-slot's zone fields (avgcore._ZoneFields) are
-computed once in its own zone, and S_slot[a, b] is the symmetrized
-bilinear form B on slots a and b, the same form build_f2 integrates, its
-diagonal the form itself (no polarization); S = N^T S_slot N.  Only slots
-of the same zone are paired: a "+" and a "-" slot never interact in r*f_2
-at d = m.  All pairs of one zone come from one Gram-matrix contraction
-(avgcore._quadratic_rf2), with no series products.  The generators tune u
-by least squares against the exact target with multistart, each start one
-run of a trust-region Gauss-Newton loop (_gauss_newton) stopped once it
-reaches its target or stalls, and recover v by a linear solve.  Every
-converged start is re-verified against the real build_f1/build_f2
-pipeline and certified by root search; one that fails either is recorded
-as an "undercount" and the tuning moves on to its next start.  gen_th4
-realizes a prescribed reduced system by two linear fits over the same
-slots: its P map is the same A, read on the twins, its Q map the cross
-term of the same bilinear form with a fixed angular part.  The generators
-call build_f1 and build_f2 only to re-verify what they built.
+monomial raised by r, and A's range is L's.  r*f_2's quadratic part is
+read once, in slot coordinates, as the slot form (_slot_form): each
+u-slot's zone fields (avgcore._ZoneFields) are computed once in its own
+zone, and S_slot[a, b] is the symmetrized bilinear form B on slots a and
+b, the same form build_f2 integrates, its diagonal the form itself (no
+polarization).  Only slots of the same zone are paired: a "+" and a "-"
+slot never interact in r*f_2 at d = m.  All pairs of one zone come from
+one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
+products.  The tuning's Q(u)_k = u^T S_k u has S = N^T S_slot N.  The
+generators tune u by least squares against the exact target with
+multistart, each start one run of a trust-region Gauss-Newton loop
+(_gauss_newton) stopped once it reaches its target or stalls, and recover
+v by a linear solve.  Every converged start is re-verified against the
+real build_f1/build_f2 pipeline and certified by root search; one that
+fails either is recorded as an "undercount" and the tuning moves on to its
+next start.  gen_th4 realizes a prescribed reduced system by two linear
+fits over the same slots: its P map is the same A, read on the twins, and
+its Q map the same slot form contracted with a fixed angular part h, a
+vector over the u-slots (h^T S_slot).  The generators call build_f1 and
+build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -363,28 +365,33 @@ def _kernel_split(n, m, phi, slots):
     return A, keys, Vt[rank:].T, U[:, :rank]
 
 
-def _unit_fields(n, m, phi, slot) -> _ZoneFields:
-    """The zone fields of one unit slot, in the slot's own zone."""
-    return _ZoneFields(_spec_from_slots(n, m, phi, [slot], [1.0]), slot[1])
+def _slot_form(n, m, phi, uslots):
+    """r*f_2's quadratic part as a symmetric bilinear form on the unit u-slots: (keys, S_slot).
 
-
-def _cross_rf2(n, m, phi, uslots):
-    """r*f_2's quadratic part as a symmetric bilinear form on the unit u-slots, one zone at a time.
-
-    Yields (idx, keys, X) per zone, idx the zone's positions in uslots and
-    X[a, b, k] the coefficient of keys[k] = (component, monomial) in
-    (B(e_a, e_b) + B(e_b, e_a)) / 2 for slots idx[a] and idx[b], B(e_a, e_a)
-    itself on the diagonal, so it needs no polarization.  Only keys with a
-    nonzero coefficient are kept.  Every pair of a zone shares one Gram matrix.
+    S_slot[k, a, b] is the coefficient of keys[k] = (component, monomial) in
+    (B(e_a, e_b) + B(e_b, e_a)) / 2, B(e_a, e_a) itself on the diagonal, so
+    it needs no polarization.  The keys are sorted and hold every nonzero
+    coefficient.  Each slot's zone fields are computed once, in its own
+    zone, and every pair of a zone shares one Gram matrix.  Every spec here
+    has d = m, so build_f2 has no gamma * dg_1 slave term and each quadratic
+    term pairs two fields of one zone: a "+" and a "-" slot never interact,
+    and cross-zone pairs are left zero.
     """
     base = zero_spec(n, m, m, phi)
+    zones = []
     for sign in ("+", "-"):
         idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
-        fields = [_unit_fields(n, m, phi, uslots[k]) for k in idx]
-        monos, X = _quadratic_rf2(base, sign, fields, fields)
+        fields = [_ZoneFields(_spec_from_slots(n, m, phi, [uslots[k]], [1.0]), sign) for k in idx]
+        monos, X = _quadratic_rf2(base, sign, fields)
         X = X.reshape(len(idx), len(idx), (m + 1) * len(monos))
         keep = np.flatnonzero(X.any(axis=(0, 1)))
-        yield idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[:, :, keep]
+        zones.append((idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[:, :, keep]))
+    keys = sorted(set().union(*(zkeys for _, zkeys, _ in zones)))
+    pos = {key: k for k, key in enumerate(keys)}
+    S_slot = np.zeros((len(keys), len(uslots), len(uslots)))
+    for idx, zkeys, X in zones:
+        S_slot[np.ix_([pos[key] for key in zkeys], idx, idx)] = X.transpose(2, 0, 1)
+    return keys, S_slot
 
 
 class _QuadModel:
@@ -404,23 +411,17 @@ class _QuadModel:
         self.vslots = _full_slots(n, m, SECOND_ORDER)  # vslots[k] is uslots[k]'s twin
         A, keys, self.N, R = _kernel_split(n, m, phi, self.uslots)
         self.udim = self.N.shape[1]
-        # Q in slot coordinates x, Q_k = x^T S_slot,k x.  Every spec here has
-        # d = m, so build_f2 has no gamma * dg_1 slave term, and its quadratic
-        # part in component l is the bilinear form B_l(x, x) of the zone
-        # fields, each term a product of two fields of one zone: a "+" slot
-        # and a "-" slot never interact, and cross-zone pairs are skipped.
-        zones = list(_cross_rf2(n, m, phi, self.uslots))
+        # Q in slot coordinates x: Q_k = x^T S_slot,k x
+        qkeys, S_slot = _slot_form(n, m, phi, self.uslots)
         # L is 2A with every row key raised by r (see the class docstring)
         lkeys = [(ci, (mo[0] + 1,) + mo[1:]) for ci, mo in keys]
-        self.monos = sorted(set(lkeys).union(*(zkeys for _, zkeys, _ in zones)))
+        self.monos = sorted(set(lkeys).union(qkeys))
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
-        S_slot = np.zeros((len(self.monos), len(self.uslots), len(self.uslots)))
-        for idx, zkeys, X in zones:
-            S_slot[np.ix_([self.pos[key] for key in zkeys], idx, idx)] = X.transpose(2, 0, 1)
-        # x = N u, so S = N^T S_slot N; symmetrized exactly, so that
-        # quad_jac = 2 S u is the exact derivative of quad
+        # x = N u, so S = N^T S_slot N; symmetrized exactly, so that the
+        # residual's Jacobian 2 S u is the exact derivative of quad
         S = self.N.T @ (S_slot @ self.N)
-        self.S = 0.5 * (S + S.transpose(0, 2, 1))
+        self.S = np.zeros((len(self.monos), self.udim, self.udim))
+        self.S[[self.pos[key] for key in qkeys]] = 0.5 * (S + S.transpose(0, 2, 1))
         rows = [self.pos[key] for key in lkeys]
         self.L = np.zeros((len(self.monos), len(self.vslots)))
         self.L[rows] = 2.0 * A
@@ -430,16 +431,11 @@ class _QuadModel:
     def quad(self, u) -> np.ndarray:
         return (self.S @ u) @ u
 
-    def quad_jac(self, u) -> np.ndarray:
-        return 2.0 * (self.S @ u)  # (nmono, udim)
-
-    def residual_reduced(self, u, t) -> np.ndarray:
-        gap = self.quad(u) - t
-        return gap - self.Lbasis @ (self.Lbasis.T @ gap)
-
-    def residual_jac(self, u, t) -> np.ndarray:
-        J = self.quad_jac(u)
-        return J - self.Lbasis @ (self.Lbasis.T @ J)
+    def residual(self, u, t):
+        """Q(u) - t and its Jacobian 2 S u, both with L's range projected out, from one S u."""
+        Su = self.S @ u
+        gap, J = Su @ u - t, 2.0 * Su
+        return gap - self.Lbasis @ (self.Lbasis.T @ gap), J - self.Lbasis @ (self.Lbasis.T @ J)
 
     def solve_v(self, u, t) -> np.ndarray:
         v, *_ = np.linalg.lstsq(self.L, t - self.quad(u), rcond=None)
@@ -524,26 +520,27 @@ def _trust_step(uf, s, Vt, radius, alpha):
     return p * (radius / np.linalg.norm(p)), alpha
 
 
-def _gauss_newton(fun, jac, x, callback, max_nfev=4000):
-    """Minimize |fun(x)|^2 from x by trust-region Gauss-Newton; returns (x, nfev, status).
+def _gauss_newton(fun, x, callback, max_nfev=4000):
+    """Minimize |f(x)|^2 from x by trust-region Gauss-Newton; returns (x, nfev, status).
 
     Moré's Levenberg-Marquardt (LNM 630, 1978) on a dense Jacobian: one SVD
     per accepted point, each trial the exact step of _trust_step.  A trial
     is accepted when it lowers the cost; the radius starts at |x|, is cut
     to a quarter of the step when the cost falls by less than a quarter of
     the model's prediction, and doubles when it falls by more than three
-    quarters on a step at the boundary.  ``callback(fun(x))`` runs after
-    each accepted step.  status is "callback" when it raised StopIteration,
-    "converged" when the cost fell by less than tol * cost or the step was
-    shorter than tol * (tol + |x|), tol = 3e-16, and "max_nfev" when fun
-    ran max_nfev times.
+    quarters on a step at the boundary.  ``fun(x)`` returns the residual f
+    and its Jacobian J, and ``callback(f)`` runs after each accepted step.
+    status is "callback" when it raised StopIteration, "converged" when the
+    cost fell by less than tol * cost or the step was shorter than
+    tol * (tol + |x|), tol = 3e-16, and "max_nfev" when fun ran max_nfev
+    times.
     """
     tol = 3e-16
-    f = fun(x)
+    f, J = fun(x)
     cost, nfev, alpha = f @ f, 1, 0.0
     radius = float(np.linalg.norm(x)) or 1.0
     while True:
-        U, s, Vt = np.linalg.svd(jac(x), full_matrices=False)
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
         keep = s > np.finfo(float).eps * max(U.shape) * s[0]  # lstsq's default rank rule
         uf, s, Vt = (U.T @ f)[keep], s[keep], Vt[keep]
         while True:
@@ -551,7 +548,7 @@ def _gauss_newton(fun, jac, x, callback, max_nfev=4000):
                 return x, nfev, "max_nfev"
             step, alpha = _trust_step(uf, s, Vt, radius, alpha)
             x_new = x + step
-            f_new = fun(x_new)
+            f_new, J_new = fun(x_new)
             cost_new, nfev = f_new @ f_new, nfev + 1
             ds = s * (Vt @ step)
             predicted, actual = -(ds @ (ds + 2.0 * uf)), cost - cost_new
@@ -560,7 +557,7 @@ def _gauss_newton(fun, jac, x, callback, max_nfev=4000):
             converged = (actual < tol * cost and rho > 0.25
                          or step_norm < tol * (tol + np.linalg.norm(x)))
             if rho > 0:
-                x, f, cost = x_new, f_new, cost_new
+                x, f, J, cost = x_new, f_new, J_new, cost_new
                 try:
                     callback(f)
                 except StopIteration:
@@ -600,19 +597,17 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
     lam = 1e-9 * scale
     eye = lam * np.eye(model.udim)
 
-    def res_aug(u):
-        return np.concatenate([model.residual_reduced(u, t), lam * u])
-
-    def jac_aug(u):
-        return np.vstack([model.residual_jac(u, t), eye])
+    def fun(u):
+        f, J = model.residual(u, t)
+        return np.concatenate([f, lam * u]), np.vstack([J, eye])
 
     best = math.inf
     rejected = None
     for trial in range(TUNING_STARTS):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
         rule = _StopRule(len(model.monos), stop_at)
-        u, nfev, status = _gauss_newton(res_aug, jac_aug, u0, rule)
-        err = float(np.max(np.abs(model.residual_reduced(u, t))))
+        u, nfev, status = _gauss_newton(fun, u0, rule)
+        err = float(np.max(np.abs(model.residual(u, t)[0])))
         best = min(best, err)
         if status == "max_nfev":
             reason = "max_nfev"
@@ -756,38 +751,18 @@ def gen_prop21(n: int, seed: int = 0, target_count: int | None = None) -> Genera
 # ---------------------------------------------------------------------------
 
 
-def _angular_part(m):
-    """gen_th4's order-one angular part as (slots, values): A_1^+ = 1/2, A_1^- = -1/2.
+def _angular_part(m, uslots) -> np.ndarray:
+    """gen_th4's order-one angular part h as a vector over the u-slots: A_1^+ = 1/2, A_1^- = -1/2.
 
     Its radial part is zero (X_a = -y*H, X_b = x*H picks the angular
-    direction only), so it contributes nothing to f_1.
+    direction only), so it contributes nothing to f_1, and its four entries
+    have degree 1, so they are u-slots for every n >= 1.
     """
-    slots, values = [], []
+    values = {}
     for sign, h in (("+", 0.5), ("-", -0.5)):
-        slots += [("a", sign, None, (0, 1) + (0,) * m), ("b", sign, None, (1, 0) + (0,) * m)]
-        values += [-h, h]
-    return slots, values
-
-
-def _angular_cross_map(n, m, phi, uslots):
-    """The linear map from u-slot values x to r*f_2's cross term with the angular part h.
-
-    r*f_2 is quadratic in the first-order tables, so its value on h + x is
-    Q(h) + 2 B(h, x) + Q(x); column a is the symmetrized B(h, e_a) in slot a's
-    zone (the other zone's fields of e_a vanish).  Returns the matrix and its
-    (component, monomial) row keys.
-    """
-    base = zero_spec(n, m, m, phi)
-    hspec = _spec_from_slots(n, m, phi, *_angular_part(m))
-    rows = {}  # (component, monomial) -> its row over the u-slots
-    for sign in ("+", "-"):
-        idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
-        fields = [_unit_fields(n, m, phi, uslots[k]) for k in idx]
-        monos, X = _quadratic_rf2(base, sign, [_ZoneFields(hspec, sign)], fields)
-        for ell, j in zip(*np.nonzero(X[0].any(axis=0))):
-            rows.setdefault((int(ell), monos[j]), np.zeros(len(uslots)))[idx] = X[0, :, ell, j]
-    keys = sorted(rows)
-    return np.array([rows[key] for key in keys]).reshape(len(keys), len(uslots)), keys
+        values["a", sign, None, (0, 1) + (0,) * m] = -h
+        values["b", sign, None, (1, 0) + (0,) * m] = h
+    return np.array([values.get(slot, 0.0) for slot in uslots])
 
 
 def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = None) -> GeneratorResult:
@@ -810,20 +785,23 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     nv = m + 1
     if n is None:
         n = max([1] + [p.degree() for p in P_polys] + [q.degree() - 1 for q in Q_polys])
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _require_generic_angle("gen_th4", phi)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-
-    angular, angular_values = _angular_part(m)
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and positive")
 
     # Q map: columns over kernel-constrained first-order slots.  The angular
     # part contributes nothing to f_1, so the kernel constraints involve only
     # the delta-scaled part, even on the entries the angular part shares.
+    # r*f_2 at the slot values h + delta*x is Q(h) + 2 delta h^T S_slot x +
+    # O(delta^2) and Q(h) = 0, so r*f_2 / (2 delta) reads x through h^T S_slot.
     uslots = _full_slots(n, m, FIRST_ORDER)
+    h = _angular_part(m, uslots)
     P, pkeys, N, _ = _kernel_split(n, m, phi, uslots)
-    Q, qkeys = _angular_cross_map(n, m, phi, uslots)
+    qkeys, S_slot = _slot_form(n, m, phi, uslots)
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
-    u = _fit_linear(Q @ N, qkeys, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
+    u = _fit_linear((h @ S_slot) @ N, qkeys, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
                     "of {shape}; note Q_l must be divisible by r")
 
     # P map: each second-order entry enters r*f_2 through the integral its
@@ -832,9 +810,9 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
     v = _fit_linear(P, pkeys, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
 
-    # assemble: angular part, then the delta-scaled first and second order
-    spec = _spec_from_slots(n, m, phi, angular + uslots + pslots,
-                            np.concatenate([angular_values, delta * (N @ u), delta * v]))
+    # assemble: angular part plus the delta-scaled first order, then the
+    # delta-scaled second order
+    spec = _spec_from_slots(n, m, phi, uslots + pslots, np.concatenate([h + delta * (N @ u), delta * v]))
     rf2 = build_f2(spec)
     reduced = PolyVec([
         (Poly.variable(nv, 0) * Poly(nv, dict(p.terms))) + Poly(nv, dict(q.terms))

@@ -226,7 +226,7 @@ class TestQuadraticContraction:
         spec = project_to_kernel(random_spec(n, m, d, phi, 100 * n + 10 * m + d, scale=0.5))
         for sign in ("+", "-"):
             Z = _ZoneFields(spec, sign)
-            monos, X = avgcore._quadratic_rf2(spec, sign, [Z], [Z])
+            monos, X = avgcore._quadratic_rf2(spec, sign, [Z])
             for ell in range(m + 1):
                 ref = avgcore._g_contribution(spec, sign, series_bilinear(Z, Z, ell), rshift=1).scaled(2.0)
                 got = dict(zip(monos, X[0, 0, ell]))

@@ -8,13 +8,12 @@ import pytest
 from scipy.optimize import least_squares
 
 from avgcycles import generators
-from avgcycles.avgcore import _field_series, _g_contribution, build_f1, build_f2
+from avgcycles.avgcore import _field_series, _g_contribution, _ZoneFields, build_f1, build_f2
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
     ConstructionError,
     InfeasibleTargetError,
-    _angular_cross_map,
     _angular_part,
     _f1_matrix,
     _full_slots,
@@ -23,6 +22,7 @@ from avgcycles.generators import (
     _monomial_basis,
     _poly_vec_to_coeffs,
     _QuadModel,
+    _slot_form,
     _spec_from_slots,
     _tune_quadratic,
     first_order_count,
@@ -154,8 +154,10 @@ class TestSecondOrderTuning:
         np.testing.assert_allclose(model.quad(u), probe(u), rtol=0, atol=1e-12)
 
         h = 1e-3  # central differences are exact on a quadratic, up to round-off
-        fd = np.stack([(model.quad(u + h * e) - model.quad(u - h * e)) / (2 * h) for e in eye], axis=1)
-        np.testing.assert_allclose(model.quad_jac(u), fd, rtol=0, atol=1e-10)
+        t = np.random.default_rng(4).normal(size=len(model.monos))
+        fd = np.stack([(model.residual(u + h * e, t)[0] - model.residual(u - h * e, t)[0]) / (2 * h)
+                       for e in eye], axis=1)
+        np.testing.assert_allclose(model.residual(u, t)[1], fd, rtol=0, atol=1e-10)
 
         # L from f_1's matrix against build_f2 on each unit v-slot
         zero_u = np.zeros(model.udim)
@@ -174,7 +176,7 @@ class TestSecondOrderTuning:
         # same-zone slot pair as one series product, integrated termwise
         model = _QuadModel(n, m, PHI)
         base = zero_spec(n, m, m, PHI)
-        fields = [generators._unit_fields(n, m, PHI, slot) for slot in model.uslots]
+        fields = [_ZoneFields(_spec_from_slots(n, m, PHI, [slot], [1.0]), slot[1]) for slot in model.uslots]
 
         blocks = {}
         for a, b in itertools.combinations_with_replacement(range(len(model.uslots)), 2):
@@ -300,7 +302,8 @@ class TestGaussNewton:
         rng = np.random.default_rng(5)
         A, b = rng.normal(size=(6, 10)), rng.normal(size=6)
         fun, jac = _linear(A, b, lam=1e-9)
-        x, nfev, status = _gauss_newton(fun, jac, rng.normal(scale=2.0, size=10), lambda f: None)
+        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), rng.normal(scale=2.0, size=10),
+                                        lambda f: None)
         assert status == "converged" and nfev < 100
         np.testing.assert_allclose(x, np.linalg.pinv(A) @ b, rtol=0, atol=1e-12)
 
@@ -313,13 +316,13 @@ class TestGaussNewton:
             if len(seen) == 3:
                 raise StopIteration
 
-        x, nfev, status = _gauss_newton(fun, jac, np.array([-1.2, 1.0]), third_stops)
+        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), third_stops)
         assert status == "callback" and len(seen) == 3
         np.testing.assert_array_equal(fun(x), seen[-1])
 
     def test_converges_on_a_nonlinear_residual(self):
         fun, jac = _rosenbrock()
-        x, nfev, status = _gauss_newton(fun, jac, np.array([-1.2, 1.0]), lambda f: None)
+        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), lambda f: None)
         assert status == "converged"
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
 
@@ -328,7 +331,7 @@ class TestGaussNewton:
         fun = lambda x: np.array([x[0] ** 2 + 1.0, x[0] * x[1] - 2.0, x[1] - 1.0])  # noqa: E731
         jac = lambda x: np.array([[2.0 * x[0], 0.0], [x[1], x[0]], [0.0, 1.0]])  # noqa: E731
         calls = []
-        x, nfev, status = _gauss_newton(fun, jac, np.array([3.0, -2.0]), calls.append)
+        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([3.0, -2.0]), calls.append)
         assert status == "converged" and nfev < 200
         assert fun(x) @ fun(x) <= calls[0] @ calls[0]
 
@@ -339,10 +342,10 @@ class TestGaussNewton:
         model = _QuadModel(n, m, PHI)
         t = model.target_vector(generators._mixed_targets(n, m, 2 * n, 2 * n - 1))
         lam = 1e-9 * max(1.0, float(np.max(np.abs(t))))
-        fun = lambda u: np.concatenate([model.residual_reduced(u, t), lam * u])  # noqa: E731
-        jac = lambda u: np.vstack([model.residual_jac(u, t), lam * np.eye(model.udim)])  # noqa: E731
+        fun = lambda u: np.concatenate([model.residual(u, t)[0], lam * u])  # noqa: E731
+        jac = lambda u: np.vstack([model.residual(u, t)[1], lam * np.eye(model.udim)])  # noqa: E731
         u0 = np.random.default_rng(0).normal(size=model.udim)
-        x, nfev, status = _gauss_newton(fun, jac, u0, lambda f: None, max_nfev=40)
+        x, nfev, status = _gauss_newton(lambda u: (fun(u), jac(u)), u0, lambda f: None, max_nfev=40)
         ref = least_squares(fun, u0, jac=jac, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=40)
         assert (status, nfev) == ("max_nfev", ref.nfev)
         np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-10)
@@ -350,7 +353,7 @@ class TestGaussNewton:
     def test_max_nfev_is_the_backstop(self):
         fun, jac = _rosenbrock()
         x0 = np.array([-1.2, 1.0])
-        x, nfev, status = _gauss_newton(fun, jac, x0, lambda f: None, max_nfev=1)
+        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), x0, lambda f: None, max_nfev=1)
         assert (status, nfev) == ("max_nfev", 1)
         np.testing.assert_array_equal(x, x0)
 
@@ -395,19 +398,27 @@ class TestTh4:
         with pytest.raises(InfeasibleTargetError, match="divisible by r"):
             gen_th4(P, Q, PHI, n=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"delta": math.nan}, "delta must be finite and positive"),
+        ({"delta": math.inf}, "delta must be finite and positive"),
+        ({"n": 0}, "n must be >= 1"),
+    ], ids=["delta-nan", "delta-inf", "n-0"])
+    def test_bad_inputs_rejected_up_front(self, kwargs, message):
+        P, Q = _th4_pair()
+        with pytest.raises(ValueError, match=message):
+            gen_th4(P, Q, PHI, **kwargs)
 
-    @pytest.mark.parametrize("n, m, phi", [(1, 1, PHI), (2, 1, 1.0)])
+    @pytest.mark.parametrize("n, m, phi", [(1, 1, PHI), (2, 1, 1.0), (1, 2, PHI)])
     def test_q_map_is_the_cross_term_of_build_f2(self, n, m, phi):
         # reference: half the difference of the real pipeline with and without
         # the angular part, on each kernel direction N e_k
-        hslots, hvalues = _angular_part(m)
         uslots = _full_slots(n, m, FIRST_ORDER)
+        h = _angular_part(m, uslots)
         _, _, N, _ = _kernel_split(n, m, phi, uslots)
-        Q, keys = _angular_cross_map(n, m, phi, uslots)
-        QN = Q @ N
+        keys, S_slot = _slot_form(n, m, phi, uslots)
+        QN = (h @ S_slot) @ N
         for k, col in enumerate(N.T):
-            both = build_f2(_spec_from_slots(n, m, phi, hslots + uslots, np.concatenate([hvalues, col])),
-                            check_f1=False)
+            both = build_f2(_spec_from_slots(n, m, phi, uslots, h + col), check_f1=False)
             alone = build_f2(_spec_from_slots(n, m, phi, uslots, col), check_f1=False)
             ref = PolyVec([(p - q).scaled(0.5) for p, q in zip(both, alone)])
             assert set(_monomial_basis([ref])) <= set(keys)

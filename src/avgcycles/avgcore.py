@@ -374,7 +374,6 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     gammas = build_gamma(spec) if m < spec.d else []
     zones = {sign: _ZoneFields(spec, sign) for sign in ("+", "-")}
     quadratic = {sign: _quadratic_rf2(spec, sign, [Z]) for sign, Z in zones.items()}
-    r_poly = Poly.variable(m + 1, 0)
     comps = []
     for ell in range(m + 1):
         terms = {}
@@ -383,12 +382,12 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
                 terms[mono] = terms.get(mono, 0.0) + c
         total = Poly(m + 1, terms)
         for w, gam in enumerate(gammas, start=m + 1):
-            # d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
+            # r*d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
             mu = complex(spec.mu[w - 1])
             dg = Poly(m + 1)
             for sign, Z in zones.items():
-                dg = dg + _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu))
-            total = total + (dg * gam * r_poly).scaled(2.0)
+                dg = dg + _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu), rshift=1)
+            total = total + (dg * gam).scaled(2.0)
         for sign in zones:
             total = total + _g_contribution(spec, sign, _field_series(spec, 2, sign, ell + 2), rshift=1).scaled(2.0)
         comps.append(total)

@@ -31,8 +31,10 @@ b, the same form build_f2 integrates, its diagonal the form itself (no
 polarization).  Only slots of the same zone are paired: a "+" and a "-"
 slot never interact in r*f_2 at d = m.  All pairs of one zone come from
 one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
-products.  The tuning's Q(u)_k = u^T S_k u has S = N^T S_slot N.  The
-generators tune u by least squares against the exact target with
+products, and S_slot is kept as these two zone blocks.  The tuning's
+Q(u)_k = u^T S_k u has S = N^T S_slot N, never formed: one contraction of
+the blocks (_slot_product) gives S u.  The generators tune u by least
+squares against the exact target with
 multistart, each start one run of a trust-region Gauss-Newton loop
 (_gauss_newton) stopped once it reaches its target or stalls, and recover
 v by a linear solve.  Every converged start is re-verified against the
@@ -40,9 +42,9 @@ real build_f1/build_f2 pipeline and certified by root search; one that
 fails either is recorded as an "undercount" and the tuning moves on to its
 next start.  gen_th4 realizes a prescribed reduced system by two linear
 fits over the same slots: its P map is the same A, read on the twins, and
-its Q map the same slot form contracted with a fixed angular part h, a
-vector over the u-slots (h^T S_slot).  The generators call build_f1 and
-build_f2 only to re-verify what they built.
+its Q map the same contraction of the slot form with a fixed angular
+part h, a vector over the u-slots: (S_slot h) N.  The generators call
+build_f1 and build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -366,43 +368,50 @@ def _kernel_split(n, m, phi, slots):
 
 
 def _slot_form(n, m, phi, uslots):
-    """r*f_2's quadratic part as a symmetric bilinear form on the unit u-slots: (keys, S_slot).
+    """r*f_2's quadratic part as a symmetric bilinear form S_slot on the unit u-slots: (keys, zones).
 
-    S_slot[k, a, b] is the coefficient of keys[k] = (component, monomial) in
-    (B(e_a, e_b) + B(e_b, e_a)) / 2, B(e_a, e_a) itself on the diagonal, so
-    it needs no polarization.  The keys are sorted and hold every nonzero
-    coefficient.  Each slot's zone fields are computed once, in its own
-    zone, and every pair of a zone shares one Gram matrix.  Every spec here
-    has d = m, so build_f2 has no gamma * dg_1 slave term and each quadratic
-    term pairs two fields of one zone: a "+" and a "-" slot never interact,
-    and cross-zone pairs are left zero.
+    S_slot is kept as one block per zone, (idx, rows, X): X[k, a, b] is the
+    coefficient of keys[rows[k]] = (component, monomial) in (B(e_a, e_b) +
+    B(e_b, e_a)) / 2 over the zone's slots uslots[idx], B(e_a, e_a) itself
+    on the diagonal, so it needs no polarization and X[k] is exactly
+    symmetric.  The keys are sorted and hold every nonzero coefficient.
+    Each slot's zone fields are computed once, in its own zone, and every
+    pair of a zone shares one Gram matrix.  Every spec here has d = m, so
+    build_f2 has no gamma * dg_1 slave term and each quadratic term pairs
+    two fields of one zone: S_slot has no cross-zone block.
     """
     base = zero_spec(n, m, m, phi)
     zones = []
     for sign in ("+", "-"):
-        idx = [k for k, slot in enumerate(uslots) if slot[1] == sign]
+        idx = np.flatnonzero([slot[1] == sign for slot in uslots])
         fields = [_ZoneFields(_spec_from_slots(n, m, phi, [uslots[k]], [1.0]), sign) for k in idx]
         monos, X = _quadratic_rf2(base, sign, fields)
-        X = X.reshape(len(idx), len(idx), (m + 1) * len(monos))
-        keep = np.flatnonzero(X.any(axis=(0, 1)))
-        zones.append((idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[:, :, keep]))
+        X = X.reshape(len(idx), len(idx), -1).transpose(2, 0, 1)  # one block row per (component, monomial)
+        keep = np.flatnonzero(X.any(axis=(1, 2)))
+        zones.append((idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[keep]))
     keys = sorted(set().union(*(zkeys for _, zkeys, _ in zones)))
     pos = {key: k for k, key in enumerate(keys)}
-    S_slot = np.zeros((len(keys), len(uslots), len(uslots)))
-    for idx, zkeys, X in zones:
-        S_slot[np.ix_([pos[key] for key in zkeys], idx, idx)] = X.transpose(2, 0, 1)
-    return keys, S_slot
+    return keys, [(idx, np.array([pos[key] for key in zkeys], dtype=np.intp), X) for idx, zkeys, X in zones]
+
+
+def _slot_product(zones, x, N, nrows) -> np.ndarray:
+    """Row k is x^T S_slot,k N = N^T S_slot,k x, zone by zone; ``zones`` are _slot_form's, rows out of nrows."""
+    out = np.zeros((nrows, N.shape[1]))
+    for idx, rows, X in zones:
+        out[rows] += (x[idx] @ X) @ N[idx]
+    return out
 
 
 class _QuadModel:
     """Exact surrogate coeffs(r*f_2) = Q(u) + L v over a fixed monomial basis.
 
     The u-slots are every first-order entry of degree <= n, and x = N u keeps
-    f_1 zero.  The v-slots are their second-order twins: at d = m a twin
-    enters r*f_2 as 2r times the integral its first-order entry has in f_1,
-    so L is 2A (A being f_1's matrix on the u-slots) with each row moved from
-    its monomial to r times it.  The SVD that gives N also gives Lbasis, an
-    orthonormal basis of L's range.
+    f_1 zero.  Q_k(u) = x^T S_slot,k x, S_slot kept as _slot_form's zone
+    blocks, their rows placed on monos.  The v-slots are their second-order
+    twins: at d = m a twin enters r*f_2 as 2r times the integral its
+    first-order entry has in f_1, so L is 2A (A being f_1's matrix on the
+    u-slots) with each row moved from its monomial to r times it.  The SVD
+    that gives N also gives Lbasis, an orthonormal basis of L's range.
     """
 
     def __init__(self, n, m, phi):
@@ -411,29 +420,28 @@ class _QuadModel:
         self.vslots = _full_slots(n, m, SECOND_ORDER)  # vslots[k] is uslots[k]'s twin
         A, keys, self.N, R = _kernel_split(n, m, phi, self.uslots)
         self.udim = self.N.shape[1]
-        # Q in slot coordinates x: Q_k = x^T S_slot,k x
-        qkeys, S_slot = _slot_form(n, m, phi, self.uslots)
+        qkeys, zones = _slot_form(n, m, phi, self.uslots)
         # L is 2A with every row key raised by r (see the class docstring)
         lkeys = [(ci, (mo[0] + 1,) + mo[1:]) for ci, mo in keys]
         self.monos = sorted(set(lkeys).union(qkeys))
         self.pos = {mo: k for k, mo in enumerate(self.monos)}
-        # x = N u, so S = N^T S_slot N; symmetrized exactly, so that the
-        # residual's Jacobian 2 S u is the exact derivative of quad
-        S = self.N.T @ (S_slot @ self.N)
-        self.S = np.zeros((len(self.monos), self.udim, self.udim))
-        self.S[[self.pos[key] for key in qkeys]] = 0.5 * (S + S.transpose(0, 2, 1))
+        qrows = np.array([self.pos[key] for key in qkeys], dtype=np.intp)
+        self.zones = [(idx, qrows[rows], X) for idx, rows, X in zones]
         rows = [self.pos[key] for key in lkeys]
         self.L = np.zeros((len(self.monos), len(self.vslots)))
         self.L[rows] = 2.0 * A
         self.Lbasis = np.zeros((len(self.monos), R.shape[1]))  # orthonormal, spans L's range
         self.Lbasis[rows] = R
 
+    def _Su(self, u) -> np.ndarray:  # S u, S = N^T S_slot N
+        return _slot_product(self.zones, self.N @ u, self.N, len(self.monos))
+
     def quad(self, u) -> np.ndarray:
-        return (self.S @ u) @ u
+        return self._Su(u) @ u
 
     def residual(self, u, t):
-        """Q(u) - t and its Jacobian 2 S u, both with L's range projected out, from one S u."""
-        Su = self.S @ u
+        """Q(u) - t and its exact Jacobian 2 S u, both with L's range projected out, from one S u."""
+        Su = self._Su(u)
         gap, J = Su @ u - t, 2.0 * Su
         return gap - self.Lbasis @ (self.Lbasis.T @ gap), J - self.Lbasis @ (self.Lbasis.T @ J)
 
@@ -446,19 +454,11 @@ class _QuadModel:
                                 np.concatenate([self.N @ uvec, vvec]))
 
     def target_vector(self, target: PolyVec):
-        t = np.zeros(len(self.monos))
-        leftover = []
-        for ci, p in enumerate(target):
-            for mo, c in p.terms.items():
-                if (ci, mo) in self.pos:
-                    t[self.pos[ci, mo]] = c
-                else:
-                    leftover.append(((ci, mo), c))
+        leftover = [((ci, mo), c) for ci, p in enumerate(target) for mo, c in p.terms.items()
+                    if (ci, mo) not in self.pos]
         if leftover:
-            raise ConstructionError(
-                f"target contains monomials outside the reachable support: {leftover[:4]}"
-            )
-        return t
+            raise ConstructionError(f"target contains monomials outside the reachable support: {leftover[:4]}")
+        return _poly_vec_to_coeffs(target, self.monos)
 
 
 class _StopRule:
@@ -794,15 +794,15 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     # Q map: columns over kernel-constrained first-order slots.  The angular
     # part contributes nothing to f_1, so the kernel constraints involve only
     # the delta-scaled part, even on the entries the angular part shares.
-    # r*f_2 at the slot values h + delta*x is Q(h) + 2 delta h^T S_slot x +
-    # O(delta^2) and Q(h) = 0, so r*f_2 / (2 delta) reads x through h^T S_slot.
+    # r*f_2 at the slot values h + delta*x is Q(h) + 2 delta x^T S_slot h +
+    # O(delta^2) and Q(h) = 0, so r*f_2 / (2 delta) reads x through S_slot h.
     uslots = _full_slots(n, m, FIRST_ORDER)
     h = _angular_part(m, uslots)
     P, pkeys, N, _ = _kernel_split(n, m, phi, uslots)
-    qkeys, S_slot = _slot_form(n, m, phi, uslots)
+    qkeys, zones = _slot_form(n, m, phi, uslots)
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
-    u = _fit_linear((h @ S_slot) @ N, qkeys, q_target, "Q target not realizable: residual {resid:.3e}, map rank {rank} "
-                    "of {shape}; note Q_l must be divisible by r")
+    u = _fit_linear(_slot_product(zones, h, N, len(qkeys)), qkeys, q_target, "Q target not realizable: residual "
+                    "{resid:.3e}, map rank {rank} of {shape}; note Q_l must be divisible by r")
 
     # P map: each second-order entry enters r*f_2 through the integral its
     # first-order twin has in f_1, and pslots lists the twins of uslots in order

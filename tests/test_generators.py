@@ -23,6 +23,7 @@ from avgcycles.generators import (
     _poly_vec_to_coeffs,
     _QuadModel,
     _slot_form,
+    _slot_product,
     _spec_from_slots,
     _tune_quadratic,
     first_order_count,
@@ -134,7 +135,8 @@ class TestSecondOrderTuning:
         twin = dict(zip(FIRST_ORDER, SECOND_ORDER))
         assert [(twin[fam], *rest) for fam, *rest in model.uslots] == model.vslots
         zero_v = np.zeros(len(model.vslots))
-        np.testing.assert_array_equal(model.S, model.S.transpose(0, 2, 1))
+        for _, _, X in model.zones:  # each zone's form is exactly symmetric
+            np.testing.assert_array_equal(X, X.transpose(0, 2, 1))
 
         seen = set()  # every monomial the reference probes produce
 
@@ -197,9 +199,49 @@ class TestSecondOrderTuning:
         S_slot = np.zeros((len(model.monos), len(model.uslots), len(model.uslots)))
         for (a, b), pv in blocks.items():
             S_slot[:, a, b] = S_slot[:, b, a] = _poly_vec_to_coeffs(pv, model.monos)
-        S = model.N.T @ (S_slot @ model.N)
-        S = 0.5 * (S + S.transpose(0, 2, 1))
-        assert np.max(np.abs(model.S - S)) <= 1e-15 * np.max(np.abs(model.S))
+        # each zone block against its block of the reference, and nothing
+        # of the reference outside the blocks
+        got = np.zeros_like(S_slot)
+        for idx, rows, X in model.zones:
+            got[np.ix_(rows, idx, idx)] = X
+        assert np.max(np.abs(got - S_slot)) <= 1e-15 * np.max(np.abs(S_slot))
+
+        u = np.random.default_rng(5).normal(size=model.udim)
+        x = model.N @ u
+        np.testing.assert_allclose(model.quad(u), np.einsum("kab,a,b->k", S_slot, x, x), rtol=0, atol=1e-12)
+
+    def test_no_dense_tensor_and_a_dense_reference_agrees(self):
+        # the model keeps the slot form as its per-zone blocks: no array
+        # near the size of S = N^T S_slot N, yet quad and residual are S's
+        model = _QuadModel(2, 2, PHI)
+        nmono, udim = len(model.monos), model.udim
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    yield from arrays(item)
+
+        assert max(a.size for a in arrays(list(vars(model).values()))) < nmono * udim**2
+
+        S_slot = np.zeros((nmono, len(model.uslots), len(model.uslots)))
+        for idx, rows, X in model.zones:
+            S_slot[np.ix_(rows, idx, idx)] = X
+        S = model.N.T @ S_slot @ model.N
+        rng = np.random.default_rng(6)
+        u, t = rng.normal(size=udim), rng.normal(size=nmono)
+        np.testing.assert_allclose(model.quad(u), S @ u @ u, rtol=0, atol=1e-12)
+        P = np.eye(nmono) - model.Lbasis @ model.Lbasis.T  # L's range projected out
+        gap, J = model.residual(u, t)
+        np.testing.assert_allclose(gap, P @ (S @ u @ u - t), rtol=0, atol=1e-12)
+        h = 1e-3  # central differences are exact on a quadratic, up to round-off
+        fd = np.stack([(model.residual(u + h * e, t)[0] - model.residual(u - h * e, t)[0]) / (2 * h)
+                       for e in np.eye(udim)], axis=1)
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
     def test_zones_do_not_interact(self, n, m):
@@ -415,8 +457,8 @@ class TestTh4:
         uslots = _full_slots(n, m, FIRST_ORDER)
         h = _angular_part(m, uslots)
         _, _, N, _ = _kernel_split(n, m, phi, uslots)
-        keys, S_slot = _slot_form(n, m, phi, uslots)
-        QN = (h @ S_slot) @ N
+        keys, zones = _slot_form(n, m, phi, uslots)
+        QN = _slot_product(zones, h, N, len(keys))
         for k, col in enumerate(N.T):
             both = build_f2(_spec_from_slots(n, m, phi, uslots, h + col), check_f1=False)
             alone = build_f2(_spec_from_slots(n, m, phi, uslots, col), check_f1=False)

@@ -15,6 +15,13 @@ monos3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 polyvecs3 = st.lists(st.dictionaries(monos3, coeffs, max_size=8), min_size=3, max_size=3).map(
     lambda ts: PolyVec([Poly(3, t) for t in ts]))
 batches3 = st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=1, max_size=5).map(np.array)
+# degrees up to 8, as in r*f_2 at n = 3 and the flow's coefficient tables,
+# on points with exact zeros, negative entries and |x| > 1
+monos8 = st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
+polyvecs8 = st.lists(st.dictionaries(monos8, coeffs, max_size=8), min_size=3, max_size=3).map(
+    lambda ts: PolyVec([Poly(3, t) for t in ts]))
+entries8 = st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
+batches8 = st.lists(st.tuples(*[entries8] * 3), min_size=1, max_size=5).map(np.array)
 
 
 def _atol(p, x):
@@ -86,6 +93,30 @@ class TestCompiledPolyVec:
     @settings(max_examples=80, deadline=None)
     @given(polyvecs3, batches3)
     def test_matches_sparse_evaluation(self, F, X):
+        self._check_against_sparse(F, X)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polyvecs8, batches8)
+    def test_high_degrees_match_sparse_evaluation(self, F, X):
+        self._check_against_sparse(F, X)
+
+    def test_every_power_up_to_eight(self):
+        F = PolyVec([Poly(3, {(e, 8 - e, e % 3): 1.0 for e in range(9)}) for _ in range(3)])
+        X = np.array([[0.0, -2.5, 1.7], [-0.3, 0.0, -1.9], [2.9, 1.1, 0.0]])
+        self._check_against_sparse(F, X)
+        np.testing.assert_allclose(CompiledPolyVec.of(F)._powers(X).reshape(3, 3, 9),
+                                   X[:, :, None] ** np.arange(9), rtol=1e-12, atol=0.0)
+
+    def test_nonfinite_points_give_pow_table(self):
+        # x**0 = 1 for every x, inf and nan included; higher powers follow pow
+        C = CompiledPolyVec(3, [{(5, 0, 2): 1.0, (0, 3, 0): 1.0}])
+        X = np.array([[np.inf, -np.inf, np.nan], [np.nan, 0.0, -np.inf], [-0.0, np.inf, 1.5]])
+        P = C._powers(X).reshape(3, 3, C.npow)
+        np.testing.assert_array_equal(P, X[:, :, None] ** np.arange(C.npow))
+        np.testing.assert_array_equal(P[:, :, 0], np.ones((3, 3)))
+
+    @staticmethod
+    def _check_against_sparse(F, X):
         C = CompiledPolyVec.of(F)
         vals, jacs = C.values(X), C.jacobians(X)
         assert vals.shape == (len(X), 3) and jacs.shape == (len(X), 3, 3)

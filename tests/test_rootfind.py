@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from avgcycles.generators import gen_prop10, gen_prop20
+from avgcycles.generators import gen_prop10, gen_prop16, gen_prop20
 from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, jacobian
 from avgcycles.rootfind import (
     MAX_HALVINGS,
@@ -226,6 +226,22 @@ class TestCertifyCount:
         out = certify_count(PolyVec([Poly.constant(1, 1.0)]), SearchBox([0.05], [2.0]), 1)
         assert not out["pass"] and out["bezout"] == 0
         assert "degenerate" in out["diagnostic"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_prop10(1, 2, math.pi / 3),
+        lambda: gen_prop10(2, 2, math.pi / 3),
+        lambda: gen_prop16(1, 2),
+        lambda: gen_prop16(2, 2),
+        lambda: gen_prop20(2, 2),
+    ], ids=["prop10-n1", "prop10-n2", "prop16-n1", "prop16-n2", "prop20-n2"])
+    def test_first_order_m2_constructions(self, make):
+        res = make()
+        out = certify_count(res.system, res.box, res.expected_count)
+        assert out["pass"], (out["found"], out["expected"], out["bezout"])
+        found = [r.nu for r in out["records"] if r.simple]
+        assert len(found) == len(res.zeros)
+        for z in res.zeros:
+            assert min(np.max(np.abs(f - z)) for f in found) < 1e-8
 
 
 def test_zero_csv(tmp_path):

@@ -6,12 +6,20 @@ needed.  The system is compiled once (polyalg.CompiledPolyVec) and Newton
 runs on all seeds as one (seeds, nvars) batch, each seed keeping its own
 stopping, failure and step-halving rules.  That Newton, _batch_newton, takes
 the residual and Jacobian as callbacks told which rows they serve, so
-flowsim's return-map Newton runs on it too.  The limits are then filtered
-and deduplicated in seed order; a seed that fails at the r_min wall counts as
-an r_min hit, any other failure as diverged.  The same compiled system gives
-each zero's final residual and Jacobian determinant: a zero is certified
-simple when the residual is tiny and the determinant clears a degree-aware
-threshold.
+flowsim's return-map Newton runs on it too.
+
+The search runs on the r-free system G: each component of F divided by the
+largest power of r that divides it.  On the box, r >= r_min > 0, so
+F = diag(r^k_i)·G has the zeros of G, and J_F = diag(r^k_i)·J_G there: a
+zero is simple for F exactly when it is simple for G.  Without the factor,
+the spurious zero at r = 0 no longer drags seeds to the r_min wall.
+
+The limits are then filtered and deduplicated in seed order; a seed that
+fails at the r_min wall counts as an r_min hit, any other failure as
+diverged.  The same compiled G gives each zero's final residual and
+Jacobian determinant: a zero is certified simple when the residual is tiny
+and the determinant clears a degree-aware threshold.  Only the Bezout
+sanity check reads F itself.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import CompiledPolyVec, PolyVec, bezout_bound
+from .polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
@@ -163,16 +171,27 @@ def simplicity_threshold(F: PolyVec) -> float:
     return SIMPLICITY_BASE * (1 + prod)
 
 
+def _r_free(p: Poly) -> Poly:
+    """p divided by the largest power of r that divides it; the zero polynomial as is."""
+    k = min((mono[0] for mono in p.terms), default=0)
+    return Poly(p.nvars, {(mono[0] - k, *mono[1:]): c for mono, c in p.terms.items()})
+
+
 def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:
-    """All distinct Newton limits in the box with residual < 1e-10, sorted."""
+    """All distinct Newton limits in the box with residual < 1e-10, sorted.
+
+    Newton, the residual, det J and the simplicity threshold are those of
+    the r-free system (module docstring), which has F's zeros on the box.
+    """
     if len(F) != F.nvars:
         raise ValueError(f"system is not square: {len(F)} equations, {F.nvars} variables")
     if box.dim != F.nvars:
         raise ValueError(f"box dimension {box.dim} does not match system dimension {F.nvars}")
     diag = diagnostics if diagnostics is not None else SearchDiagnostics()
 
+    G = PolyVec([_r_free(p) for p in F])
     seeds = box.seeds()
-    C = CompiledPolyVec.of(F)
+    C = CompiledPolyVec.of(G)
     x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
                                     seeds, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, box.r_min)
     # a seed that failed within DEDUP_TOL of the wall was stopped by r_min
@@ -194,7 +213,7 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
     found = np.array(sorted(found, key=tuple)).reshape(-1, F.nvars)
     residuals = np.max(np.abs(C.values(found)), axis=1)
     dets = np.linalg.det(C.jacobians(found))
-    thresh = simplicity_threshold(F)
+    thresh = simplicity_threshold(G)
     records = []
     for x, res, det in zip(found, residuals.tolist(), dets.tolist()):
         # a multiple root converged to residual res sits at distance

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcycles.generators import gen_prop10, gen_prop16, gen_prop20
 from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, jacobian
@@ -193,12 +195,14 @@ class TestBatchNewton:
         assert (diag.diverged, diag.r_min_hits, diag.converged) == (0, 1, 0)
 
     def test_full_turn_m2_has_no_zeros(self):
-        # f_1 = (r, z1 - 0.013, z2 - 0.026): its only zero lies on r = 0, so
-        # Newton drives every seed to the r_min wall
+        # f_1 = (r, z1 - 0.013, z2 - 0.026): its only zero lies on r = 0.  The
+        # r-free first component is the constant 1, so every seed's first
+        # Jacobian is singular and the seed fails there, before any step
         res = gen_prop20(1, 2)
         diag = SearchDiagnostics()
         assert find_simple_zeros(res.system, res.box, diag) == []
-        assert (diag.seeds, diag.diverged, diag.r_min_hits, diag.converged) == (3375, 0, 3375, 0)
+        assert (diag.seeds, diag.diverged, diag.r_min_hits, diag.converged, diag.newton_steps) == (
+            3375, 3375, 0, 0, 3375)
 
     def test_planted_grid_found(self):
         res = gen_prop10(2, 2, math.pi / 3)
@@ -211,6 +215,44 @@ class TestBatchNewton:
         assert len(found) == len(res.zeros) == 8
         for z in res.zeros:
             assert min(np.max(np.abs(f - z)) for f in found) < 1e-8
+
+
+def _r_power(k, nvars=1):
+    return Poly(nvars, {(k,) + (0,) * (nvars - 1): 1.0})
+
+
+class TestRFreeSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(roots=st.lists(st.floats(0.1, 1.9), min_size=1, max_size=3), k=st.integers(1, 3))
+    def test_power_of_r_changes_nothing(self, roots, k):
+        # on r >= r_min > 0, r^k q has the zeros of q, and the search divides
+        # r^k out exactly: the records must agree bit for bit
+        q = _radial_poly(roots)
+        box = SearchBox([0.05], [2.0])
+        bare = find_simple_zeros(q, box)
+        scaled = find_simple_zeros(PolyVec([_r_power(k) * q[0]]), box)
+        assert [(r.nu.tobytes(), r.residual, r.jac_det, r.simple) for r in scaled] == [
+            (r.nu.tobytes(), r.residual, r.jac_det, r.simple) for r in bare]
+
+    def test_different_powers_per_component(self):
+        # (r (r - a), r^2 (z - b)) has its one zero off r = 0 at (a, b)
+        a, b = 1.3, -0.4
+        r, z = Poly.variable(2, 0), Poly.variable(2, 1)
+        F = PolyVec([r * (r - Poly.constant(2, a)), _r_power(2, 2) * (z - Poly.constant(2, b))])
+        diag = SearchDiagnostics()
+        records = find_simple_zeros(F, SearchBox([0.05, -1.0], [2.0, 1.0], grid=(9, 9)), diag)
+        assert [rec.simple for rec in records] == [True]
+        np.testing.assert_allclose(records[0].nu, [a, b], rtol=0, atol=1e-12)
+        assert (diag.converged, diag.diverged, diag.r_min_hits) == (81, 0, 0)
+
+    def test_zero_only_at_r_0(self):
+        # (r, z - c) vanishes only at r = 0; its r-free form (1, z - c) has a
+        # singular Jacobian everywhere, so every seed diverges at once
+        F = PolyVec([_r_power(1, 2), Poly.variable(2, 1) - Poly.constant(2, 0.3)])
+        diag = SearchDiagnostics()
+        assert find_simple_zeros(F, SearchBox([0.05, -1.0], [2.0, 1.0], grid=(5, 5)), diag) == []
+        assert (diag.seeds, diag.diverged, diag.r_min_hits, diag.converged, diag.newton_steps) == (
+            25, 25, 0, 0, 25)
 
 
 class TestCertifyCount:

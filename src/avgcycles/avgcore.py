@@ -89,22 +89,20 @@ def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick:
     m = spec.m
     fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
     out = HarmonicSum()
+    # the tail exponents an entry must carry: none, or one on z_{m+tail_pick}
+    want = [0] * (spec.d - m)
+    if tail_pick is not None:
+        want[tail_pick - 1] = 1
+    want = tuple(want)
 
     def add(table, dp, dq, r_off, scale):
         for idx, coeff in table.entries.items():
+            if idx[2 + m :] != want:
+                continue
             i, j = idx[0], idx[1]
-            head = idx[2 : 2 + m]
-            tail = idx[2 + m :]
-            if tail_pick is None:
-                if any(tail):
-                    continue
-            else:
-                want = tuple(1 if k == tail_pick - 1 else 0 for k in range(spec.d - m))
-                if tail != want:
-                    continue
-            mono = (i + j + r_off,) + head
+            mono, weight = (i + j + r_off,) + idx[2 : 2 + m], coeff * scale
             for h, c in _harmonics(i + dp, j + dq):
-                out._accum(mono, 0, 1j * h, c * (coeff * scale))
+                out._accum(mono, 0, 1j * h, c * weight)
 
     if comp == 1:
         add(spec.table(fam_b, sign), 1, 0, -1, 1.0)
@@ -246,7 +244,7 @@ def build_gamma(spec: SystemSpec) -> list:
         poly = Poly(spec.m + 1)
         for sign in ("+", "-"):
             contrib = _g_contribution(spec, sign, _field_series(spec, 1, sign, w + 2).shifted(complex(-mu)))
-            poly = poly + (contrib if sign == "+" else contrib.scaled(math.exp(-TWO_PI * mu)))
+            poly += contrib if sign == "+" else contrib.scaled(math.exp(-TWO_PI * mu))
         gammas.append(poly.scaled(-1.0 / denom))
     return gammas
 
@@ -320,9 +318,10 @@ def _quadratic_rf2(spec: SystemSpec, sign: str, fields: list):
     Rrows, Rentries = _dense_rows((((b, ell, t), s) for b, G in enumerate(fields)
                                    for ell, comp in enumerate(G.right) for t, s in enumerate(comp)), basis, rmonos, 4)
     W = gram_matrix(list(basis), *_zone_bounds(spec, sign))
-    out = {}  # the output monomial of each (left, right) monomial pair
-    target = np.array([[out.setdefault(tuple(e + f for e, f in zip(p, q)), len(out)) for q in rmonos]
-                       for p in lmonos], dtype=np.intp).reshape(len(lmonos), len(rmonos))
+    out = {}  # the output monomial of each (left, right) monomial pair, numbered as first met
+    sums = np.array(list(lmonos)).reshape(-1, 1, m + 1) + np.array(list(rmonos)).reshape(1, -1, m + 1)
+    target = np.array([out.setdefault(mo, len(out)) for mo in map(tuple, sums.reshape(-1, m + 1).tolist())],
+                      dtype=np.intp).reshape(len(lmonos), len(rmonos))
 
     # every product in real form, so no complex BLAS kernel is paged in:
     # (Re C_F, Im C_F) Wr is (Re, Im) of C_F W, and its product with
@@ -380,16 +379,16 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
         for monos, X in quadratic.values():
             for mono, c in zip(monos, X[0, 0, ell]):
                 terms[mono] = terms.get(mono, 0.0) + c
-        total = Poly(m + 1, terms)
+        total = Poly(m + 1, terms)  # accumulated in place from here on
         for w, gam in enumerate(gammas, start=m + 1):
             # r*d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
             mu = complex(spec.mu[w - 1])
             dg = Poly(m + 1)
             for sign, Z in zones.items():
-                dg = dg + _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu), rshift=1)
-            total = total + (dg * gam).scaled(2.0)
+                dg += _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu), rshift=1)
+            total += (dg * gam).scaled(2.0)
         for sign in zones:
-            total = total + _g_contribution(spec, sign, _field_series(spec, 2, sign, ell + 2), rshift=1).scaled(2.0)
+            total += _g_contribution(spec, sign, _field_series(spec, 2, sign, ell + 2), rshift=1).scaled(2.0)
         comps.append(total)
     return PolyVec(comps)
 

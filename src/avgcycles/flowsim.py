@@ -16,10 +16,12 @@ not contract, or whose iterate leaves r > 0 or positive angular speed before
 it converges, is halved; only at the depth bound is the guard's error
 raised.
 
-All rows of a batch of (eps, z) share those zone segments, so _integrate
+All rows of a batch of (eps, z) share those zone segments, so _integrator
 carries the batch as one stacked state, every node and row of an iterate in
 one compiled-table call, and holds each row to INTEGRATION_TOL on its own.
-The single-point functions (integrate_theta, return_map, displacement) are
+It builds the segments and the zones' compiled tables once for every batch
+it integrates, and _picard the node factors once per rule.  The
+single-point functions (integrate_theta, return_map, displacement) are
 batches of one.
 
 Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
@@ -41,6 +43,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
 from .avgcore import _cheb_rule, _cylindrical, compile_fields
+from .polyalg import CompiledPolyVec
 from .rootfind import _batch_newton
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
@@ -118,39 +121,46 @@ def _zone_sign(spec: SystemSpec, theta: float) -> str:
     return "+" if frac < spec.phi else "-"
 
 
-def _zone_field(spec: SystemSpec, E: np.ndarray, sign: str):
+def _zone_field(C: CompiledPolyVec, mu: np.ndarray, E: np.ndarray):
     """One zone's nonlinear theta-time field F for a batch of flows, row b at eps E[b].
 
-    The flow is x' = mu*x + F(theta, x); field(theta, X) takes K angles and
-    the states X (K, B, d+1) and returns F there, with both perturbation
-    orders of every node and row from one compiled-table call.  It raises the
-    guard's error when r <= 0 or the angular speed is not positive at a node.
+    ``C`` is the zone's compile_fields vector of both orders and ``mu`` the
+    diagonal (0, mu_1, ..., mu_d).  The flow is x' = mu*x + F(theta, x).
+    field(theta) binds F to K angles, building what depends on them alone
+    (cos, sin, the point buffer) once; the function it returns takes the
+    states X (K, B, d+1) at those angles and returns F there, with both
+    perturbation orders of every node and row from one compiled-table call.
+    It raises the guard's error when r <= 0 or the angular speed is not
+    positive at a node.
     """
-    C = compile_fields(spec, (1, 2), sign)
-    B, n = len(E), spec.d + 1
+    B, n = len(E), len(mu)
     E2 = E * E
-    mu = np.array((0.0,) + spec.mu)
 
-    def field(theta, X):
-        K, r = len(theta), X[..., 0]
-        if (r <= 0.0).any():
-            k = np.argmax((r <= 0.0).any(axis=1))
-            raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta[k]:.6f}")
+    def field(theta):
+        K = len(theta)
         cx, sx = np.cos(theta)[:, None], np.sin(theta)[:, None]
         point = np.empty((K, B, n + 1))
-        point[..., 0], point[..., 1], point[..., 2:] = r * cx, r * sx, X[..., 1:]
-        # AB[k, b, 0] and AB[k, b, 1]: the order-1 fields A and order-2 fields B of row b at node k
-        AB = C.values(point.reshape(K * B, n + 1)).reshape(K, B, 2, n + 1)
-        _cylindrical(AB.transpose(3, 0, 1, 2), cx[..., None], sx[..., None], r[..., None])
-        A, Bf = AB[:, :, 0], AB[:, :, 1]
-        tilt = E * A[..., 0] + E2 * Bf[..., 0]  # the angular speed is 1 + tilt
-        if (tilt <= -1.0).any():
-            k = np.argmax((tilt <= -1.0).any(axis=1))
-            raise DenominatorVanishedError(
-                f"angular speed {1.0 + tilt.min():.3e} at theta = {theta[k]:.6f}; reduce eps"
-            )
-        num = E[:, None] * A[..., 1:] + E2[:, None] * Bf[..., 1:] - mu * X * tilt[..., None]
-        return num / (1.0 + tilt[..., None])
+
+        def at(X):
+            r = X[..., 0]
+            if (r <= 0.0).any():
+                k = np.argmax((r <= 0.0).any(axis=1))
+                raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta[k]:.6f}")
+            point[..., 0], point[..., 1], point[..., 2:] = r * cx, r * sx, X[..., 1:]
+            # AB[k, b, 0] and AB[k, b, 1]: the order-1 fields A and order-2 fields B of row b at node k
+            AB = C.values(point.reshape(K * B, n + 1)).reshape(K, B, 2, n + 1)
+            _cylindrical(AB.transpose(3, 0, 1, 2), cx[..., None], sx[..., None], r[..., None])
+            A, Bf = AB[:, :, 0], AB[:, :, 1]
+            tilt = E * A[..., 0] + E2 * Bf[..., 0]  # the angular speed is 1 + tilt
+            if (tilt <= -1.0).any():
+                k = np.argmax((tilt <= -1.0).any(axis=1))
+                raise DenominatorVanishedError(
+                    f"angular speed {1.0 + tilt.min():.3e} at theta = {theta[k]:.6f}; reduce eps"
+                )
+            num = E[:, None] * A[..., 1:] + E2[:, None] * Bf[..., 1:] - mu * X * tilt[..., None]
+            return num / (1.0 + tilt[..., None])
+
+        return at
 
     return field
 
@@ -189,38 +199,40 @@ def _picard(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float) -> np.nda
     and the N-rule on the same samples agrees with it to the same bound;
     otherwise N doubles from NODE_START, the iterate interpolated onto the
     new nodes.  An update above half the previous one raises _NotContracting.
+    The node factors (the angles, e^(mu*(theta - a)) and the field's own) are
+    built once per N; an iterate evaluates the field and applies S.
     """
     h, N = 0.5 * (b - a), NODE_START
-    x, S = _cheb_rule(2 * N)
-    W = np.broadcast_to(W0, (len(x),) + W0.shape)
-    prev = math.inf
+    W = np.broadcast_to(W0, (2 * N + 1,) + W0.shape)
     while True:
+        x, S = _cheb_rule(2 * N)
         theta = a + h * (x + 1.0)
         Y = np.exp(np.multiply.outer(theta - a, mu))[:, None, :]
-        G = field(theta, Y * W) / Y
-        W_new = W0 + h * np.tensordot(S, G, axes=1)
-        tol = INTEGRATION_TOL * np.abs(W_new).max(axis=(0, 2))
-        update = (np.abs(W_new - W).max(axis=(0, 2)) / tol).max()
-        W = W_new
-        if update <= 1.0:
-            coarse = W0 + h * np.tensordot(_cheb_rule(N)[1], G[::2], axes=1)
-            diff = np.abs(coarse - W[::2]).max(axis=(0, 2))
-            if (diff <= tol).all():
-                return W[-1] * Y[-1, 0]
-            N *= 2
-            if N > NODE_CAP:
-                k = np.argmax(diff / tol)
-                raise IntegrationFailure(
-                    f"segment [{a:.6f}, {b:.6f}]: the Chebyshev-Picard rule at N = {N // 2} and {N} "
-                    f"still differs by {diff[k]:.3e} (tolerance {tol[k]:.3e}) at the node cap N = {NODE_CAP}"
-                )
-            W = np.tensordot(_cheb_refine(N), W, axes=1)
-            x, S = _cheb_rule(2 * N)
-            prev = math.inf
-        elif not update <= 0.5 * prev:  # also when the update is nan
-            raise _NotContracting
-        else:
+        F = field(theta)
+        prev = math.inf
+        while True:
+            G = F(Y * W) / Y
+            W_new = W0 + h * (S @ G.reshape(len(x), -1)).reshape(G.shape)
+            tol = INTEGRATION_TOL * np.abs(W_new).max(axis=(0, 2))
+            update = (np.abs(W_new - W).max(axis=(0, 2)) / tol).max()
+            W = W_new
+            if update <= 1.0:
+                break
+            if not update <= 0.5 * prev:  # also when the update is nan
+                raise _NotContracting
             prev = update
+        coarse = W0 + h * np.tensordot(_cheb_rule(N)[1], G[::2], axes=1)
+        diff = np.abs(coarse - W[::2]).max(axis=(0, 2))
+        if (diff <= tol).all():
+            return W[-1] * Y[-1, 0]
+        N *= 2
+        if N > NODE_CAP:
+            k = np.argmax(diff / tol)
+            raise IntegrationFailure(
+                f"segment [{a:.6f}, {b:.6f}]: the Chebyshev-Picard rule at N = {N // 2} and {N} "
+                f"still differs by {diff[k]:.3e} (tolerance {tol[k]:.3e}) at the node cap N = {NODE_CAP}"
+            )
+        W = np.tensordot(_cheb_refine(N), W, axes=1)
 
 
 def _march(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float, depth: int = 0, tripped=None) -> np.ndarray:
@@ -247,26 +259,37 @@ def _march(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float, depth: int
     return _march(field, mu, W_mid, mid, b, depth + 1, tripped)
 
 
-def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
-    """Integrate every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together.
+def _integrator(spec: SystemSpec, theta_span):
+    """integrate(E, Z): every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together.
 
-    One stacked Chebyshev-Picard march per zone segment; each row is held to
+    The zone segments, and the compiled tables of the zones they cross, are
+    built once here and serve every call.  Each call is one stacked
+    Chebyshev-Picard march per zone segment; each row is held to
     INTEGRATION_TOL in the max norm on its own, as if it ran alone.
     """
     t0, t1 = float(theta_span[0]), float(theta_span[1])
-    E = np.asarray(E, dtype=float)
-    X = np.array(Z, dtype=float)
-    if X.shape != (len(E), spec.d + 1):
-        raise ValueError(f"states have shape {X.shape}, expected ({len(E)}, {spec.d + 1})")
-    if np.any(X[:, 0] <= 0.0):
-        raise RCrossedZeroError(f"initial r = {X[:, 0].min():.3e} must be positive")
     mu = np.array((0.0,) + spec.mu)
     knots = [t0] + _breakpoints(spec, t0, t1) + [t1]
-    for a, b in zip(knots[:-1], knots[1:]):
-        if a == b:
-            continue
-        X = _march(_zone_field(spec, E, _zone_sign(spec, 0.5 * (a + b))), mu, X, a, b)
-    return X
+    segments = [(a, b, _zone_sign(spec, 0.5 * (a + b))) for a, b in zip(knots[:-1], knots[1:]) if a != b]
+    tables = {sign: compile_fields(spec, (1, 2), sign) for sign in {sign for _, _, sign in segments}}
+
+    def integrate(E, Z) -> np.ndarray:
+        E = np.asarray(E, dtype=float)
+        X = np.array(Z, dtype=float)
+        if X.shape != (len(E), spec.d + 1):
+            raise ValueError(f"states have shape {X.shape}, expected ({len(E)}, {spec.d + 1})")
+        if np.any(X[:, 0] <= 0.0):
+            raise RCrossedZeroError(f"initial r = {X[:, 0].min():.3e} must be positive")
+        for a, b, sign in segments:
+            X = _march(_zone_field(tables[sign], mu, E), mu, X, a, b)
+        return X
+
+    return integrate
+
+
+def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
+    """Integrate every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together (see _integrator)."""
+    return _integrator(spec, theta_span)(E, Z)
 
 
 def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span):
@@ -286,11 +309,6 @@ def displacement(spec: SystemSpec, eps: float, z0) -> np.ndarray:
     """P(z) - z; zeros are the 2*pi-periodic solutions."""
     z0 = np.asarray(z0, dtype=float)
     return return_map(spec, eps, z0) - z0
-
-
-def _displacements(spec: SystemSpec, E, Z) -> np.ndarray:
-    """P(z) - z for every row (E[b], Z[b]), one stacked integration."""
-    return _integrate(spec, E, Z, (0.0, TWO_PI)) - Z
 
 
 def refine_cycle(spec: SystemSpec, eps: float, nu_star) -> CycleRecord:
@@ -326,15 +344,20 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     nu_star = np.asarray(nu_star, dtype=float)
     predicted = np.zeros(n)
     predicted[: len(nu_star)] = nu_star
+    full_turn = _integrator(spec, (0.0, TWO_PI))
+
+    def displacements(E, Z):
+        # P(z) - z for every row (E[b], Z[b]), one stacked integration
+        return full_turn(E, Z) - Z
 
     def jac(rows, X, FX):
         # H[i, j]: row i's step on component j; its n shifted points are consecutive batch rows
         H = FD_STEP * np.maximum(1.0, np.abs(X))
         points = X[:, None, :] + H[:, :, None] * np.eye(n)
-        Gp = _displacements(spec, np.repeat(E[rows], n), points.reshape(-1, n)).reshape(-1, n, n)
+        Gp = displacements(np.repeat(E[rows], n), points.reshape(-1, n)).reshape(-1, n, n)
         return ((Gp - FX[:, None, :]) / H[:, :, None]).transpose(0, 2, 1)
 
-    Z, G, ok, steps = _batch_newton(lambda rows, X: _displacements(spec, E[rows], X), jac,
+    Z, G, ok, steps = _batch_newton(lambda rows, X: displacements(E[rows], X), jac,
                                     np.tile(predicted, (len(E), 1)), PERIOD_RESIDUAL_TOL,
                                     NEWTON_MAX_ITERS, 20, 0.0)
     # res[b] is max|G[b]|, the displacement integrated at this very Z[b]

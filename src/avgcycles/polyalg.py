@@ -20,7 +20,13 @@ PRUNE_TOL = 1e-15
 
 
 class Poly:
-    """Sparse polynomial: dict of exponent-tuple -> float coefficient."""
+    """Sparse polynomial: dict of exponent-tuple -> float coefficient.
+
+    Monomials are checked where they enter, by the constructor and
+    `_accum`.  Copies, sums, differences, products, scalings and
+    derivatives combine terms that are already checked, through `_add`,
+    which prunes the same way.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -34,8 +40,12 @@ class Poly:
     def _accum(self, mono, c):
         if len(mono) != self.nvars:
             raise ValueError(f"monomial {mono} has wrong length for nvars={self.nvars}")
-        if any(e < 0 for e in mono):
+        if min(mono, default=0) < 0:
             raise ValueError(f"negative exponent in monomial {mono}")
+        self._add(mono, c)
+
+    def _add(self, mono, c):
+        """Add c to a checked monomial's coefficient, dropping it below PRUNE_TOL."""
         v = self.terms.get(mono, 0.0) + c
         if abs(v) < PRUNE_TOL:
             self.terms.pop(mono, None)
@@ -52,7 +62,9 @@ class Poly:
         return cls(nvars, {mono: 1.0})
 
     def copy(self) -> "Poly":
-        return Poly(self.nvars, self.terms)
+        out = Poly(self.nvars)
+        out.terms = dict(self.terms)
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -64,25 +76,33 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __iadd__(self, other: "Poly") -> "Poly":
+        """Add other's terms into this polynomial, in place."""
         self._check(other)
-        out = self.copy()
         for mono, c in other.terms.items():
-            out._accum(mono, c)
+            self._add(mono, c)
+        return self
+
+    def __add__(self, other: "Poly") -> "Poly":
+        out = self.copy()
+        out += other
         return out
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scaled(-1.0)
 
     def scaled(self, c: float) -> "Poly":
-        return Poly(self.nvars, {m: v * c for m, v in self.terms.items()})
+        out = Poly(self.nvars)
+        for mono, v in self.terms.items():
+            out._add(mono, v * c)
+        return out
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         out = Poly(self.nvars)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out._accum(tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                out._add(tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return out
 
     def _check(self, other):
@@ -96,8 +116,7 @@ class Poly:
         for mono, c in self.terms.items():
             e = mono[var]
             if e > 0:
-                m2 = tuple(v - 1 if k == var else v for k, v in enumerate(mono))
-                out._accum(m2, c * e)
+                out._add(mono[:var] + (e - 1,) + mono[var + 1:], c * e)
         return out
 
     def __call__(self, point) -> float:

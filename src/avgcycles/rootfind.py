@@ -12,7 +12,8 @@ The search runs on the r-free system G: each component of F divided by the
 largest power of r that divides it.  On the box, r >= r_min > 0, so
 F = diag(r^k_i)·G has the zeros of G, and J_F = diag(r^k_i)·J_G there: a
 zero is simple for F exactly when it is simple for G.  Without the factor,
-the spurious zero at r = 0 no longer drags seeds to the r_min wall.
+the spurious zero at r = 0 no longer drags seeds to the r_min wall, and
+a G with a nonzero constant component, which has no zero, is not searched.
 
 The limits are then filtered and deduplicated in seed order; a seed that
 fails at the r_min wall counts as an r_min hit, any other failure as
@@ -182,6 +183,8 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
 
     Newton, the residual, det J and the simplicity threshold are those of
     the r-free system (module docstring), which has F's zeros on the box.
+    When one of its components is a nonzero constant it has no zero at
+    all: no seed is run and no record returned.
     """
     if len(F) != F.nvars:
         raise ValueError(f"system is not square: {len(F)} equations, {F.nvars} variables")
@@ -190,6 +193,8 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
     diag = diagnostics if diagnostics is not None else SearchDiagnostics()
 
     G = PolyVec([_r_free(p) for p in F])
+    if any(p.degree() == 0 for p in G):
+        return []  # a nonzero constant component: G, so F on the box, has no zero
     seeds = box.seeds()
     C = CompiledPolyVec.of(G)
     x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),

@@ -46,7 +46,12 @@ def multi_indices(n: int, nvars: int):
 
 @dataclass
 class CoefficientTable:
-    """Sparse coefficients of a polynomial of degree <= n in (x, y, z_1..z_d)."""
+    """Sparse coefficients of a polynomial of degree <= n in (x, y, z_1..z_d).
+
+    Entries are checked where they enter, by the constructor and by `set`:
+    a valid index of the table's degree and a finite value, zeros dropped.
+    `copy` copies the checked entries as they are.
+    """
 
     degree: int
     d: int
@@ -72,7 +77,7 @@ class CoefficientTable:
     def _check_index(self, idx):
         if len(idx) != self.d + 2:
             raise SpecError(f"index {idx} has length {len(idx)}, expected {self.d + 2}")
-        if any(e < 0 for e in idx):
+        if min(idx) < 0:
             raise SpecError(f"negative exponent in index {idx}")
         if sum(idx) > self.degree:
             raise SpecError(f"index {idx} exceeds table degree {self.degree}")
@@ -89,7 +94,9 @@ class CoefficientTable:
             self.entries[idx] = val
 
     def copy(self) -> "CoefficientTable":
-        return CoefficientTable(self.degree, self.d, dict(self.entries))
+        out = object.__new__(CoefficientTable)
+        out.degree, out.d, out.entries = self.degree, self.d, dict(self.entries)
+        return out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -247,14 +254,21 @@ def zero_spec(n: int, m: int, d: int, phi: float, mu=None) -> SystemSpec:
 
 
 def random_spec(n: int, m: int, d: int, phi: float, rng, mu=None, scale=1.0) -> SystemSpec:
-    """Dense random tables, useful for oracle cross-checks."""
+    """Dense random tables, useful for oracle cross-checks.
+
+    Each table draws one uniform(-1, 1) vector over its indices, in table
+    order (the stream of one scalar draw per entry), scaled by ``scale``.
+    """
     rng = default_rng(rng)
     spec = zero_spec(n, m, d, phi, mu)
+    indices = list(multi_indices(n, d + 2))  # valid by construction
     for fam in FIRST_ORDER + SECOND_ORDER:
         for sign in SIGNS:
             tabs = spec.tables[fam + sign]
-            tabs = tabs if isinstance(tabs, list) else [tabs]
-            for t in tabs:
-                for idx in multi_indices(n, d + 2):
-                    t.set(idx, scale * rng.uniform(-1.0, 1.0))
+            for t in tabs if isinstance(tabs, list) else [tabs]:
+                vals = scale * rng.uniform(-1.0, 1.0, len(indices))
+                bad = np.flatnonzero(~np.isfinite(vals))
+                if bad.size:
+                    raise SpecError(f"non-finite coefficient {vals[bad[0]]} at index {indices[bad[0]]}")
+                t.entries = {idx: v for idx, v in zip(indices, vals.tolist()) if v != 0.0}
     return spec

@@ -54,6 +54,13 @@ class TestPoly:
         assert p.is_zero()
         assert p.degree() == -1
 
+    def test_round_off_prunes(self):
+        # 0.1 + 0.2 - 0.3 leaves 5.6e-17, below PRUNE_TOL; 2e-15 stays
+        assert (Poly(1, {(1,): 0.1 + 0.2}) - Poly(1, {(1,): 0.3})).is_zero()
+        assert Poly(1, {(0,): 5e-16}).is_zero()
+        assert Poly(1, {(0,): 1.0}).scaled(2e-15).terms == {(0,): 2e-15}
+        assert Poly(1, {(0,): 1.0}).scaled(5e-16).is_zero()
+
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             Poly.variable(2, 0) + Poly.variable(3, 0)
@@ -61,6 +68,17 @@ class TestPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly(1, {(-1,): 1.0})
+
+    @pytest.mark.parametrize("mono, match", [((1,), "wrong length"), ((1, 0, 2), "wrong length"),
+                                             ((2, -1), "negative exponent")])
+    def test_entering_monomials_checked(self, mono, match):
+        # terms enter through the constructor or _accum; both check them
+        with pytest.raises(ValueError, match=match):
+            Poly(2, {mono: 1.0})
+        p = Poly.variable(2, 0)
+        with pytest.raises(ValueError, match=match):
+            p._accum(mono, 1.0)
+        assert p.terms == {(1, 0): 1.0}
 
     def test_pretty_deterministic(self):
         p = Poly(2, {(1, 0): 1.0, (0, 2): -2.0, (0, 0): 0.5})
@@ -171,6 +189,51 @@ class TestAlgebraProperties:
         rhs = p.diff(0) + q.diff(0)
         monos = set(lhs.terms) | set(rhs.terms)
         assert all(abs(lhs.terms.get(mo, 0.0) - rhs.terms.get(mo, 0.0)) < 1e-9 for mo in monos)
+
+
+# coefficients that cancel exactly or to below PRUNE_TOL, next to generic ones
+cancelling = st.one_of(coeffs, st.sampled_from([1.0, -1.0, 0.5, 2e-15, -2e-15]))
+cpolys2 = st.dictionaries(monos2, cancelling, max_size=6).map(lambda t: Poly(2, t))
+
+
+def _checked(nvars, pairs):
+    """A Poly built from (monomial, coefficient) pairs through the checked _accum alone."""
+    out = Poly(nvars)
+    for mono, c in pairs:
+        out._accum(mono, c)
+    return out
+
+
+def _same(p, q):
+    """Equal terms, bit for bit and in the same order."""
+    return list(p.terms.items()) == list(q.terms.items())
+
+
+class TestUncheckedArithmetic:
+    """Arithmetic on checked terms adds them unchecked, and the result is the checked one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cpolys2, cpolys2, cancelling)
+    def test_matches_checked_reference(self, p, q, c):
+        both = [*p.terms.items(), *q.terms.items()]
+        assert _same(p.copy(), _checked(2, p.terms.items()))
+        assert _same(p + q, _checked(2, both))
+        assert _same(p.scaled(c), _checked(2, [(mo, v * c) for mo, v in p.terms.items()]))
+        minus_q = _checked(2, [(mo, -v) for mo, v in q.terms.items()])
+        assert _same(p - q, _checked(2, [*p.terms.items(), *minus_q.terms.items()]))
+        assert _same(p * q, _checked(2, [((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in p.terms.items()
+                                         for (a2, b2), c2 in q.terms.items()]))
+        for var in (0, 1):
+            assert _same(p.diff(var), _checked(2, [(tuple(e - (k == var) for k, e in enumerate(mo)), v * mo[var])
+                                                   for mo, v in p.terms.items() if mo[var]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cpolys2, cpolys2)
+    def test_in_place_sum_is_the_sum(self, p, q):
+        total, before = p.copy(), p.copy()
+        total += q
+        assert _same(total, p + q)
+        assert _same(p, before)  # the copy shares no terms with p
 
 
 class TestBezout:

@@ -35,6 +35,25 @@ class TestCoefficientTable:
         with pytest.raises(SpecError):
             t.set((1, 0), 1.0)
 
+    @pytest.mark.parametrize("idx, val, match", [((1, 0), 1.0, "length"), ((1, -1, 0), 1.0, "negative"),
+                                                 ((2, 0, 1), 1.0, "degree"), ((1, 0, 0), math.inf, "non-finite")])
+    def test_entering_entries_checked(self, idx, val, match):
+        # entries enter through the constructor or set; both check them
+        with pytest.raises(SpecError, match=match):
+            CoefficientTable(2, 1, {idx: val})
+        t = CoefficientTable(2, 1, {(0, 1, 0): 2.0})
+        with pytest.raises(SpecError, match=match):
+            t.set(idx, val)
+        assert t.entries == {(0, 1, 0): 2.0}
+
+    def test_copy_is_independent(self):
+        t = CoefficientTable(2, 1, {(1, 0, 1): 2.5, (0, 0, 0): -1.0})
+        cp = t.copy()
+        assert (cp.degree, cp.d, cp.entries) == (2, 1, t.entries)
+        cp.set((1, 0, 1), 0.0)
+        cp.set((0, 2, 0), 4.0)
+        assert t.entries == {(1, 0, 1): 2.5, (0, 0, 0): -1.0}
+
     def test_eval_grad(self):
         # tables are evaluated through the compiled form, as the fields are
         t = CoefficientTable(3, 1, {(1, 2, 0): 2.0, (0, 0, 1): -1.0})
@@ -83,6 +102,16 @@ class TestSystemSpec:
         cp = spec.copy()
         cp.table("a", "+").set((1, 0, 0), 3.0)
         assert spec.table("a", "+").is_zero()
+
+    def test_copy_shares_no_table(self):
+        spec = random_spec(2, 1, 2, 1.0, 5)
+        before = spec.to_json_dict()
+        cp = spec.copy()
+        assert cp.to_json_dict() == before
+        cp.table("a", "+").set((0, 1, 0, 0), 9.0)
+        cp.table("gamma", "-", 1).set((1, 0, 1, 0), 0.0)
+        cp.tables["c+"][0].entries.clear()
+        assert spec.to_json_dict() == before
 
 
 class TestJsonRoundTrip:
@@ -137,3 +166,45 @@ def test_random_spec_deterministic():
     a = random_spec(2, 1, 1, 1.0, 42)
     b = random_spec(2, 1, 1, 1.0, 42)
     assert a.table("a", "+").entries == b.table("a", "+").entries
+
+
+def _entry_lists(spec):
+    """Every table's entries as a list, in table and insertion order."""
+    tabs = [t for val in spec.tables.values() for t in (val if isinstance(val, list) else [val])]
+    return [list(t.entries.items()) for t in tabs]
+
+
+def _scalar_draw_spec(n, m, d, phi, seed, mu=None, scale=1.0):
+    """random_spec's reference: one scalar draw per entry, each set through the checks."""
+    rng = np.random.default_rng(seed)
+    spec = zero_spec(n, m, d, phi, mu)
+    for fam in ("a", "b", "c", "alpha", "beta", "gamma"):
+        for sign in ("+", "-"):
+            tabs = spec.tables[fam + sign]
+            for t in tabs if isinstance(tabs, list) else [tabs]:
+                for idx in multi_indices(n, d + 2):
+                    t.set(idx, scale * rng.uniform(-1.0, 1.0))
+    return spec
+
+
+@pytest.mark.parametrize("n, m, d, mu", [(1, 0, 0, None), (2, 1, 1, None), (2, 1, 2, (0.0, 0.7)),
+                                         (3, 2, 3, None), (3, 0, 2, (-0.4, 1.3)), (0, 2, 2, None)])
+@pytest.mark.parametrize("seed", [0, 42, 2024])
+@pytest.mark.parametrize("scale", [1.0, 0.4])
+def test_random_spec_is_the_scalar_draw_stream(n, m, d, mu, seed, scale):
+    # one vector draw per table is the stream of one scalar draw per entry, bit for bit
+    got = random_spec(n, m, d, 1.1, seed, mu=mu, scale=scale)
+    ref = _scalar_draw_spec(n, m, d, 1.1, seed, mu=mu, scale=scale)
+    assert got.mu == ref.mu
+    assert _entry_lists(got) == _entry_lists(ref)
+    assert all(type(c) is float for t in _entry_lists(got) for _, c in t)
+
+
+def test_random_spec_zero_scale_is_empty():
+    assert not any(_entry_lists(random_spec(2, 1, 2, 1.0, 3, scale=0.0)))
+
+
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+def test_random_spec_non_finite_scale_rejected(scale):
+    with pytest.raises(SpecError, match="non-finite coefficient"):
+        random_spec(1, 0, 1, 1.0, 3, scale=scale)

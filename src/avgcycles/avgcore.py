@@ -143,13 +143,13 @@ def _g_contribution(spec: SystemSpec, sign: str, series: HarmonicSum, rshift: in
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class KernelConstraint:
     """Linear relation on spec coefficients forcing one f_1 monomial to zero."""
 
     component: int  # 0 for the radial equation, 1..m for z_l
     monomial: tuple  # (r_exp, k_1, ..., k_m)
-    terms: list  # list of (family, sign, index, weight)
+    terms: tuple  # (family, sign, index, weight) per entry
 
     def residual(self, spec: SystemSpec) -> float:
         total = 0.0
@@ -159,15 +159,21 @@ class KernelConstraint:
         return total
 
 
-def f1_kernel_constraints(spec: SystemSpec) -> list:
+def f1_kernel_constraints(spec: SystemSpec) -> tuple:
     """One linear constraint per potential monomial of each f_1 component.
 
     A constraint's residual is that monomial's coefficient in f_1: the
     weights are the integrals I (zone +) and J (zone -) of the trigonometric
-    factor each table entry carries at tail z = 0.
+    factor each table entry carries at tail z = 0.  They depend on the
+    spec's shape (n, m, d, phi) alone, never on its tables, so each shape's
+    constraints are built once and shared.
     """
-    n, m, phi = spec.n, spec.m, spec.phi
-    tail = (0,) * (spec.d - m)
+    return _kernel_constraints(spec.n, spec.m, spec.d, spec.phi)
+
+
+@functools.cache
+def _kernel_constraints(n: int, m: int, d: int, phi: float) -> tuple:
+    tail = (0,) * (d - m)
     constraints = []
     heads = sorted(set(multi_indices(n, m)))
     for ell in range(m + 1):
@@ -186,8 +192,8 @@ def f1_kernel_constraints(spec: SystemSpec) -> list:
                     else:
                         terms.append(("c", "+", idx, trig_I(TrigKey(i, j, phi))))
                         terms.append(("c", "-", idx, trig_J(TrigKey(i, j, phi))))
-                constraints.append(KernelConstraint(ell, (e,) + kvec, terms))
-    return constraints
+                constraints.append(KernelConstraint(ell, (e,) + kvec, tuple(terms)))
+    return tuple(constraints)
 
 
 def build_f1(spec: SystemSpec) -> PolyVec:

@@ -129,8 +129,8 @@ def cmd_zeros(args) -> int:
     records = find_simple_zeros(system, box)
     write_zero_csv(_out_path(args, "zeros.csv"), records, dim)
     simple = sum(1 for r in records if r.simple)
-    print(f"order-{order} averaged system: {simple} simple zeros "
-          f"({len(records)} candidates) -> {_out_path(args, 'zeros.csv')}")
+    print(f"order-{order} averaged system: {simple} simple zeros, "
+          f"{len(records) - simple} unresolved regions -> {_out_path(args, 'zeros.csv')}")
     for rec in records:
         print("  ", rec.as_row())
     return 0 if all(r.simple for r in records) else 1

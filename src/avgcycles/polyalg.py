@@ -9,14 +9,32 @@ sparse exponent -> coefficient maps (a PolyVec's terms, or the coefficient
 tables of a system spec, which are compiled as stored and never pruned) into
 dense exponent and coefficient arrays that give values and Jacobians for a
 whole batch of points from one table of powers, built by repeated products
-because float pow costs about 30 times a multiply per element.
+because float pow costs about 30 times a multiply per element.  It also
+encloses the values and the Jacobian over a whole batch of boxes, with
+every rounding error bounded, for the interval root search.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 PRUNE_TOL = 1e-15
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(k: int) -> float:
+    """A bound on the relative rounding error of a float sum of k products.
+
+    Higham's gamma_k = k*u / (1 - k*u) (Accuracy and Stability of Numerical
+    Algorithms, section 3.1), taken at k + 2 so that scaling a radius by
+    1 + gamma(k) also covers the rounding of that scaling.
+    """
+    k += 2
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 class Poly:
@@ -202,7 +220,7 @@ class CompiledPolyVec:
     product with the coefficients.
     """
 
-    __slots__ = ("nvars", "exps", "coef", "dcoef", "npow", "cols", "dcols")
+    __slots__ = ("nvars", "exps", "coef", "dcoef", "npow", "cols", "dcols", "_plan")
 
     def __init__(self, nvars: int, components):
         n = self.nvars = nvars
@@ -217,21 +235,23 @@ class CompiledPolyVec:
         # x_j gets coefficient 0, so its clipped exponent never matters
         self.dcols = offsets + np.maximum(self.exps[None] - np.eye(n, dtype=np.intp)[:, None], 0)
         self.dcoef = self.coef[None] * self.exps.T[:, None]
+        self._plan = None
 
     @classmethod
     def of(cls, F: PolyVec) -> "CompiledPolyVec":
         """Compile a PolyVec's (already pruned) terms."""
         return cls(F.nvars, [p.terms for p in F])
 
-    def _powers(self, X):
+    def _powers(self, X, npow=None):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.nvars:
             raise ValueError(f"points have shape {X.shape}, expected (B, {self.nvars})")
-        P = np.empty((len(X), self.nvars, self.npow))
+        K = self.npow if npow is None else npow
+        P = np.empty((len(X), self.nvars, K))
         P[:, :, 0] = 1.0
-        for e in range(1, self.npow):
+        for e in range(1, K):
             np.multiply(P[:, :, e - 1], X, out=P[:, :, e])
-        return P.reshape(len(X), self.nvars * self.npow)
+        return P.reshape(len(X), self.nvars * K)
 
     def values(self, X):
         """Component values at each point: shape (B, ncomponents)."""
@@ -242,6 +262,95 @@ class CompiledPolyVec:
         P = self._powers(X)
         cols = [P[:, dc].prod(axis=-1) @ c.T for dc, c in zip(self.dcols, self.dcoef)]
         return np.stack(cols, axis=-1)
+
+    def _shift_plan(self):
+        """The Taylor shift x^f = sum over e <= f of binom(f, e) c^(f-e) h^e, as arrays, built once.
+
+        The shifted exponents e run over every exponent below a monomial,
+        plus 0 and the unit vectors.  Returns (K, ones, dcols, shift, wcols,
+        wweight): K powers per variable in the table; `ones[j]`, the index
+        of the unit vector e_j; `dcols`, the table columns of c^(f-e) for
+        each (f, e) pair; `shift[0]` (pairs, components * exponents), each
+        pair's weight binom(f, e) * coef, so that the pairs' powers of c
+        times `shift[0]` are the coefficients of G(c + h) in h, and
+        `shift[1]` = |shift[0]|; `wcols` and `wweight`, the columns and
+        factors of h^e, the value's radius terms, and of e_j h^(e - e_j),
+        those of d/dx_j (0 on e_j itself, its centre value).
+        """
+        if self._plan is None:
+            n, K = self.nvars, max(self.npow, 2)  # the unit vectors need first powers
+            units = [tuple(int(v == j) for v in range(n)) for j in range(n)]
+            below = {e for f in self.exps.tolist() for e in itertools.product(*(range(k + 1) for k in f))}
+            down = sorted(below | {(0,) * n} | set(units))
+            at = {e: i for i, e in enumerate(down)}
+            pairs = [(t, at[e], math.prod(map(math.comb, f, e)), [a - b for a, b in zip(f, e)])
+                     for t, f in enumerate(self.exps.tolist())
+                     for e in itertools.product(*(range(k + 1) for k in f))]
+            offsets = np.arange(n) * K
+            ncomp, T = self.coef.shape[0], len(down)
+            pf, pe, pb, pd = (list(a) for a in zip(*pairs)) if pairs else ([], [], [], [])
+            shift = np.zeros((len(pairs), ncomp, T))
+            shift[np.arange(len(pairs)), :, pe] = np.array(pb, dtype=float)[:, None] * self.coef[:, pf].T
+            D = np.array(down, dtype=np.intp).reshape(T, n)
+            eye = np.eye(n, dtype=np.intp)
+            wweight = np.concatenate([(D.sum(axis=1) > 0)[None], D.T], dtype=float)
+            wweight[1 + np.arange(n), [at[u] for u in units]] = 0.0
+            self._plan = (
+                K,
+                np.array([at[u] for u in units]),
+                offsets + np.array(pd, dtype=np.intp).reshape(len(pairs), n),
+                np.stack([shift, np.abs(shift)]).reshape(2, len(pairs), ncomp * T),
+                offsets + np.concatenate([D[None], np.maximum(D[None] - eye[:, None], 0)]),
+                wweight,
+            )
+        return self._plan
+
+    def enclosures(self, lo, hi) -> "Enclosure":
+        """The system over each box of a batch, expanded about the box's centre.
+
+        lo and hi (B, nvars) are the boxes' corners.  With c the centre and
+        h = x - c, G(c + h) = sum_e a_e h^e exactly (the Taylor shift), and
+        |h_v| <= half_v bounds every term but a_0 by |a_e| half^e: the
+        centred form, whose width shrinks with the box even where the
+        monomial coefficients cancel heavily.  The a_e come from one gather
+        of c's power table and one matrix product, and their rounding error,
+        gamma * (|c^(f-e)| @ |shift|), joins every radius.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.ndim != 2 or lo.shape[1] != self.nvars or hi.shape != lo.shape:
+            raise ValueError(f"boxes have corners {lo.shape} and {hi.shape}, expected (B, {self.nvars})")
+        K, ones, dcols, shift, wcols, wweight = self._shift_plan()
+        B, n, k, T = len(lo), self.nvars, self.coef.shape[0], wweight.shape[1]
+        c = 0.5 * lo + 0.5 * hi
+        half = np.nextafter(np.maximum(c - lo, hi - c), np.inf)
+        P = self._powers(np.concatenate([c, half]), K)
+        M = P[:B, dcols].prod(axis=-1)
+        A, Aerr = (np.stack([M, np.abs(M)]) @ shift).reshape(2, B, k, T)
+        Aerr = Aerr * gamma(len(dcols) + 2 * n * K) + 1e-300
+        # half^e and half^(e - unit_j), rounded down in at most n*K products
+        W = P[B:, wcols].prod(axis=-1) * wweight * (1.0 + gamma(n * K + 1))
+        rad = np.einsum("bie,bse->bsi", np.abs(A) + Aerr, W) * (1.0 + gamma(T + 3)) + 1e-300
+        return Enclosure(c, half, A[:, :, 0], Aerr[:, :, 0], Aerr[:, :, 0] + rad[:, 0],
+                         A[:, :, ones], Aerr[:, :, ones] + rad[:, 1:].transpose(0, 2, 1))
+
+
+class Enclosure(NamedTuple):
+    """A compiled system over a batch of boxes, about each box's centre c.
+
+    Each box lies within half of its centre.  The exact G(c) lies within
+    value_err of value; at every point of the box G lies within value_rad
+    of value, and the Jacobian within jac_rad of jac, J(c) as computed.
+    Shapes: (B, nvars) for centre and half, (B, ncomponents) for the
+    values, (B, ncomponents, nvars) for the Jacobians.
+    """
+
+    centre: np.ndarray
+    half: np.ndarray
+    value: np.ndarray
+    value_err: np.ndarray
+    value_rad: np.ndarray
+    jac: np.ndarray
+    jac_rad: np.ndarray
 
 
 def jacobian(F: PolyVec, point):

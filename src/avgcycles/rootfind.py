@@ -1,45 +1,60 @@
-"""Locating and certifying simple zeros of polynomial systems on r > 0.
-
-Dense grid seeding plus damped Newton: at desk-scale degrees every zero in
-the box is reachable from some nearby seed, so no continuation machinery is
-needed.  The system is compiled once (polyalg.CompiledPolyVec) and Newton
-runs on all seeds as one (seeds, nvars) batch, each seed keeping its own
-stopping, failure and step-halving rules.  That Newton, _batch_newton, takes
-the residual and Jacobian as callbacks told which rows they serve, so
-flowsim's return-map Newton runs on it too.
+"""Proved counts of the zeros of polynomial systems in a box in r > 0.
 
 The search runs on the r-free system G: each component of F divided by the
 largest power of r that divides it.  On the box, r >= r_min > 0, so
 F = diag(r^k_i)·G has the zeros of G, and J_F = diag(r^k_i)·J_G there: a
-zero is simple for F exactly when it is simple for G.  Without the factor,
-the spurious zero at r = 0 no longer drags seeds to the r_min wall, and
-a G with a nonzero constant component, which has no zero, is not searched.
+zero is simple for F exactly when it is simple for G.  A G with a nonzero
+constant component has no zero and is not searched; only the Bezout sanity
+check reads F itself.
 
-The limits are then filtered and deduplicated in seed order; a seed that
-fails at the r_min wall counts as an r_min hit, any other failure as
-diverged.  The same compiled G gives each zero's final residual and
-Jacobian determinant: a zero is certified simple when the residual is tiny
-and the determinant clears a degree-aware threshold.  Only the Bezout
-sanity check reads F itself.
+The search is a branch and prune over boxes (Moore, Kearfott and Cloud,
+Introduction to Interval Analysis, SIAM 2009, ch. 8).  The search box is
+cut into about INITIAL_BOXES cells, and each level of boxes is classified
+at once from CompiledPolyVec's centred-form enclosures of G and its
+Jacobian, every rounding included:
+
+- a box is excluded when the enclosure of some component of G over it
+  excludes 0: it holds no zero;
+- a box is proved when its Krawczyk image lies in its interior (Krawczyk,
+  Computing 4, 1969): it then holds exactly one zero, and that zero is
+  simple;
+- any other box is bisected, the axes taken in turn, until it is about
+  MIN_WIDTH of the search box wide on every axis, or until the search has
+  classified MAX_BOXES boxes.
+
+From each proved box's Krawczyk centre, _batch_newton polishes the zero;
+the record is simple when Newton reaches RESIDUAL_TOL inside the box.  The
+boxes left over merge with those they touch.  When a merged cluster's hull
+meets no other box that is left, the hull is classified once more, which
+proves a zero that lies on a face between boxes.  Any other cluster
+becomes one record that is not simple: a multiple zero, zeros closer than
+the minimum width, a zero on the box's boundary.  So the simple records
+are exactly the box's zeros when every record is simple, and a proved
+lower bound otherwise.
+
+_batch_newton takes the residual and Jacobian as callbacks told which rows
+they serve, so flowsim's return-map Newton runs on it too.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound
+from .polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound, gamma
 
 RESIDUAL_TOL = 1e-10
-DEDUP_TOL = 1e-6
 MAX_ITERS = 100
 MAX_HALVINGS = 30
-DEFAULT_GRID = 15
 DEFAULT_R_MIN = 1e-6
-SIMPLICITY_BASE = 1e-8
+INITIAL_BOXES = 64     # the first level: round(INITIAL_BOXES ** (1/nvars)) cells per axis
+MIN_WIDTH = 2.0**-24  # boxes about this narrow, relative to the search box, are not bisected
+SKEW = -0.05          # the grid's faces avoid the box's simple fractions (_corners)
+MAX_BOXES = 1 << 17   # a level that would pass this many boxes in all is left unresolved
+CHUNK = 1024          # boxes classified per enclosure call
 
 
 class EmptyBoxError(ValueError):
@@ -52,11 +67,10 @@ class CountExceedsBoundError(RuntimeError):
 
 @dataclass
 class SearchBox:
-    """Axis-aligned box in nu = (r, z_1..z_m) with per-axis seed counts."""
+    """Axis-aligned box in nu = (r, z_1..z_m), inside r >= r_min > 0."""
 
     lo: np.ndarray
     hi: np.ndarray
-    grid: tuple | None = None
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
@@ -72,25 +86,15 @@ class SearchBox:
             raise EmptyBoxError(f"r_min must be positive, got {self.r_min}")
         if self.lo[0] < self.r_min:
             raise EmptyBoxError(f"box must satisfy lo[0] >= r_min ({self.lo[0]} < {self.r_min})")
-        if self.grid is None:
-            self.grid = (DEFAULT_GRID,) * len(self.lo)
-        self.grid = tuple(int(g) for g in self.grid)
-        if len(self.grid) != len(self.lo) or any(g < 1 for g in self.grid):
-            raise EmptyBoxError(f"bad grid {self.grid} for dimension {len(self.lo)}")
 
     @property
     def dim(self) -> int:
         return len(self.lo)
 
-    def seeds(self):
-        axes = [np.linspace(lo, hi, g + 2)[1:-1] for lo, hi, g in zip(self.lo, self.hi, self.grid)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([mm.ravel() for mm in mesh], axis=-1)
-
 
 @dataclass
 class ZeroRecord:
-    """A certified (or rejected) zero candidate of a square system."""
+    """A proved simple zero, or a region where the search proved nothing."""
 
     nu: np.ndarray
     residual: float
@@ -103,12 +107,17 @@ class ZeroRecord:
 
 @dataclass
 class SearchDiagnostics:
-    """Non-fatal bookkeeping from a search run."""
+    """Work counts of a search.
 
-    seeds: int = 0
-    converged: int = 0
-    r_min_hits: int = 0
-    diverged: int = 0
+    boxes are classified, each excluded, proved or bisected; unresolved
+    counts the cells left in clusters that no hull resolved; newton_steps
+    counts the polishing Newton's Jacobian evaluations.
+    """
+
+    boxes: int = 0
+    excluded: int = 0
+    proved: int = 0
+    unresolved: int = 0
     newton_steps: int = 0
 
 
@@ -165,26 +174,160 @@ def _batch_newton(fun, jac, x0, tol, max_iters, max_halvings, r_min):
     return x, fx, ok, steps
 
 
-def simplicity_threshold(F: PolyVec) -> float:
-    prod = 1
-    for p in F.components:
-        prod *= max(p.degree(), 1)
-    return SIMPLICITY_BASE * (1 + prod)
-
-
 def _r_free(p: Poly) -> Poly:
     """p divided by the largest power of r that divides it; the zero polynomial as is."""
     k = min((mono[0] for mono in p.terms), default=0)
     return Poly(p.nvars, {(mono[0] - k, *mono[1:]): c for mono, c in p.terms.items()})
 
 
-def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:
-    """All distinct Newton limits in the box with residual < 1e-10, sorted.
+def _classify(C: CompiledPolyVec, lo, hi):
+    """Per box [lo, hi]: excluded (no zero), proved (one simple zero) and the Krawczyk centre.
 
-    Newton, the residual, det J and the simplicity threshold are those of
-    the r-free system (module docstring), which has F's zeros on the box.
-    When one of its components is a nonzero constant it has no zero at
-    all: no seed is run and no record returned.
+    With c the box's centre, X - c within [-w, w] and Y the inverse of
+    J(c), the Krawczyk image c - Y·G(c) + (I - Y·J(X))·[-w, w] contains
+    every zero in X; inside X's interior it proves exactly one, at which J
+    is regular.  Every rounding in G(c), Y·G(c) and Y·J(X) joins its radius.
+    """
+    E = C.enclosures(lo, hi)
+    B, n = lo.shape
+    excluded = np.any(np.abs(E.value) > E.value_rad, axis=1)
+    proved = np.zeros(B, dtype=bool)
+    kc = E.centre.copy()
+    det = np.linalg.det(E.jac)
+    rows = np.flatnonzero(~excluded & np.isfinite(det) & (np.abs(det) >= 1e-300))
+    if rows.size:
+        c, w, g0, gr, J, Jr = (a[rows] for a in (E.centre, E.half, E.value, E.value_err, E.jac, E.jac_rad))
+        Y = np.linalg.inv(J)
+        Ya = np.abs(Y)
+        g = gamma(n + 1)
+        k = c - (Y @ g0[:, :, None])[:, :, 0]
+        Yg = (Ya @ np.abs(g0)[:, :, None])[:, :, 0]
+        M = np.eye(n) - Y @ J
+        Mr = Ya @ Jr + g * (Ya @ np.abs(J) + 1.0)
+        R = (Ya @ gr[:, :, None])[:, :, 0] + ((np.abs(M) + Mr) @ w[:, :, None])[:, :, 0]
+        # a nonnegative sum over at most 2n + 8 roundings, raised to cover them
+        R = (R + g * (np.abs(c) + Yg)) * (1.0 + gamma(2 * n + 8)) + 1e-300
+        inside = (np.nextafter(k - R, -np.inf) > lo[rows]) & (np.nextafter(k + R, np.inf) < hi[rows])
+        proved[rows] = inside.all(axis=1)
+        kc[rows] = k
+    return excluded, proved, kc
+
+
+def _classify_all(C, lo, hi):
+    """_classify over a level, CHUNK boxes at a time."""
+    parts = [_classify(C, lo[i:i + CHUNK], hi[i:i + CHUNK]) for i in range(0, len(lo), CHUNK)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _corners(box: SearchBox, idx, cells):
+    """Corners of the grid cells idx, cells[v] to axis v; neighbours share their faces exactly.
+
+    Cell k of an axis cut into N spans [s(k/N), s((k+1)/N)] of the box, with
+    s(t) = t + SKEW t (1 - t): the generators plant zeros at simple
+    fractions of the box, where the plain dyadic grid puts its faces, and a
+    zero that close to a face is proved only in boxes about as narrow as
+    its distance from it.
+    """
+    t0, t1 = idx / cells, (idx + 1) / cells
+    t0, t1 = t0 + SKEW * t0 * (1.0 - t0), t1 + SKEW * t1 * (1.0 - t1)
+    return box.lo * (1.0 - t0) + box.hi * t0, box.lo * (1.0 - t1) + box.hi * t1
+
+
+def _clusters(idx):
+    """Label of each grid cell's cluster: cells that touch (index gap <= 1 on each axis) share one."""
+    cells = [tuple(c) for c in idx.tolist()]
+    at = {c: i for i, c in enumerate(cells)}
+    offsets = list(itertools.product((-1, 0, 1), repeat=idx.shape[1]))
+    label = [-1] * len(cells)
+    for first in range(len(cells)):
+        if label[first] >= 0:
+            continue
+        label[first], todo = first, [first]
+        while todo:
+            c = cells[todo.pop()]
+            for off in offsets:
+                k = at.get(tuple(a + b for a, b in zip(c, off)))
+                if k is not None and label[k] < 0:
+                    label[k] = first
+                    todo.append(k)
+    return np.array(label)
+
+
+def _overlaps(lo, hi, olo, ohi):
+    """Whether the box [lo, hi]'s interior meets any of the boxes [olo, ohi]."""
+    return bool(np.any(np.all((olo < hi) & (lo < ohi), axis=1)))
+
+
+def _bisect(C: CompiledPolyVec, box: SearchBox, diag: SearchDiagnostics):
+    """The level-by-level search: the proved boxes, as (lo, hi, Krawczyk centre) arrays, and the cells left.
+
+    Every box of a level is a cell of one grid, `cells[v]` to axis v, so
+    the cells left, `idx`, are that grid's: they are the last level's when
+    the minimum width or MAX_BOXES stopped the search, and none otherwise.
+    """
+    n = C.nvars
+    side = max(1, round(INITIAL_BOXES ** (1.0 / n)))
+    idx = np.stack(np.meshgrid(*[np.arange(side)] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    cells = np.full(n, side)
+    proved = [(np.empty((0, n)),) * 3]
+    examined = 0
+    while len(idx) and examined + len(idx) <= MAX_BOXES:
+        lo, hi = _corners(box, idx, cells)
+        examined += len(idx)
+        diag.boxes += len(idx)
+        excluded, ok, kc = _classify_all(C, lo, hi)
+        diag.excluded += int(excluded.sum())
+        diag.proved += int(ok.sum())
+        proved.append((lo[ok], hi[ok], kc[ok]))
+        idx = idx[~excluded & ~ok]
+        if np.all(cells * MIN_WIDTH >= 1.0):
+            break
+        v = int(np.argmin(cells))  # the axes in turn, so every box of a level has one shape
+        idx = np.repeat(idx, 2, axis=0)
+        idx[:, v] *= 2
+        idx[1::2, v] += 1
+        cells[v] *= 2
+    return [np.concatenate(a) for a in zip(*proved)], idx, cells
+
+
+def _unresolved(C: CompiledPolyVec, box: SearchBox, idx, cells, plo, phi, diag: SearchDiagnostics):
+    """The hulls of the clusters of cells left that prove a zero, and a point in each other cluster.
+
+    A hull that meets no proved box [plo, phi] and no cell outside its
+    cluster holds that cluster's zeros only, so it is classified as one box:
+    excluded, it holds none; proved, it joins the proved boxes, returned as
+    (lo, hi, Krawczyk centre) arrays.  Each other cluster gives the centre
+    of its cell with the least residual.
+    """
+    lo, hi = _corners(box, idx, cells)
+    label = _clusters(idx)
+    clusters = [label == lab for lab in np.unique(label)]
+    hulls = np.array([(lo[m].min(axis=0), hi[m].max(axis=0)) for m in clusters])
+    free = np.array([not _overlaps(*h, lo[~m], hi[~m]) and not _overlaps(*h, plo, phi)
+                     for h, m in zip(hulls, clusters)])
+    Hlo, Hhi = hulls[free, 0], hulls[free, 1]
+    diag.boxes += len(Hlo)
+    excluded, ok, kc = _classify(C, Hlo, Hhi)
+    diag.excluded += int(excluded.sum())
+    diag.proved += int(ok.sum())
+    free[free] = excluded | ok
+    centres = 0.5 * lo + 0.5 * hi
+    res = np.max(np.abs(C.values(centres)), axis=1)
+    points = []
+    for m in (m for m, f in zip(clusters, free) if not f):
+        diag.unresolved += int(m.sum())
+        at = np.flatnonzero(m)
+        points.append(centres[at[np.argmin(res[at])]])
+    return (Hlo[ok], Hhi[ok], kc[ok]), points
+
+
+def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:
+    """Every zero of F in the box, proved simple, and every region left unresolved; sorted.
+
+    The search, the residuals and det J are those of the r-free system
+    (module docstring), which has F's zeros on the box.  When one of its
+    components is constant it has no isolated zero: nothing is searched and
+    no record returned.
     """
     if len(F) != F.nvars:
         raise ValueError(f"system is not square: {len(F)} equations, {F.nvars} variables")
@@ -193,44 +336,32 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
     diag = diagnostics if diagnostics is not None else SearchDiagnostics()
 
     G = PolyVec([_r_free(p) for p in F])
-    if any(p.degree() == 0 for p in G):
-        return []  # a nonzero constant component: G, so F on the box, has no zero
-    seeds = box.seeds()
+    if any(p.degree() <= 0 for p in G):
+        return []  # a constant component: G, so F on the box, has no isolated zero
     C = CompiledPolyVec.of(G)
+    n = F.nvars
+    (plo, phi, kc), idx, cells = _bisect(C, box, diag)
+    unresolved = []
+    if len(idx):
+        hulls, unresolved = _unresolved(C, box, idx, cells, plo, phi, diag)
+        plo, phi, kc = (np.concatenate(a) for a in zip((plo, phi, kc), hulls))
     x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
-                                    seeds, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, box.r_min)
-    # a seed that failed within DEDUP_TOL of the wall was stopped by r_min
-    at_wall = ~ok & (x[:, 0] - box.r_min < DEDUP_TOL)
-    diag.seeds += len(seeds)
+                                    kc, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, box.r_min)
     diag.newton_steps += int(steps.sum())
-    diag.diverged += int(np.count_nonzero(~ok & ~at_wall))
-    diag.r_min_hits += int(np.count_nonzero(at_wall))
-    in_box = np.all((x >= box.lo - 1e-6) & (x <= box.hi + 1e-6), axis=1)
-    cand = x[ok & in_box]
-    diag.converged += len(cand)
-    # keep the first limit of each cluster in seed order: the earliest
-    # candidate left is never within DEDUP_TOL of a kept one
-    found = []
-    while len(cand):
-        found.append(cand[0])
-        cand = cand[np.linalg.norm(cand - cand[0], axis=1) >= DEDUP_TOL]
-
-    found = np.array(sorted(found, key=tuple)).reshape(-1, F.nvars)
-    residuals = np.max(np.abs(C.values(found)), axis=1)
-    dets = np.linalg.det(C.jacobians(found))
-    thresh = simplicity_threshold(G)
-    records = []
-    for x, res, det in zip(found, residuals.tolist(), dets.tolist()):
-        # a multiple root converged to residual res sits at distance
-        # ~sqrt(res), where the determinant is itself ~sqrt(res): demand a
-        # clear margin over that scale as well as over the static threshold
-        floor = max(thresh, 100.0 * math.sqrt(max(res, 0.0)))
-        records.append(ZeroRecord(x, res, det, bool(res < RESIDUAL_TOL and abs(det) > floor)))
+    inside = np.all((x >= plo) & (x <= phi), axis=1)
+    nus = np.concatenate([np.where(inside[:, None], x, kc), np.array(unresolved).reshape(-1, n)])
+    simple = np.concatenate([ok & inside, np.zeros(len(unresolved), dtype=bool)])
+    order = sorted(range(len(nus)), key=lambda i: tuple(nus[i]))
+    nus, simple = nus[order], simple[order]
+    residuals = np.max(np.abs(C.values(nus)), axis=1, initial=0.0)
+    dets = np.linalg.det(C.jacobians(nus))
+    records = [ZeroRecord(x, res, det, s)
+               for x, res, det, s in zip(nus, residuals.tolist(), dets.tolist(), simple.tolist())]
 
     bez = bezout_bound(F)
-    simple = sum(1 for rec in records if rec.simple)
-    if bez and simple > bez:
-        raise CountExceedsBoundError(f"found {simple} simple zeros but the Bezout bound is {bez}")
+    count = sum(1 for rec in records if rec.simple)
+    if bez and count > bez:
+        raise CountExceedsBoundError(f"found {count} simple zeros but the Bezout bound is {bez}")
     return records
 
 

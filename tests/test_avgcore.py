@@ -168,6 +168,29 @@ class TestKernelConstraints:
                         for fam, sign, idx, w in con.terms)
             assert abs(total) < 1e-10
 
+    @pytest.mark.parametrize("shape", [(1, 0, 1), (2, 1, 2), (3, 2, 3), (2, 2, 2)])
+    def test_shared_constraints_give_bit_identical_results(self, shape, monkeypatch):
+        # the constraints depend on (n, m, d, phi) alone: specs of one shape
+        # share one immutable tuple, and build_f1 and project_to_kernel give
+        # bit for bit what they give with constraints built afresh per call
+        specs = [random_spec(*shape, math.pi / 3, seed, scale=0.5) for seed in range(3)]
+        shared = f1_kernel_constraints(specs[0])
+        assert isinstance(shared, tuple) and all(isinstance(c.terms, tuple) for c in shared)
+        assert all(f1_kernel_constraints(s) is shared for s in specs[1:])
+
+        def results():
+            out = []
+            for spec in specs:
+                out.append([list(p.terms.items()) for p in build_f1(spec)])
+                out.append(project_to_kernel(spec).to_json_dict())
+            return out
+
+        cached = results()
+        monkeypatch.setattr(avgcore, "_kernel_constraints", avgcore._kernel_constraints.__wrapped__)
+        assert f1_kernel_constraints(specs[0]) == shared
+        assert f1_kernel_constraints(specs[0]) is not shared
+        assert repr(results()) == repr(cached)
+
 
 class TestGammaOracle:
     def test_matches_quadrature(self):

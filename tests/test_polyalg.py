@@ -1,11 +1,14 @@
 """Sparse polynomial arithmetic, compiled evaluation, jacobians, and degree bounds."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound, jacobian
+from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound, gamma, jacobian
 
 coeffs = st.floats(-4.0, 4.0, allow_nan=False)
 monos2 = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -22,6 +25,10 @@ polyvecs8 = st.lists(st.dictionaries(monos8, coeffs, max_size=8), min_size=3, ma
     lambda ts: PolyVec([Poly(3, t) for t in ts]))
 entries8 = st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-3.0, 3.0))
 batches8 = st.lists(st.tuples(*[entries8] * 3), min_size=1, max_size=5).map(np.array)
+# boxes as per-axis corner pairs: some straddle 0, some are points, some touch 0
+corners8 = st.tuples(entries8, st.one_of(st.sampled_from([0.0]), st.floats(0.0, 3.0)))
+boxes8 = st.lists(st.tuples(*[corners8] * 3), min_size=1, max_size=3).map(
+    lambda bs: (np.array([[a for a, _ in b] for b in bs]), np.array([[a + w for a, w in b] for b in bs])))
 
 
 def _atol(p, x):
@@ -169,6 +176,83 @@ class TestCompiledPolyVec:
             CompiledPolyVec.of(F).values(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="shape"):
             jacobian(F, [1.0, 2.0, 3.0])
+
+
+def _exact(terms, x, j=None):
+    """The polynomial (or its d/dx_j) at the float point x, in exact rational arithmetic."""
+    total = Fraction(0)
+    for mono, c in terms.items():
+        e = list(mono)
+        w = Fraction(c)
+        if j is not None:
+            if not e[j]:
+                continue
+            w *= e[j]
+            e[j] -= 1
+        for xv, ev in zip(x, e):
+            w *= Fraction(float(xv)) ** ev
+        total += w
+    return total
+
+
+class TestEnclosures:
+    @settings(max_examples=60, deadline=None)
+    @given(polyvecs8, boxes8)
+    def test_enclosures_contain_values_and_jacobians(self, F, box):
+        # at the corners, centre and 0 of each box (boxes that straddle 0
+        # included), the exact values and derivatives lie in the enclosures,
+        # and so do the evaluator's, within its own round-off bound
+        # gamma * sum |c x^e|; the exact G at the centre lies within value_err
+        lo, hi = box
+        C = CompiledPolyVec.of(F)
+        E = C.enclosures(lo, hi)
+        assert E.value.shape == E.value_rad.shape == E.value_err.shape == (len(lo), 3)
+        assert E.jac.shape == E.jac_rad.shape == (len(lo), 3, 3)
+        A = CompiledPolyVec(3, [{mo: abs(c) for mo, c in p.terms.items()} for p in F])
+        g = gamma(len(C.exps) + 3 * C.npow)
+        for b in range(len(lo)):
+            for v in range(3):
+                assert Fraction(E.centre[b, v]) - Fraction(E.half[b, v]) <= Fraction(lo[b, v])
+                assert Fraction(hi[b, v]) <= Fraction(E.centre[b, v]) + Fraction(E.half[b, v])
+            for i, p in enumerate(F):
+                assert abs(_exact(p.terms, E.centre[b]) - Fraction(E.value[b, i])) <= Fraction(E.value_err[b, i])
+            axes = [sorted({lo[b, v], E.centre[b, v], hi[b, v], min(max(0.0, lo[b, v]), hi[b, v])})
+                    for v in range(3)]
+            X = np.array(list(itertools.product(*axes)))
+            vals, jacs = C.values(X), C.jacobians(X)
+            bound, jbound = g * A.values(np.abs(X)), g * A.jacobians(np.abs(X))
+            for x, val, jac, err, jerr in zip(X, vals, jacs, bound, jbound):
+                for i, p in enumerate(F):
+                    exact = _exact(p.terms, x)
+                    assert abs(exact - Fraction(E.value[b, i])) <= Fraction(E.value_rad[b, i])
+                    assert abs(val[i] - E.value[b, i]) <= E.value_rad[b, i] + err[i]
+                    for j in range(3):
+                        exact = _exact(p.terms, x, j)
+                        assert abs(exact - Fraction(E.jac[b, i, j])) <= Fraction(E.jac_rad[b, i, j])
+                    assert np.all(np.abs(jac[i] - E.jac[b, i]) <= E.jac_rad[b, i] + jerr[i])
+
+    def test_point_enclosure_is_tight(self):
+        # (x - 1)^2 at x = 1 + 2^-20: the exact value 2^-40 and a radius at round-off
+        p = Poly(1, {(2,): 1.0, (1,): -2.0, (0,): 1.0})
+        x = np.array([[1.0 + 2.0**-20]])
+        E = CompiledPolyVec.of(PolyVec([p])).enclosures(x, x)
+        assert abs(E.value[0, 0] - 2.0**-40) <= E.value_err[0, 0] <= E.value_rad[0, 0] < 1e-14
+        assert abs(E.jac[0, 0, 0] - 2.0**-19) <= E.jac_rad[0, 0, 0] < 1e-14
+
+    def test_centred_form_survives_cancellation(self):
+        # (x - 1)^6 has coefficients up to 20 but stays below 1e-18 on
+        # [1 - 1e-3, 1 + 1e-3]: the monomial form's radius would be about
+        # 6e-2 there, the centred form's is the round-off of the shift
+        p = Poly.constant(1, 1.0)
+        for _ in range(6):
+            p = p * (Poly.variable(1, 0) - Poly.constant(1, 1.0))
+        E = CompiledPolyVec.of(PolyVec([p])).enclosures(np.array([[1.0 - 1e-3]]), np.array([[1.0 + 1e-3]]))
+        assert E.value_rad[0, 0] < 1e-12 and E.jac_rad[0, 0, 0] < 1e-12
+
+    def test_box_shape_checked(self):
+        C = CompiledPolyVec(2, [{(1, 0): 1.0}])
+        with pytest.raises(ValueError, match="corners"):
+            C.enclosures(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestAlgebraProperties:

@@ -5,7 +5,7 @@ limit cycles bifurcating from the periodic annulus.  This demo constructs
 systems whose averaged functions attain the counts, at first order
 (n^(m+1) zeros) and at second order (2n(2n-1)^m zeros with the first-order
 function identically zero), and proves every zero simple by a Krawczyk
-test on an interval box before Newton polishes it.
+test on an interval box, whose contractions then locate it.
 """
 
 import math

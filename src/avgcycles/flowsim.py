@@ -27,8 +27,8 @@ batches of one.
 Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
 polishes the averaged-function prediction z_nu* into an actual fixed point
 at every eps of a sweep by Newton on P(z) - z, and records how far it moved.
-That Newton is rootfind's batched damped one, with each eps a row: each
-round's Jacobian points, and each line-search trial, form one batch.
+That Newton is damped and batched, with each eps a row: each round's
+Jacobian points, and each line-search trial, form one batch.
 refine_cycle is the sweep of one eps.
 """
 
@@ -44,7 +44,6 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .avgcore import _cheb_rule, _cylindrical, compile_fields
 from .polyalg import CompiledPolyVec
-from .rootfind import _batch_newton
 from .sysspec import SystemSpec
 from .trigkernel import TWO_PI
 
@@ -328,7 +327,7 @@ def check_eps_values(eps_values) -> tuple:
 def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     """Refine the prediction nu_star at every eps of the sweep, in lockstep.
 
-    Each eps is one row of rootfind._batch_newton on P(z) - z from the
+    Each eps is one row of a batched damped Newton on P(z) - z from the
     prediction: a forward-difference Jacobian (step FD_STEP), a line search
     of at most 20 halvings that keeps r > 0 and must lower the residual, a
     stop below PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS Jacobians.
@@ -350,18 +349,47 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
         # P(z) - z for every row (E[b], Z[b]), one stacked integration
         return full_turn(E, Z) - Z
 
-    def jac(rows, X, FX):
-        # H[i, j]: row i's step on component j; its n shifted points are consecutive batch rows
-        H = FD_STEP * np.maximum(1.0, np.abs(X))
-        points = X[:, None, :] + H[:, :, None] * np.eye(n)
-        Gp = displacements(np.repeat(E[rows], n), points.reshape(-1, n)).reshape(-1, n, n)
-        return ((Gp - FX[:, None, :]) / H[:, :, None]).transpose(0, 2, 1)
-
-    Z, G, ok, steps = _batch_newton(lambda rows, X: displacements(E[rows], X), jac,
-                                    np.tile(predicted, (len(E), 1)), PERIOD_RESIDUAL_TOL,
-                                    NEWTON_MAX_ITERS, 20, 0.0)
-    # res[b] is max|G[b]|, the displacement integrated at this very Z[b]
+    # row b: its point Z[b], the displacement G[b] there and res[b] = max|G[b]|
+    Z = np.tile(predicted, (len(E), 1))
+    G = displacements(E, Z)
     res = np.max(np.abs(G), axis=1)
+    steps = np.zeros(len(E), dtype=int)
+    live = np.arange(len(E))
+    for _ in range(NEWTON_MAX_ITERS):
+        # a row stops once below the tolerance, and fails when dropped above it
+        live = live[~(res[live] < PERIOD_RESIDUAL_TOL)]
+        if not live.size:
+            break
+        steps[live] += 1
+        # H[i, j]: row i's step on component j; its n shifted points are consecutive batch rows
+        H = FD_STEP * np.maximum(1.0, np.abs(Z[live]))
+        points = Z[live][:, None, :] + H[:, :, None] * np.eye(n)
+        Gp = displacements(np.repeat(E[live], n), points.reshape(-1, n)).reshape(-1, n, n)
+        J = ((Gp - G[live][:, None, :]) / H[:, :, None]).transpose(0, 2, 1)
+        det = np.linalg.det(J)
+        # a finite nonzero determinant means LU met no zero pivot: solve succeeds
+        regular = np.isfinite(det) & (np.abs(det) >= 1e-300)
+        live = live[regular]
+        step = np.linalg.solve(J[regular], G[live][:, :, None])[:, :, 0]
+        t = 1.0
+        pending = np.ones(len(live), dtype=bool)
+        for _ in range(20):
+            cand = np.flatnonzero(pending)
+            zn = Z[live[cand]] - t * step[cand]
+            above = zn[:, 0] > 0.0
+            cand, zn = cand[above], zn[above]
+            if cand.size:
+                gn = displacements(E[live[cand]], zn)
+                rn = np.max(np.abs(gn), axis=1)
+                better = rn < res[live[cand]]
+                acc = live[cand[better]]
+                Z[acc], G[acc], res[acc] = zn[better], gn[better], rn[better]
+                pending[cand[better]] = False
+            if not pending.any():
+                break
+            t *= 0.5
+        live = live[~pending]
+    ok = res < PERIOD_RESIDUAL_TOL
     if not ok.all():
         k = np.argmin(ok)
         raise NoConvergenceError(f"return-map Newton failed at eps={E[k]}: residual {res[k]:.3e} "

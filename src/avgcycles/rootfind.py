@@ -1,9 +1,9 @@
 """Proved counts of the zeros of polynomial systems in a box in r > 0.
 
 The search runs on the r-free system G: each component of F divided by the
-largest power of r that divides it.  On the box, r >= r_min > 0, so
-F = diag(r^k_i)·G has the zeros of G, and J_F = diag(r^k_i)·J_G there: a
-zero is simple for F exactly when it is simple for G.  A G with a nonzero
+largest power of r that divides it.  On the box, r > 0, so F =
+diag(r^k_i)·G has the zeros of G, and J_F = diag(r^k_i)·J_G there: a zero
+is simple for F exactly when it is simple for G.  A G with a nonzero
 constant component has no zero and is not searched; only the Bezout sanity
 check reads F itself.
 
@@ -22,18 +22,18 @@ Jacobian, every rounding included:
   MIN_WIDTH of the search box wide on every axis, or until the search has
   classified MAX_BOXES boxes.
 
-From each proved box's Krawczyk centre, _batch_newton polishes the zero;
-the record is simple when Newton reaches RESIDUAL_TOL inside the box.  The
-boxes left over merge with those they touch.  When a merged cluster's hull
-meets no other box that is left, the hull is classified once more, which
-proves a zero that lies on a face between boxes.  Any other cluster
+The boxes left over merge with those they touch.  When a merged cluster's
+hull meets no other box that is left, the hull is classified once more,
+which proves a zero that lies on a face between boxes.  Any other cluster
 becomes one record that is not simple: a multiple zero, zeros closer than
 the minimum width, a zero on the box's boundary.  So the simple records
 are exactly the box's zeros when every record is simple, and a proved
 lower bound otherwise.
 
-_batch_newton takes the residual and Jacobian as callbacks told which rows
-they serve, so flowsim's return-map Newton runs on it too.
+The operator that proves a zero also locates it: every zero in X lies in
+its Krawczyk image K(X), so X <- K(X) ∩ X contracts each proved box about
+its zero (Rump, Acta Numerica 19, 2010, §13).  The record is the centre of
+the last box, simple when G there is below RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ import numpy as np
 from .polyalg import CompiledPolyVec, Poly, PolyVec, bezout_bound, gamma
 
 RESIDUAL_TOL = 1e-10
-MAX_ITERS = 100
-MAX_HALVINGS = 30
-DEFAULT_R_MIN = 1e-6
 INITIAL_BOXES = 64     # the first level: round(INITIAL_BOXES ** (1/nvars)) cells per axis
 MIN_WIDTH = 2.0**-24  # boxes about this narrow, relative to the search box, are not bisected
 SKEW = -0.05          # the grid's faces avoid the box's simple fractions (_corners)
@@ -67,11 +64,10 @@ class CountExceedsBoundError(RuntimeError):
 
 @dataclass
 class SearchBox:
-    """Axis-aligned box in nu = (r, z_1..z_m), inside r >= r_min > 0."""
+    """Axis-aligned box in nu = (r, z_1..z_m), inside r > 0."""
 
     lo: np.ndarray
     hi: np.ndarray
-    r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -82,10 +78,8 @@ class SearchBox:
             raise EmptyBoxError(f"box bounds must be finite: lo={self.lo} hi={self.hi}")
         if not np.all(self.lo < self.hi):
             raise EmptyBoxError(f"degenerate box: lo={self.lo} hi={self.hi}")
-        if self.r_min <= 0:
-            raise EmptyBoxError(f"r_min must be positive, got {self.r_min}")
-        if self.lo[0] < self.r_min:
-            raise EmptyBoxError(f"box must satisfy lo[0] >= r_min ({self.lo[0]} < {self.r_min})")
+        if not self.lo[0] > 0:
+            raise EmptyBoxError(f"box must satisfy lo[0] > 0, got lo[0] = {self.lo[0]}")
 
     @property
     def dim(self) -> int:
@@ -110,68 +104,15 @@ class SearchDiagnostics:
     """Work counts of a search.
 
     boxes are classified, each excluded, proved or bisected; unresolved
-    counts the cells left in clusters that no hull resolved; newton_steps
-    counts the polishing Newton's Jacobian evaluations.
+    counts the cells left in clusters that no hull resolved; contractions
+    counts the boxes classified while the proved zeros are located.
     """
 
     boxes: int = 0
     excluded: int = 0
     proved: int = 0
     unresolved: int = 0
-    newton_steps: int = 0
-
-
-def _batch_newton(fun, jac, x0, tol, max_iters, max_halvings, r_min):
-    """Damped Newton from every point of x0 at once, each point by its own rules.
-
-    fun(rows, X) returns the residuals at the points X and jac(rows, X, FX)
-    their Jacobians, FX being fun there; rows holds the indices in x0 of the
-    points X, never empty, so a residual that depends on the row can look its
-    data up.  A point stops when its max-norm residual drops below tol and
-    fails on a singular Jacobian or when max_halvings step halvings find no
-    point with r above r_min and a lower residual; at most max_iters
-    Jacobians are taken.  Returns the final points, their residuals, the
-    converged mask and each point's number of Jacobian evaluations.
-    """
-    x = np.array(x0, dtype=float)
-    fx = fun(np.arange(len(x)), x)
-    res = np.max(np.abs(fx), axis=1)
-    ok = np.zeros(len(x), dtype=bool)
-    steps = np.zeros(len(x), dtype=int)
-    live = np.arange(len(x))
-    for _ in range(max_iters):
-        done = res[live] < tol
-        ok[live[done]] = True
-        live = live[~done]
-        if not live.size:
-            break
-        steps[live] += 1
-        J = jac(live, x[live], fx[live])
-        det = np.linalg.det(J)
-        # a finite nonzero determinant means LU met no zero pivot: solve succeeds
-        regular = np.isfinite(det) & (np.abs(det) >= 1e-300)
-        live = live[regular]
-        step = np.linalg.solve(J[regular], fx[live][:, :, None])[:, :, 0]
-        t = 1.0
-        pending = np.ones(len(live), dtype=bool)
-        for _ in range(max_halvings):
-            cand = np.flatnonzero(pending)
-            xn = x[live[cand]] - t * step[cand]
-            above = xn[:, 0] > r_min
-            cand, xn = cand[above], xn[above]
-            if cand.size:
-                fn = fun(live[cand], xn)
-                rn = np.max(np.abs(fn), axis=1)
-                better = rn < res[live[cand]]
-                acc = live[cand[better]]
-                x[acc], fx[acc], res[acc] = xn[better], fn[better], rn[better]
-                pending[cand[better]] = False
-            if not pending.any():
-                break
-            t *= 0.5
-        live = live[~pending]
-    ok[live] = res[live] < tol
-    return x, fx, ok, steps
+    contractions: int = 0
 
 
 def _r_free(p: Poly) -> Poly:
@@ -181,18 +122,20 @@ def _r_free(p: Poly) -> Poly:
 
 
 def _classify(C: CompiledPolyVec, lo, hi):
-    """Per box [lo, hi]: excluded (no zero), proved (one simple zero) and the Krawczyk centre.
+    """Per box [lo, hi]: excluded (no zero), proved (one simple zero), the Krawczyk image, G(c) and det J(c).
 
     With c the box's centre, X - c within [-w, w] and Y the inverse of
     J(c), the Krawczyk image c - Y·G(c) + (I - Y·J(X))·[-w, w] contains
     every zero in X; inside X's interior it proves exactly one, at which J
-    is regular.  Every rounding in G(c), Y·G(c) and Y·J(X) joins its radius.
+    is regular.  Every rounding in G(c), Y·G(c) and Y·J(X) joins its radius,
+    and the image is returned as its corners rounded outward, or as X itself
+    where X is excluded or J(c) is singular.  G(c) and J(c), whose
+    determinant is returned, are the enclosure's own.
     """
     E = C.enclosures(lo, hi)
     B, n = lo.shape
     excluded = np.any(np.abs(E.value) > E.value_rad, axis=1)
-    proved = np.zeros(B, dtype=bool)
-    kc = E.centre.copy()
+    klo, khi = lo.copy(), hi.copy()
     det = np.linalg.det(E.jac)
     rows = np.flatnonzero(~excluded & np.isfinite(det) & (np.abs(det) >= 1e-300))
     if rows.size:
@@ -207,10 +150,9 @@ def _classify(C: CompiledPolyVec, lo, hi):
         R = (Ya @ gr[:, :, None])[:, :, 0] + ((np.abs(M) + Mr) @ w[:, :, None])[:, :, 0]
         # a nonnegative sum over at most 2n + 8 roundings, raised to cover them
         R = (R + g * (np.abs(c) + Yg)) * (1.0 + gamma(2 * n + 8)) + 1e-300
-        inside = (np.nextafter(k - R, -np.inf) > lo[rows]) & (np.nextafter(k + R, np.inf) < hi[rows])
-        proved[rows] = inside.all(axis=1)
-        kc[rows] = k
-    return excluded, proved, kc
+        klo[rows], khi[rows] = np.nextafter(k - R, -np.inf), np.nextafter(k + R, np.inf)
+    proved = np.all((klo > lo) & (khi < hi), axis=1)
+    return excluded, proved, klo, khi, E.value, det
 
 
 def _classify_all(C, lo, hi):
@@ -258,8 +200,21 @@ def _overlaps(lo, hi, olo, ohi):
     return bool(np.any(np.all((olo < hi) & (lo < ohi), axis=1)))
 
 
+def _next_box(klo, khi, lo, hi):
+    """The box about X = [lo, hi]'s zero that its Krawczyk image [klo, khi] leaves, as (lo, hi).
+
+    K(X) ∩ X, grown on each side by a tenth of its width (less where X's face
+    is nearer, so that its centre stays) and by an ulp, within X: it holds
+    X's zeros, and K's round-off floor stays inside it, so it proves a simple
+    zero again.
+    """
+    klo, khi = np.maximum(klo, lo), np.minimum(khi, hi)
+    d = np.minimum(0.1 * (khi - klo), np.minimum(klo - lo, hi - khi))
+    return np.maximum(np.nextafter(klo - d, -np.inf), lo), np.minimum(np.nextafter(khi + d, np.inf), hi)
+
+
 def _bisect(C: CompiledPolyVec, box: SearchBox, diag: SearchDiagnostics):
-    """The level-by-level search: the proved boxes, as (lo, hi, Krawczyk centre) arrays, and the cells left.
+    """The level-by-level search: the proved boxes' next boxes (_next_box), as (lo, hi) arrays, and the cells left.
 
     Every box of a level is a cell of one grid, `cells[v]` to axis v, so
     the cells left, `idx`, are that grid's: they are the last level's when
@@ -269,16 +224,16 @@ def _bisect(C: CompiledPolyVec, box: SearchBox, diag: SearchDiagnostics):
     side = max(1, round(INITIAL_BOXES ** (1.0 / n)))
     idx = np.stack(np.meshgrid(*[np.arange(side)] * n, indexing="ij"), axis=-1).reshape(-1, n)
     cells = np.full(n, side)
-    proved = [(np.empty((0, n)),) * 3]
+    proved = [(np.empty((0, n)),) * 2]
     examined = 0
     while len(idx) and examined + len(idx) <= MAX_BOXES:
         lo, hi = _corners(box, idx, cells)
         examined += len(idx)
         diag.boxes += len(idx)
-        excluded, ok, kc = _classify_all(C, lo, hi)
+        excluded, ok, klo, khi, _, _ = _classify_all(C, lo, hi)
         diag.excluded += int(excluded.sum())
         diag.proved += int(ok.sum())
-        proved.append((lo[ok], hi[ok], kc[ok]))
+        proved.append(_next_box(klo[ok], khi[ok], lo[ok], hi[ok]))
         idx = idx[~excluded & ~ok]
         if np.all(cells * MIN_WIDTH >= 1.0):
             break
@@ -291,13 +246,14 @@ def _bisect(C: CompiledPolyVec, box: SearchBox, diag: SearchDiagnostics):
 
 
 def _unresolved(C: CompiledPolyVec, box: SearchBox, idx, cells, plo, phi, diag: SearchDiagnostics):
-    """The hulls of the clusters of cells left that prove a zero, and a point in each other cluster.
+    """The next boxes (_next_box) of the clusters' hulls that prove a zero, and the records of the other clusters.
 
-    A hull that meets no proved box [plo, phi] and no cell outside its
-    cluster holds that cluster's zeros only, so it is classified as one box:
-    excluded, it holds none; proved, it joins the proved boxes, returned as
-    (lo, hi, Krawczyk centre) arrays.  Each other cluster gives the centre
-    of its cell with the least residual.
+    A hull that meets no box [plo, phi] about a proved zero and no cell
+    outside its cluster holds that cluster's zeros only, so it is classified
+    as one box: excluded, it holds none; proved, its next box joins those
+    about the proved zeros, returned as (lo, hi) arrays.  Each other cluster
+    is a record that is not simple, at the centre of its cell with the least
+    residual.
     """
     lo, hi = _corners(box, idx, cells)
     label = _clusters(idx)
@@ -307,18 +263,43 @@ def _unresolved(C: CompiledPolyVec, box: SearchBox, idx, cells, plo, phi, diag: 
                      for h, m in zip(hulls, clusters)])
     Hlo, Hhi = hulls[free, 0], hulls[free, 1]
     diag.boxes += len(Hlo)
-    excluded, ok, kc = _classify(C, Hlo, Hhi)
+    excluded, ok, klo, khi, _, _ = _classify(C, Hlo, Hhi)
     diag.excluded += int(excluded.sum())
     diag.proved += int(ok.sum())
     free[free] = excluded | ok
     centres = 0.5 * lo + 0.5 * hi
     res = np.max(np.abs(C.values(centres)), axis=1)
-    points = []
+    best = []
     for m in (m for m, f in zip(clusters, free) if not f):
         diag.unresolved += int(m.sum())
         at = np.flatnonzero(m)
-        points.append(centres[at[np.argmin(res[at])]])
-    return (Hlo[ok], Hhi[ok], kc[ok]), points
+        best.append(at[np.argmin(res[at])])
+    points = centres[best]
+    dets = np.linalg.det(C.jacobians(points))
+    left = [ZeroRecord(x, r, d, False) for x, r, d in zip(points, res[best].tolist(), dets.tolist())]
+    return _next_box(klo[ok], khi[ok], Hlo[ok], Hhi[ok]), left
+
+
+def _locate(C: CompiledPolyVec, lo, hi, diag: SearchDiagnostics):
+    """The record of the zero in each box [lo, hi], each about one proved zero, by X <- K(X) ∩ X.
+
+    All boxes go to their next boxes (_next_box) in one batch.  A box stops
+    when max|G| at its centre c is below RESIDUAL_TOL, and its record is
+    simple, or when its next box is not a tenth narrower on the widest
+    side: once K is at its round-off floor, _next_box gives about X back.
+    The record is c, with G(c) and det J(c) from the same enclosure.
+    """
+    nus, residuals, dets = np.empty_like(lo), np.empty(len(lo)), np.empty(len(lo))
+    live = np.arange(len(lo))
+    while live.size:
+        diag.contractions += live.size
+        _, _, klo, khi, value, det = _classify(C, lo, hi)
+        res = np.max(np.abs(value), axis=1)
+        nus[live], residuals[live], dets[live] = 0.5 * lo + 0.5 * hi, res, det
+        klo, khi = _next_box(klo, khi, lo, hi)
+        go = (np.max(khi - klo, axis=1) < 0.9 * np.max(hi - lo, axis=1)) & (res >= RESIDUAL_TOL)
+        live, lo, hi = live[go], klo[go], khi[go]
+    return [ZeroRecord(x, r, d, r < RESIDUAL_TOL) for x, r, d in zip(nus, residuals.tolist(), dets.tolist())]
 
 
 def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:
@@ -339,24 +320,12 @@ def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics
     if any(p.degree() <= 0 for p in G):
         return []  # a constant component: G, so F on the box, has no isolated zero
     C = CompiledPolyVec.of(G)
-    n = F.nvars
-    (plo, phi, kc), idx, cells = _bisect(C, box, diag)
-    unresolved = []
+    (plo, phi), idx, cells = _bisect(C, box, diag)
+    left = []
     if len(idx):
-        hulls, unresolved = _unresolved(C, box, idx, cells, plo, phi, diag)
-        plo, phi, kc = (np.concatenate(a) for a in zip((plo, phi, kc), hulls))
-    x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
-                                    kc, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, box.r_min)
-    diag.newton_steps += int(steps.sum())
-    inside = np.all((x >= plo) & (x <= phi), axis=1)
-    nus = np.concatenate([np.where(inside[:, None], x, kc), np.array(unresolved).reshape(-1, n)])
-    simple = np.concatenate([ok & inside, np.zeros(len(unresolved), dtype=bool)])
-    order = sorted(range(len(nus)), key=lambda i: tuple(nus[i]))
-    nus, simple = nus[order], simple[order]
-    residuals = np.max(np.abs(C.values(nus)), axis=1, initial=0.0)
-    dets = np.linalg.det(C.jacobians(nus))
-    records = [ZeroRecord(x, res, det, s)
-               for x, res, det, s in zip(nus, residuals.tolist(), dets.tolist(), simple.tolist())]
+        hulls, left = _unresolved(C, box, idx, cells, plo, phi, diag)
+        plo, phi = (np.concatenate(a) for a in zip((plo, phi), hulls))
+    records = sorted(_locate(C, plo, phi, diag) + left, key=lambda rec: tuple(rec.nu))
 
     bez = bezout_bound(F)
     count = sum(1 for rec in records if rec.simple)

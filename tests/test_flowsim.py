@@ -291,6 +291,23 @@ class TestLockstepSweep:
             eps_sweep(result.spec, result.zeros[0], (1e-2,))
         assert info.value.residual == np.max(np.abs(displacement(result.spec, 1e-2, result.zeros[0])))
 
+    def test_each_eps_is_its_own_row(self, monkeypatch):
+        # a stand-in return map whose displacement (x^2 - eps^2, y - x) has
+        # its fixed point at (eps, eps): each row must be evaluated at its own
+        # eps, also when the line search tries only some of the rows (from
+        # 0.6, the steps of eps = 1.5, 2 and 3 overshoot and are halved)
+        def integrator(spec, span):
+            def full_turn(E, Z):
+                return Z + np.column_stack([Z[:, 0] ** 2 - E**2, Z[:, 1] - Z[:, 0]])
+            return full_turn
+
+        monkeypatch.setattr(flowsim, "_integrator", integrator)
+        eps = (0.5, 1.0, 1.5, 2.0, 3.0)
+        records = eps_sweep(zero_spec(1, 1, 1, 1.0), [0.6, 0.1], eps)
+        assert all(rec.accepted for rec in records)
+        np.testing.assert_allclose([rec.fixed_point for rec in records], np.column_stack([eps, eps]),
+                                   rtol=0, atol=1e-9)
+
     def test_empty_sweep(self):
         result = gen_prop10(1, 0, math.pi / 2)
         assert eps_sweep(result.spec, result.zeros[0], ()) == []

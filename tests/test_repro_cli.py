@@ -293,7 +293,7 @@ class TestCli:
         *((c, "not json", None, "invalid JSON at line 1") for c in ("averaged", "zeros", "verify")),
         *((c, None, box, shown) for c in ("zeros", "verify") for box, shown in [
             ("0.5:0.4", "degenerate box"),
-            ("0:1", "lo[0] >= r_min"),
+            ("0:1", "lo[0] > 0"),
             ("0.1:2,3", "lo has 1 values and hi has 2, the system needs 1"),
             ("abc", "expected 'lo1,..:hi1,..'"),
             ("0.1:inf", "box bounds must be finite"),

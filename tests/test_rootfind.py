@@ -1,4 +1,4 @@
-"""Proved zero counts by interval subdivision, and the batched Newton that polishes them."""
+"""Proved zero counts by interval subdivision, each zero located by the Krawczyk contraction that proves it."""
 
 import math
 
@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcycles import rootfind
-from avgcycles.generators import gen_prop10, gen_prop16, gen_prop20
-from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec, jacobian
+from avgcycles.generators import gen_prop10, gen_prop12, gen_prop16, gen_prop20, positive_nodes
+from avgcycles.polyalg import CompiledPolyVec, Poly, PolyVec
 from avgcycles.rootfind import (
     INITIAL_BOXES,
-    MAX_HALVINGS,
-    MAX_ITERS,
     RESIDUAL_TOL,
     EmptyBoxError,
     SearchBox,
     SearchDiagnostics,
-    _batch_newton,
+    _classify,
     _clusters,
     _corners,
+    _r_free,
     certify_count,
     find_simple_zeros,
     write_zero_csv,
@@ -82,119 +81,32 @@ class TestFindSimpleZeros:
 
     def test_diagnostics_populated(self):
         # the first level's 64 cells: one proves the zero of r - 1, the rest
-        # exclude it, and the Krawczyk centre of a linear system is its zero
+        # exclude it; the Krawczyk image of a linear system is its zero up to
+        # round-off, so the first contraction's centre meets RESIDUAL_TOL
         diag = SearchDiagnostics()
         find_simple_zeros(_radial_poly([1.0]), SearchBox([0.05], [2.0]), diag)
-        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved) == (
-            INITIAL_BOXES, INITIAL_BOXES - 1, 1, 0)
-        assert diag.newton_steps <= 1
-
-
-def _reference_newton(F, x0, r_min):
-    """Per-seed damped Newton on the sparse evaluator: (point, converged, steps)."""
-    x = np.array(x0, dtype=float)
-    fx = F(x)
-    res = float(np.max(np.abs(fx)))
-    for k in range(MAX_ITERS):
-        if res < RESIDUAL_TOL:
-            return x, True, k
-        J = np.array([[p.diff(j)(x) for j in range(len(x))] for p in F])
-        det = np.linalg.det(J)
-        if not np.isfinite(det) or abs(det) < 1e-300:
-            return x, False, k + 1
-        step = np.linalg.solve(J, fx)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            xn = x - t * step
-            if xn[0] > r_min:
-                fn = F(xn)
-                rn = float(np.max(np.abs(fn)))
-                if rn < res:
-                    x, fx, res = xn, fn, rn
-                    break
-            t *= 0.5
-        else:
-            return x, False, k + 1
-    return x, res < RESIDUAL_TOL, MAX_ITERS
-
-
-def _compiled_newton(F, seeds, r_min):
-    """_batch_newton on F's compiled system with the root search's constants: (points, converged, steps)."""
-    C = CompiledPolyVec.of(F)
-    x, _, ok, steps = _batch_newton(lambda rows, X: C.values(X), lambda rows, X, FX: C.jacobians(X),
-                                    seeds, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, r_min)
-    return x, ok, steps
-
-
-def _seed_grid(lo, hi, grid):
-    """grid[v] evenly spaced interior seeds on each axis, all combinations."""
-    axes = [np.linspace(a, b, g + 2)[1:-1] for a, b, g in zip(lo, hi, grid)]
-    return np.stack([mm.ravel() for mm in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.contractions) == (
+            INITIAL_BOXES, INITIAL_BOXES - 1, 1, 0, 1)
 
 
 class TestBatchNewton:
-    @pytest.mark.parametrize("make", [
-        lambda: (_grid_system([0.7, 1.4], [-0.5, 0.5]), ([0.05, -1.0], [2.0, 1.0], (9, 9)), 1e-6),
-        lambda: (_radial_poly([1.0, -0.5]), ([0.05], [2.0], (15,)), 0.05),
-        lambda: (gen_prop10(2, 1, math.pi / 3).system, ([0.05, -1.25], [2.1, 1.25], (9, 9)), 1e-6),
-        lambda: (gen_prop20(1, 1).system, ([0.05, -1.25], [2.1, 1.25], (9, 9)), 1e-6),
-    ], ids=["grid", "wall", "prop10", "prop20"])
-    def test_matches_per_seed_reference(self, make):
-        F, grid, r_min = make()
-        seeds = _seed_grid(*grid)
-        x, ok, steps = _compiled_newton(F, seeds, r_min)
-        ref = [_reference_newton(F, s, r_min) for s in seeds]
-        assert ok.tolist() == [r[1] for r in ref]
-        assert steps.tolist() == [r[2] for r in ref]
-        np.testing.assert_allclose(x, [r[0] for r in ref], rtol=0, atol=1e-9)
-
-    def test_residual_may_depend_on_the_row(self):
-        # (x^2 - c[row]^2, y - x) has its root at (c[row], c[row]): each row
-        # must be evaluated on its own data, also when the line search tries
-        # only some of the rows (the 0.6 start overshoots and is halved)
-        c = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
-        x0 = np.array([[1.0, 0.2], [1.0, -0.3], [0.6, 0.1], [4.0, 0.0], [1.0, 1.0]])
-
-        def fun(rows, X):
-            return np.column_stack([X[:, 0] ** 2 - c[rows] ** 2, X[:, 1] - X[:, 0]])
-
-        def jac(rows, X, FX):
-            J = np.zeros((len(X), 2, 2))
-            J[:, 0, 0], J[:, 1, 0], J[:, 1, 1] = 2.0 * X[:, 0], -1.0, 1.0
-            return J
-
-        x, fx, ok, steps = _batch_newton(fun, jac, x0, RESIDUAL_TOL, MAX_ITERS, MAX_HALVINGS, 1e-6)
-        assert ok.all() and (steps > 0).all()
-        np.testing.assert_allclose(x, np.column_stack([c, c]), rtol=0, atol=1e-9)
-        assert np.array_equal(fx, fun(np.arange(len(x)), x))
-
     def test_seed_uses_up_halvings(self):
-        # (r - c)^2 + 1 has no zero; at r = 1 the slope is -2e-9, so the Newton
-        # step is about 5e8 long and every halving down to 2^-29 overshoots
+        # (r - c)^2 + 1 has no zero, though at r = 1 its slope is only -2e-9:
+        # the interval search excludes every cell of the first level at once
         c = 1.0 + 1e-9
         F = PolyVec([Poly(1, {(2,): 1.0, (1,): -2.0 * c, (0,): c * c + 1.0})])
-        assert abs(jacobian(F, [1.0])[1]) > 1e-300
-        x, ok, steps = _compiled_newton(F, np.array([[1.0]]), 1e-6)
-        assert not ok[0] and x[0, 0] == 1.0 and steps[0] == 1
-        # the interval search excludes every cell of the first level at once
         diag = SearchDiagnostics()
         assert find_simple_zeros(F, SearchBox([0.5], [1.5]), diag) == []
-        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.newton_steps) == (
+        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.contractions) == (
             INITIAL_BOXES, INITIAL_BOXES, 0, 0, 0)
 
     def test_seed_stopped_at_r_min(self):
-        # r + 0.5 vanishes at r = -0.5: every step aims below r_min, so the
-        # seed creeps down to the wall until no halving stays above it
+        # r + 0.5 vanishes at r = -0.5, outside the box, and r + 0.5 > 0 on
+        # it: every cell of the first level is excluded
         F = PolyVec([Poly(1, {(1,): 1.0, (0,): 0.5})])
-        box = SearchBox([0.05], [2.0], r_min=0.05)
-        x, ok, steps = _compiled_newton(F, np.array([[1.025]]), box.r_min)
-        assert not ok[0]
-        assert box.r_min < x[0, 0] < box.r_min + 1e-6
-        assert 1 < steps[0] < MAX_ITERS
-        # r + 0.5 > 0 on the box: every cell of the first level is excluded
         diag = SearchDiagnostics()
-        assert find_simple_zeros(F, box, diag) == []
-        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.newton_steps) == (
+        assert find_simple_zeros(F, SearchBox([0.05], [2.0]), diag) == []
+        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.contractions) == (
             INITIAL_BOXES, INITIAL_BOXES, 0, 0, 0)
 
     def test_full_turn_m2_has_no_zeros(self):
@@ -204,7 +116,7 @@ class TestBatchNewton:
         res = gen_prop20(1, 2)
         diag = SearchDiagnostics()
         assert find_simple_zeros(res.system, res.box, diag) == []
-        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.newton_steps) == (
+        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.contractions) == (
             0, 0, 0, 0, 0)
 
     def test_planted_grid_found(self):
@@ -231,7 +143,7 @@ class TestRFreeSearch:
     @settings(max_examples=25, deadline=None)
     @given(roots=st.lists(st.floats(0.1, 1.9), min_size=1, max_size=3), k=st.integers(1, 3))
     def test_power_of_r_changes_nothing(self, roots, k):
-        # on r >= r_min > 0, r^k q has the zeros of q, and the search divides
+        # on r > 0, r^k q has the zeros of q, and the search divides
         # r^k out exactly: the records must agree bit for bit
         q = _radial_poly(roots)
         box = SearchBox([0.05], [2.0])
@@ -257,7 +169,7 @@ class TestRFreeSearch:
         F = PolyVec([_r_power(1, 2), Poly.variable(2, 1) - Poly.constant(2, 0.3)])
         diag = SearchDiagnostics()
         assert find_simple_zeros(F, SearchBox([0.05, -1.0], [2.0, 1.0]), diag) == []
-        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.newton_steps) == (
+        assert (diag.boxes, diag.excluded, diag.proved, diag.unresolved, diag.contractions) == (
             0, 0, 0, 0, 0)
 
 
@@ -319,6 +231,48 @@ class TestIntervalSearch:
         label = _clusters(idx)
         groups = {frozenset(np.flatnonzero(label == lab)) for lab in label}
         assert groups == {frozenset({0, 1, 5}), frozenset({2, 3}), frozenset({4})}
+
+
+def _with_planted(res, planted=None):
+    return res, res.zeros if planted is None else [np.array([z]) for z in planted]
+
+
+class TestLocation:
+    @pytest.mark.parametrize("make", [
+        lambda: _with_planted(gen_prop10(1, 2, math.pi / 3)),
+        lambda: _with_planted(gen_prop10(2, 2, math.pi / 3)),
+        lambda: _with_planted(gen_prop16(1, 2)),
+        lambda: _with_planted(gen_prop16(2, 2)),
+        lambda: _with_planted(gen_prop20(2, 2)),
+        # second order: res.zeros are the search's own records, so compare
+        # with the radii the tuning targets
+        lambda: _with_planted(gen_prop12(2, 0, math.pi / 3), positive_nodes(4)),
+    ], ids=["prop10-n1", "prop10-n2", "prop16-n1", "prop16-n2", "prop20-n2", "prop12-n2-m0"])
+    def test_simple_records_are_centres_of_proved_boxes(self, make, monkeypatch):
+        # each simple record is the centre of the last box the search
+        # classified about it, and that box, classified again, is proved to
+        # hold exactly one zero: the record lies within its half-width of it
+        res, planted = make()
+        boxes = []
+        classify = rootfind._classify
+
+        def spy(C, lo, hi):
+            boxes.append((lo.copy(), hi.copy()))
+            return classify(C, lo, hi)
+
+        with monkeypatch.context() as m:
+            m.setattr(rootfind, "_classify", spy)
+            records = find_simple_zeros(res.system, res.box)
+        lo, hi = (np.concatenate(a) for a in zip(*boxes))
+        C = CompiledPolyVec.of(PolyVec([_r_free(p) for p in res.system]))
+        simple = [rec.nu for rec in records if rec.simple]
+        assert len(simple) == len(planted) == res.expected_count
+        for nu in simple:
+            at = np.flatnonzero(np.all(0.5 * lo + 0.5 * hi == nu, axis=1))
+            assert at.size, nu
+            excluded, proved = _classify(C, lo[at[-1:]], hi[at[-1:]])[:2]
+            assert proved[0] and not excluded[0]
+            assert min(np.max(np.abs(nu - z)) for z in planted) < 1e-8
 
 
 class TestCertifyCount:

@@ -17,19 +17,19 @@ it converges, is halved; only at the depth bound is the guard's error
 raised.
 
 All rows of a batch of (eps, z) share those zone segments, so _integrator
-carries the batch as one stacked state, every node and row of an iterate in
-one compiled-table call, and holds each row to INTEGRATION_TOL on its own.
-It builds the segments and the zones' compiled tables once for every batch
-it integrates, and _picard the node factors once per rule.  The
-single-point functions (integrate_theta, return_map, displacement) are
-batches of one.
+marches the batch as one state, component first (d+1, nodes, rows), every
+node and row of an iterate in one compiled-table call, and holds each row
+to INTEGRATION_TOL on its own.  It builds the segments and the zones'
+compiled tables once for every batch it integrates, and _picard the node
+factors once per rule.  The single-point functions (integrate_theta,
+return_map, displacement) are batches of one.
 
 Fixed points of the 2*pi return map are the periodic solutions; eps_sweep
 polishes the averaged-function prediction z_nu* into an actual fixed point
 at every eps of a sweep by Newton on P(z) - z, and records how far it moved.
-That Newton is damped and batched, with each eps a row: each round's
-Jacobian points, and each line-search trial, form one batch.
-refine_cycle is the sweep of one eps.
+That Newton is damped and batched, with each eps a row; every point it
+integrates carries its Jacobian points, so a round is one integration per
+line-search trial.  refine_cycle is the sweep of one eps.
 """
 
 from __future__ import annotations
@@ -126,38 +126,31 @@ def _zone_field(C: CompiledPolyVec, mu: np.ndarray, E: np.ndarray):
     ``C`` is the zone's compile_fields vector of both orders and ``mu`` the
     diagonal (0, mu_1, ..., mu_d).  The flow is x' = mu*x + F(theta, x).
     field(theta) binds F to K angles, building what depends on them alone
-    (cos, sin, the point buffer) once; the function it returns takes the
-    states X (K, B, d+1) at those angles and returns F there, with both
-    perturbation orders of every node and row from one compiled-table call.
-    It raises the guard's error when r <= 0 or the angular speed is not
-    positive at a node.
+    once; the function it returns takes the states X (d+1, K*B), component
+    first with node k's row b at column k*B + b, and returns F there from
+    one compiled-table call.  The cylindrical map is linear, so it runs once,
+    on eps*A + eps^2*B.  It raises the guard's error when r <= 0 or the
+    angular speed is not positive at a node.
     """
-    B, n = len(E), len(mu)
-    E2 = E * E
+    B, n, mu = len(E), len(mu), mu[:, None]
 
     def field(theta):
-        K = len(theta)
-        cx, sx = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        point = np.empty((K, B, n + 1))
+        cx, sx = np.repeat(np.cos(theta), B), np.repeat(np.sin(theta), B)
+        Ek, E2k = np.tile(E, len(theta)), np.tile(E * E, len(theta))
+        point = np.empty((n + 1, len(cx)))
 
         def at(X):
-            r = X[..., 0]
+            r = X[0]
             if (r <= 0.0).any():
-                k = np.argmax((r <= 0.0).any(axis=1))
-                raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta[k]:.6f}")
-            point[..., 0], point[..., 1], point[..., 2:] = r * cx, r * sx, X[..., 1:]
-            # AB[k, b, 0] and AB[k, b, 1]: the order-1 fields A and order-2 fields B of row b at node k
-            AB = C.values(point.reshape(K * B, n + 1)).reshape(K, B, 2, n + 1)
-            _cylindrical(AB.transpose(3, 0, 1, 2), cx[..., None], sx[..., None], r[..., None])
-            A, Bf = AB[:, :, 0], AB[:, :, 1]
-            tilt = E * A[..., 0] + E2 * Bf[..., 0]  # the angular speed is 1 + tilt
+                raise RCrossedZeroError(f"r = {r.min():.3e} at theta = {theta[np.argmax(r <= 0.0) // B]:.6f}")
+            point[0], point[1], point[2:] = r * cx, r * sx, X[1:]
+            AB = C.values(point.T).T  # the order-1 fields A in AB[:n+1], the order-2 fields B in AB[n+1:]
+            V = _cylindrical(Ek * AB[: n + 1] + E2k * AB[n + 1:], cx, sx, r)  # eps*A + eps^2*B
+            tilt = V[0]  # the angular speed is 1 + tilt
             if (tilt <= -1.0).any():
-                k = np.argmax((tilt <= -1.0).any(axis=1))
-                raise DenominatorVanishedError(
-                    f"angular speed {1.0 + tilt.min():.3e} at theta = {theta[k]:.6f}; reduce eps"
-                )
-            num = E[:, None] * A[..., 1:] + E2[:, None] * Bf[..., 1:] - mu * X * tilt[..., None]
-            return num / (1.0 + tilt[..., None])
+                raise DenominatorVanishedError(f"angular speed {1.0 + tilt.min():.3e} at theta = "
+                                               f"{theta[np.argmax(tilt <= -1.0) // B]:.6f}; reduce eps")
+            return (V[1:] - mu * X * tilt) / (1.0 + tilt)
 
         return at
 
@@ -189,41 +182,42 @@ class _NotContracting(Exception):
 
 
 def _picard(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The states (B, d+1) at b of the flows from the states W0 at a, by Chebyshev-Picard iteration.
+    """The states (d+1, B) at b of the flows from the states W0 (d+1, B) at a, by Chebyshev-Picard iteration.
 
     x = e^(mu*(theta - a)) * w, so w' = e^(-mu*(theta - a)) * F is O(eps) and
     the linear part is exact.  At the 2N+1 Chebyshev-Lobatto nodes of [a, b]
-    each iterate is W <- W0 + h*S @ G(W).  It is accepted once every row's
-    update is at most INTEGRATION_TOL * |w|_inf (r > 0 keeps that positive)
-    and the N-rule on the same samples agrees with it to the same bound;
-    otherwise N doubles from NODE_START, the iterate interpolated onto the
-    new nodes.  An update above half the previous one raises _NotContracting.
-    The node factors (the angles, e^(mu*(theta - a)) and the field's own) are
-    built once per N; an iterate evaluates the field and applies S.
+    each iterate is W <- W0 + h*S @ G(W), with W held as (d+1, 2N+1, B).  It
+    is accepted once every row's update is at most INTEGRATION_TOL * |w|_inf
+    (r > 0 keeps that positive) and the N-rule on the same samples agrees
+    with it to the same bound; otherwise N doubles from NODE_START, the
+    iterate interpolated onto the new nodes.  An update above half the
+    previous one raises _NotContracting.  The node factors (the angles,
+    e^(mu*(theta - a)) and the field's own) are built once per N.
     """
     h, N = 0.5 * (b - a), NODE_START
-    W = np.broadcast_to(W0, (2 * N + 1,) + W0.shape)
+    W0 = W0[:, None, :]
+    W = np.broadcast_to(W0, (len(W0), 2 * N + 1, W0.shape[2]))
     while True:
         x, S = _cheb_rule(2 * N)
         theta = a + h * (x + 1.0)
-        Y = np.exp(np.multiply.outer(theta - a, mu))[:, None, :]
+        Y = np.exp(np.multiply.outer(mu, theta - a))[:, :, None]
         F = field(theta)
         prev = math.inf
         while True:
-            G = F(Y * W) / Y
-            W_new = W0 + h * (S @ G.reshape(len(x), -1)).reshape(G.shape)
-            tol = INTEGRATION_TOL * np.abs(W_new).max(axis=(0, 2))
-            update = (np.abs(W_new - W).max(axis=(0, 2)) / tol).max()
+            G = F((Y * W).reshape(len(W), -1)).reshape(W.shape) / Y
+            W_new = W0 + h * (S @ G)
+            tol = INTEGRATION_TOL * np.abs(W_new).max(axis=0).max(axis=0)
+            update = (np.abs(W_new - W).max(axis=0).max(axis=0) / tol).max()
             W = W_new
             if update <= 1.0:
                 break
             if not update <= 0.5 * prev:  # also when the update is nan
                 raise _NotContracting
             prev = update
-        coarse = W0 + h * np.tensordot(_cheb_rule(N)[1], G[::2], axes=1)
-        diff = np.abs(coarse - W[::2]).max(axis=(0, 2))
+        coarse = W0 + h * (_cheb_rule(N)[1] @ G[:, ::2])
+        diff = np.abs(coarse - W[:, ::2]).max(axis=0).max(axis=0)
         if (diff <= tol).all():
-            return W[-1] * Y[-1, 0]
+            return W[:, -1] * Y[:, -1]
         N *= 2
         if N > NODE_CAP:
             k = np.argmax(diff / tol)
@@ -231,7 +225,7 @@ def _picard(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float) -> np.nda
                 f"segment [{a:.6f}, {b:.6f}]: the Chebyshev-Picard rule at N = {N // 2} and {N} "
                 f"still differs by {diff[k]:.3e} (tolerance {tol[k]:.3e}) at the node cap N = {NODE_CAP}"
             )
-        W = np.tensordot(_cheb_refine(N), W, axes=1)
+        W = _cheb_refine(N) @ W
 
 
 def _march(field, mu: np.ndarray, W0: np.ndarray, a: float, b: float, depth: int = 0, tripped=None) -> np.ndarray:
@@ -274,14 +268,14 @@ def _integrator(spec: SystemSpec, theta_span):
 
     def integrate(E, Z) -> np.ndarray:
         E = np.asarray(E, dtype=float)
-        X = np.array(Z, dtype=float)
-        if X.shape != (len(E), spec.d + 1):
-            raise ValueError(f"states have shape {X.shape}, expected ({len(E)}, {spec.d + 1})")
-        if np.any(X[:, 0] <= 0.0):
-            raise RCrossedZeroError(f"initial r = {X[:, 0].min():.3e} must be positive")
+        X = np.array(Z, dtype=float).T  # marched component first, (d+1, B)
+        if X.shape != (spec.d + 1, len(E)):
+            raise ValueError(f"states have shape {X.T.shape}, expected ({len(E)}, {spec.d + 1})")
+        if np.any(X[0] <= 0.0):
+            raise RCrossedZeroError(f"initial r = {X[0].min():.3e} must be positive")
         for a, b, sign in segments:
             X = _march(_zone_field(tables[sign], mu, E), mu, X, a, b)
-        return X
+        return X.T
 
     return integrate
 
@@ -331,10 +325,12 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     prediction: a forward-difference Jacobian (step FD_STEP), a line search
     of at most 20 halvings that keeps r > 0 and must lower the residual, a
     stop below PERIOD_RESIDUAL_TOL and at most NEWTON_MAX_ITERS Jacobians.
-    Each round integrates the Jacobian points of every unconverged eps as one
-    batch, and each line-search trial of every eps still searching as one
-    batch.  Every eps must be finite and > 0; if any eps fails to converge,
-    NoConvergenceError names the first.
+    Each point is integrated with its Jacobian points in one batch: the
+    prediction's batch gives round 1's Jacobian, and a row's accepted trial
+    its next one.  Each trial integrates every eps still searching together.
+    Every eps must be finite and > 0; if any eps fails, NoConvergenceError
+    names the first and its cause: a singular Jacobian, an exhausted line
+    search or the Jacobian cap.
     """
     E = np.array(check_eps_values(eps_values))
     if not len(E):
@@ -345,15 +341,21 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     predicted[: len(nu_star)] = nu_star
     full_turn = _integrator(spec, (0.0, TWO_PI))
 
-    def displacements(E, Z):
-        # P(z) - z for every row (E[b], Z[b]), one stacked integration
-        return full_turn(E, Z) - Z
+    def turn(E, Z):
+        # P(z) - z at every row (E[b], Z[b]) and its Jacobian, one integration;
+        # H[b, j]: row b's step on component j, its n shifted points follow it
+        H = FD_STEP * np.maximum(1.0, np.abs(Z))
+        points = np.repeat(Z[:, None, :], n + 1, axis=1)
+        points[:, 1:] += H[:, :, None] * np.eye(n)
+        D = full_turn(np.repeat(E, n + 1), points.reshape(-1, n)).reshape(points.shape) - points
+        return D[:, 0], ((D[:, 1:] - D[:, :1]) / H[:, :, None]).transpose(0, 2, 1)
 
-    # row b: its point Z[b], the displacement G[b] there and res[b] = max|G[b]|
+    # row b: its point Z[b], the displacement G[b] and Jacobian J[b] there and res[b] = max|G[b]|
     Z = np.tile(predicted, (len(E), 1))
-    G = displacements(E, Z)
+    G, J = turn(E, Z)
     res = np.max(np.abs(G), axis=1)
     steps = np.zeros(len(E), dtype=int)
+    stop = np.zeros(len(E), dtype=int)  # why a row left early: 1 singular Jacobian, 2 line search exhausted
     live = np.arange(len(E))
     for _ in range(NEWTON_MAX_ITERS):
         # a row stops once below the tolerance, and fails when dropped above it
@@ -361,16 +363,11 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
         if not live.size:
             break
         steps[live] += 1
-        # H[i, j]: row i's step on component j; its n shifted points are consecutive batch rows
-        H = FD_STEP * np.maximum(1.0, np.abs(Z[live]))
-        points = Z[live][:, None, :] + H[:, :, None] * np.eye(n)
-        Gp = displacements(np.repeat(E[live], n), points.reshape(-1, n)).reshape(-1, n, n)
-        J = ((Gp - G[live][:, None, :]) / H[:, :, None]).transpose(0, 2, 1)
-        det = np.linalg.det(J)
-        # a finite nonzero determinant means LU met no zero pivot: solve succeeds
+        det = np.linalg.det(J[live])  # finite and nonzero: LU met no zero pivot, so solve succeeds
         regular = np.isfinite(det) & (np.abs(det) >= 1e-300)
+        stop[live[~regular]] = 1
         live = live[regular]
-        step = np.linalg.solve(J[regular], G[live][:, :, None])[:, :, 0]
+        step = np.linalg.solve(J[live], G[live][:, :, None])[:, :, 0]
         t = 1.0
         pending = np.ones(len(live), dtype=bool)
         for _ in range(20):
@@ -379,21 +376,23 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
             above = zn[:, 0] > 0.0
             cand, zn = cand[above], zn[above]
             if cand.size:
-                gn = displacements(E[live[cand]], zn)
+                gn, jn = turn(E[live[cand]], zn)
                 rn = np.max(np.abs(gn), axis=1)
                 better = rn < res[live[cand]]
                 acc = live[cand[better]]
-                Z[acc], G[acc], res[acc] = zn[better], gn[better], rn[better]
+                Z[acc], G[acc], J[acc], res[acc] = zn[better], gn[better], jn[better], rn[better]
                 pending[cand[better]] = False
             if not pending.any():
                 break
             t *= 0.5
+        stop[live[pending]] = 2
         live = live[~pending]
     ok = res < PERIOD_RESIDUAL_TOL
     if not ok.all():
         k = np.argmin(ok)
-        raise NoConvergenceError(f"return-map Newton failed at eps={E[k]}: residual {res[k]:.3e} "
-                                 f"after {steps[k]} of at most {NEWTON_MAX_ITERS} Jacobians", res[k])
+        why = (f"after {steps[k]} of at most {NEWTON_MAX_ITERS} Jacobians", f"Jacobian {steps[k]} is singular",
+               f"the line search on Jacobian {steps[k]} found no lower residual in 20 halvings")[stop[k]]
+        raise NoConvergenceError(f"return-map Newton failed at eps={E[k]}: residual {res[k]:.3e}; {why}", res[k])
     return [CycleRecord(float(e), z, float(r), predicted.copy(), float(np.linalg.norm(z - predicted)))
             for e, z, r in zip(E, Z, res)]
 

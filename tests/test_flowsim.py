@@ -10,6 +10,7 @@ from avgcycles import flowsim
 from avgcycles.avgcore import _node_fields, compile_fields, numeric_g
 from avgcycles.flowsim import (
     DEFAULT_EPS_SWEEP,
+    FD_STEP,
     PERIOD_RESIDUAL_TOL,
     CycleError,
     DenominatorVanishedError,
@@ -29,7 +30,7 @@ from avgcycles.flowsim import (
     write_cycle_csv,
 )
 from avgcycles.generators import gen_prop10, gen_prop12, gen_prop16
-from avgcycles.sysspec import random_spec, zero_spec
+from avgcycles.sysspec import SIGNS, multi_indices, random_spec, zero_spec
 from avgcycles.trigkernel import TWO_PI
 
 
@@ -233,6 +234,46 @@ class TestRefineCycle:
         assert rec.period_residual == float(np.max(np.abs(displacement(result.spec, eps, rec.fixed_point))))
 
 
+def _stand_in(monkeypatch, events=None):
+    """Replace the return map by one whose displacement (x^2 - eps^2, y - x) has its fixed point at (eps, eps).
+
+    Each batch it integrates is appended to ``events`` as ("turn", E, Z, displacement).
+    """
+    def integrator(spec, span):
+        def full_turn(E, Z):
+            out = Z + np.column_stack([Z[:, 0] ** 2 - E**2, Z[:, 1] - Z[:, 0]])
+            if events is not None:
+                events.append(("turn", E.copy(), Z.copy(), out - Z))
+            return out
+        return full_turn
+
+    monkeypatch.setattr(flowsim, "_integrator", integrator)
+
+
+def _lifted(spec, mu_tail, seed=0):
+    """A d = m spec lifted to d = m + 1 with a tail of exponent mu_tail.
+
+    Every entry gets tail exponent 0, and both zones gain random order-1
+    tail entries (every c entry of the new component, and the w-linear a
+    and b entries) at scale 0.3.  The unperturbed periodic orbits have
+    w = 0, so f1 is unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    out = zero_spec(spec.n, spec.m, spec.d + 1, spec.phi, spec.mu + (mu_tail,))
+    for key, tabs in spec.tables.items():
+        new = out.tables[key]
+        for old, lifted in zip(*((t if isinstance(t, list) else [t]) for t in (tabs, new))):
+            for idx, c in old.entries.items():
+                lifted.set(idx + (0,), c)
+    w = (0,) * (spec.d + 2) + (1,)
+    for sign in SIGNS:
+        for fam in ("a", "b"):
+            out.table(fam, sign).set(w, 0.3 * rng.uniform(-1.0, 1.0))
+        for idx in multi_indices(spec.n, spec.d + 3):
+            out.table("c", sign, spec.d).set(idx, 0.3 * rng.uniform(-1.0, 1.0))
+    return out
+
+
 class TestLockstepSweep:
     @pytest.mark.parametrize("make", [
         lambda: gen_prop10(2, 1, math.pi / 3),
@@ -254,6 +295,18 @@ class TestLockstepSweep:
         for nu in result.zeros:
             for rec in eps_sweep(result.spec, nu, DEFAULT_EPS_SWEEP):
                 ref = _dop853_reference(result.spec, rec.epsilon, rec.fixed_point, (0.0, TWO_PI))
+                assert np.max(np.abs(ref - rec.fixed_point)) < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon)
+
+    @pytest.mark.parametrize("mu_tail", [-0.5, 0.7])
+    def test_tail_sweep_holds_under_the_reference(self, mu_tail):
+        # d > m: the tail's factor e^(mu*theta) is not 1, so a layout slip
+        # between the master and tail components would show here
+        result = gen_prop10(1, 0, math.pi / 3)
+        spec = _lifted(result.spec, mu_tail)
+        for nu in result.zeros:
+            for rec in eps_sweep(spec, nu, DEFAULT_EPS_SWEEP):
+                assert rec.accepted, (nu, rec.epsilon, rec.period_residual)
+                ref = _dop853_reference(spec, rec.epsilon, rec.fixed_point, (0.0, TWO_PI))
                 assert np.max(np.abs(ref - rec.fixed_point)) < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon)
 
     def test_refine_cycle_is_the_one_eps_sweep(self):
@@ -292,21 +345,80 @@ class TestLockstepSweep:
         assert info.value.residual == np.max(np.abs(displacement(result.spec, 1e-2, result.zeros[0])))
 
     def test_each_eps_is_its_own_row(self, monkeypatch):
-        # a stand-in return map whose displacement (x^2 - eps^2, y - x) has
-        # its fixed point at (eps, eps): each row must be evaluated at its own
-        # eps, also when the line search tries only some of the rows (from
-        # 0.6, the steps of eps = 1.5, 2 and 3 overshoot and are halved)
-        def integrator(spec, span):
-            def full_turn(E, Z):
-                return Z + np.column_stack([Z[:, 0] ** 2 - E**2, Z[:, 1] - Z[:, 0]])
-            return full_turn
-
-        monkeypatch.setattr(flowsim, "_integrator", integrator)
+        # each row must be evaluated at its own eps, also when the line search
+        # tries only some of the rows (from 0.6, the steps of eps = 1.5, 2 and
+        # 3 overshoot and are halved)
+        _stand_in(monkeypatch)
         eps = (0.5, 1.0, 1.5, 2.0, 3.0)
         records = eps_sweep(zero_spec(1, 1, 1, 1.0), [0.6, 0.1], eps)
         assert all(rec.accepted for rec in records)
         np.testing.assert_allclose([rec.fixed_point for rec in records], np.column_stack([eps, eps]),
                                    rtol=0, atol=1e-9)
+
+    def test_each_round_uses_the_jacobian_at_its_accepted_point(self, monkeypatch):
+        # replay the stand-in's batches: every integrated point carries its n
+        # shifted points, and each round solves with the Jacobian taken at the
+        # row's current accepted point, also where a halved trial was accepted
+        events = []
+        _stand_in(monkeypatch, events)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda J, G: events.append(("solve", J, G)) or solve(J, G))
+        eps, n = (0.5, 1.0, 1.5, 2.0, 3.0), 2
+        eps_sweep(zero_spec(1, 1, 1, 1.0), [0.6, 0.1], eps)
+        current, rejected, rounds = {}, 0, 0
+        for kind, *event in events:
+            if kind == "turn":
+                E, Z, D = event
+                assert len(E) % (n + 1) == 0
+                for k in range(0, len(E), n + 1):
+                    z, g, H = Z[k], D[k], FD_STEP * np.maximum(1.0, np.abs(Z[k]))
+                    assert np.all(E[k: k + n + 1] == E[k])
+                    assert np.array_equal(Z[k + 1: k + n + 1], z + np.diag(H))
+                    J, res = ((D[k + 1: k + n + 1] - g) / H[:, None]).T, np.max(np.abs(g))
+                    if E[k] not in current or res < current[E[k]][2]:
+                        current[E[k]] = (g, J, res)
+                    else:
+                        rejected += 1
+            else:
+                J, G = event
+                live = [e for e in eps if current[e][2] >= PERIOD_RESIDUAL_TOL]
+                assert np.array_equal(J, [current[e][1] for e in live])
+                assert np.array_equal(G[:, :, 0], [current[e][0] for e in live])
+                rounds += 1
+        assert rejected > 0 and rounds > 1
+
+    def test_one_integration_per_round(self, monkeypatch):
+        # the prediction's integration gives round 1's Jacobian and the
+        # accepted trial round 2's: two rounds, three integrations
+        batches = []
+        integrator = flowsim._integrator
+
+        def counted(spec, span):
+            full_turn = integrator(spec, span)
+            return lambda E, Z: batches.append(len(E)) or full_turn(E, Z)
+
+        monkeypatch.setattr(flowsim, "_integrator", counted)
+        result = gen_prop10(2, 1, math.pi / 3)
+        records = eps_sweep(result.spec, result.zeros[0], DEFAULT_EPS_SWEEP)
+        assert all(rec.accepted for rec in records)
+        assert len(batches) == 3
+        assert all(b % (result.spec.d + 2) == 0 for b in batches)  # each point and its d+1 shifted points
+
+    @pytest.mark.parametrize("start,eps,cap,why", [
+        ([0.0, 0.1], 0.5, 50, "the line search on Jacobian 1 found no lower residual in 20 halvings"),
+        ([-0.5 * FD_STEP, 0.1], 0.5 * FD_STEP, 50, "Jacobian 1 is singular"),
+        ([0.6, 0.1], 0.5, 1, "after 1 of at most 1 Jacobians"),
+    ], ids=["line-search", "singular", "cap"])
+    def test_nonconvergence_names_its_cause(self, monkeypatch, start, eps, cap, why):
+        # from x = 0 the Jacobian's slope in x is FD_STEP, so the step is huge
+        # and no halving comes back below the residual; at x = -eps =
+        # -FD_STEP/2 the first component is exactly 0 at the point and at its
+        # x-shift, so the Jacobian's first row is 0; from 0.6 one Jacobian
+        # does not reach the tolerance
+        _stand_in(monkeypatch)
+        monkeypatch.setattr(flowsim, "NEWTON_MAX_ITERS", cap)
+        with pytest.raises(NoConvergenceError, match=rf"eps={eps}: residual [^;]+; {why}$"):
+            eps_sweep(zero_spec(1, 1, 1, 1.0), start, (eps,))
 
     def test_empty_sweep(self):
         result = gen_prop10(1, 0, math.pi / 2)

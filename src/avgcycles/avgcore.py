@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .polyalg import PRUNE_TOL, CompiledPolyVec, Poly, PolyVec
-from .sysspec import SystemSpec, multi_indices
+from .sysspec import FIRST_ORDER, SECOND_ORDER, SystemSpec, multi_indices
 from .trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, gram_matrix, trig_I, trig_J
 
 F1_ZERO_TOL = 1e-10
@@ -87,7 +87,7 @@ def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick:
     (with its 1/r prefactor), 2 the radial one, l+2 the z_l components.
     """
     m = spec.m
-    fam_a, fam_b, fam_c = ("a", "b", "c") if order == 1 else ("alpha", "beta", "gamma")
+    fam_a, fam_b, fam_c = FIRST_ORDER if order == 1 else SECOND_ORDER
     out = HarmonicSum()
     # the tail exponents an entry must carry: none, or one on z_{m+tail_pick}
     want = [0] * (spec.d - m)
@@ -439,7 +439,7 @@ def compile_fields(spec: SystemSpec, order, sign: str) -> CompiledPolyVec:
     """
     tables = []
     for o in (order,) if isinstance(order, int) else order:
-        fam_a, fam_b, fam_c = ("a", "b", "c") if o == 1 else ("alpha", "beta", "gamma")
+        fam_a, fam_b, fam_c = FIRST_ORDER if o == 1 else SECOND_ORDER
         tables += [spec.table(fam_a, sign), spec.table(fam_b, sign), *spec.tables[fam_c + sign]]
     return CompiledPolyVec(spec.d + 2, [t.entries for t in tables])
 

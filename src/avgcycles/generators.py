@@ -6,10 +6,13 @@ spec is assembled from "slots": a slot is one (family, sign, component,
 exponent) entry of a zone's coefficient table, and _spec_from_slots adds a
 value to each.
 
-The first-order generators invert a linear map, read from the f_1 kernel
-constraints (_f1_matrix): a constraint's weights on the slots form one row,
-its residual being one coefficient of f_1.  The matrix is solved (least
-squares) against target polynomials with hand-placed roots.
+Every generator solves on one slot set: every first-order entry of degree
+<= n in both zones (_full_slots), with, at second order, its second-order
+twin.  The first-order generators invert a linear map, read from the f_1
+kernel constraints (_f1_matrix): a constraint's weights on the slots form
+one row, its residual being one coefficient of f_1.  The matrix is solved
+(least squares, minimum norm) against target polynomials with hand-placed
+roots; an entry that reaches no target monomial stays zero.
 
 The second-order generators are harder because f_2 is quadratic in the
 first-order coefficients.  They build an exact algebraic surrogate
@@ -41,10 +44,10 @@ v by a linear solve.  Every converged start is re-verified against the
 real build_f1/build_f2 pipeline and certified by root search; one that
 fails either is recorded as an "undercount" and the tuning moves on to its
 next start.  gen_th4 realizes a prescribed reduced system by two linear
-fits over the same slots: its P map is the same A, read on the twins, and
-its Q map the same contraction of the slot form with a fixed angular
-part h, a vector over the u-slots: (S_slot h) N.  The generators call
-build_f1 and build_f2 only to re-verify what they built.
+fits on the same surrogate: its Q map is the contraction of the slot form
+with a fixed angular part h, a vector over the u-slots, (S_slot h) N, and
+its P map L / 2 = A against r*P.  The generators call build_f1 and
+build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -170,18 +173,33 @@ def _monomial_basis(pvs) -> list:
     return sorted({(ci, mo) for pv in pvs for ci, p in enumerate(pv) for mo in p.terms})
 
 
-def _f1_matrix(n, m, phi, slots):
-    """The linear map from slot values to f_1's coefficients, and its row keys.
+def _full_slots(n, m, families):
+    """Every entry of total degree <= n of the given families in both zones; vector families per component.
 
-    Row k holds, for each slot, its weight in kernel constraint k, whose
-    residual is the coefficient of keys[k] = (component, monomial) in f_1.
+    Entries run family by family, then component, then zone ("+" first), in
+    sorted index order.
+    """
+    out = []
+    for fam in families:
+        for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
+            for sign in ("+", "-"):
+                out += [(fam, sign, ell, idx) for idx in sorted(multi_indices(n, m + 2))]
+    return out
+
+
+def _f1_matrix(n, m, phi):
+    """The linear map from the first-order slot values to f_1's coefficients, and its row keys.
+
+    Column j is slot j of _full_slots(n, m, FIRST_ORDER).  Row k holds each
+    slot's weight in kernel constraint k, whose residual is the coefficient
+    of keys[k] = (component, monomial) in f_1.
     """
     cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
-    A = np.zeros((len(cons), len(slots)))
+    column = {slot: j for j, slot in enumerate(_full_slots(n, m, FIRST_ORDER))}
+    A = np.zeros((len(cons), len(column)))
     for row, con in zip(A, cons):
-        weights = {(fam, sign, con.component - 1 if fam == "c" else None, idx): w
-                   for fam, sign, idx, w in con.terms}
-        row[:] = [weights.get(slot, 0.0) for slot in slots]
+        for fam, sign, idx, w in con.terms:
+            row[column[fam, sign, con.component - 1 if fam == "c" else None, idx]] = w
     return A, [(con.component, con.monomial) for con in cons]
 
 
@@ -204,51 +222,16 @@ def _fit_linear(A, keys, target: PolyVec, message: str) -> np.ndarray:
     return x
 
 
-def _fit_linear_f1(n, m, phi, slots, target: PolyVec):
-    """Solve for slot values so that f_1 matches the target; re-verified by build_f1."""
-    sol = _fit_linear(*_f1_matrix(n, m, phi, slots), target, "first-order target not in coefficient-map "
+def _fit_linear_f1(n, m, phi, target: PolyVec):
+    """Solve for the first-order slot values so that f_1 matches the target; re-verified by build_f1."""
+    sol = _fit_linear(*_f1_matrix(n, m, phi), target, "first-order target not in coefficient-map "
                       "image: residual {resid:.3e}, matrix rank {rank} of {shape}")
-    spec = _spec_from_slots(n, m, phi, slots, sol)
+    spec = _spec_from_slots(n, m, phi, _full_slots(n, m, FIRST_ORDER), sol)
     f1 = build_f1(spec)
     worst = max((p - q).max_coeff() for p, q in zip(f1, target))
     if worst > 10 * LINEAR_TOL * max(1.0, max(q.max_coeff() for q in target)):
         raise ConstructionError(f"re-verification failed: coefficient error {worst:.3e}")
     return spec, f1
-
-
-def _scalar_slots(n, m, families, signs=("+", "-")):
-    """All z-free entries (i, j, 0...0) of the given scalar families."""
-    out = []
-    for fam in families:
-        for sign in signs:
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    out.append((fam, sign, None, (i, j) + (0,) * m))
-    return out
-
-
-def _axis_slots(n, m, fam, ell, var, signs=("+", "-")):
-    """Entries z_var^k, k = 0..n, of one family: they depend on z_var alone (var >= 1)."""
-    out = []
-    for sign in signs:
-        for k in range(n + 1):
-            idx = [0, 0] + [0] * m
-            idx[1 + var] = k
-            out.append((fam, sign, ell, tuple(idx)))
-    return out
-
-
-def _full_slots(n, m, families):
-    """Every entry of total degree <= n of the given families in both zones; vector families per component.
-
-    Entries run in sorted index order, which at m = 0 is _scalar_slots' order.
-    """
-    out = []
-    for fam in families:
-        for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
-            for sign in ("+", "-"):
-                out += [(fam, sign, ell, idx) for idx in sorted(multi_indices(n, m + 2))]
-    return out
 
 
 def _grid_zeros(axis_roots):
@@ -264,13 +247,11 @@ def _first_order_product(n, m, phi) -> GeneratorResult:
     r_roots = positive_nodes(n)
     targets = [poly_from_roots(nv, 0, r_roots)]
     axis_roots = [r_roots]
-    slots = _scalar_slots(n, m, ("a", "b"))
     for ell in range(1, m + 1):
         s_roots = symmetric_nodes(n, offset=0.013 * ell)
         targets.append(poly_from_roots(nv, ell, s_roots))
         axis_roots.append(s_roots)
-        slots += _axis_slots(n, m, "c", ell - 1, ell)
-    spec, f1 = _fit_linear_f1(n, m, phi, slots, PolyVec(targets))
+    spec, f1 = _fit_linear_f1(n, m, phi, PolyVec(targets))
     return GeneratorResult(spec, 1, f1, n ** (m + 1), default_box(m), _grid_zeros(axis_roots))
 
 
@@ -307,7 +288,6 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
     phi = TWO_PI
     nv = m + 1
     expected = first_order_count(n, m, phi)
-    slots = _scalar_slots(n, m, ("a", "b"), signs=("+",))
     targets = []
     axis_roots = []
     notes = {}
@@ -320,7 +300,6 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
             s_roots = symmetric_nodes(n, offset=0.013 * ell)
             targets.append(poly_from_roots(nv, ell, s_roots))
             axis_roots.append(s_roots)
-            slots += _axis_slots(n, m, "c", ell - 1, ell, signs=("+",))
     else:
         # even n, m >= 1: radial equation solves z_1, first z-equation solves r
         z1_roots = symmetric_nodes(n - 1, offset=0.017)
@@ -330,19 +309,11 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
         axis_roots.append([math.sqrt(v) for v in rho])
         axis_roots.append(z1_roots)
         notes["role_permutation"] = "radial component carries z_1 roots; component 1 carries radial roots"
-        for k in range(n):
-            slots.append(("a", "+", None, (1, 0) + tuple(k if v == 0 else 0 for v in range(m))))
-            slots.append(("b", "+", None, (0, 1) + tuple(k if v == 0 else 0 for v in range(m))))
-        # component 1: even polynomial in r via z-free entries
-        for i in range(0, n + 1, 2):
-            for j in range(0, n + 1 - i, 2):
-                slots.append(("c", "+", 0, (i, j) + (0,) * m))
         for ell in range(2, m + 1):
             s_roots = symmetric_nodes(n, offset=0.013 * ell)
             targets.append(poly_from_roots(nv, ell, s_roots))
             axis_roots.append(s_roots)
-            slots += _axis_slots(n, m, "c", ell - 1, ell, signs=("+",))
-    spec, f1 = _fit_linear_f1(n, m, phi, slots, PolyVec(targets))
+    spec, f1 = _fit_linear_f1(n, m, phi, PolyVec(targets))
     zeros = _grid_zeros(axis_roots) if all(axis_roots) else []
     return GeneratorResult(spec, 1, f1, expected, default_box(m), zeros, notes)
 
@@ -352,14 +323,14 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_split(n, m, phi, slots):
-    """f_1's map on the slots, split by one SVD: (A, keys, N, R).
+def _kernel_split(n, m, phi):
+    """f_1's map on the first-order slots, split by one SVD: (A, keys, N, R).
 
     A and keys are _f1_matrix's, without the constraints that involve no
     slot.  N's columns span A's null space (the slot values that keep f_1
     zero), R's columns A's range; one rank rule, s > 1e-12 * s_0, sets both.
     """
-    A, keys = _f1_matrix(n, m, phi, slots)
+    A, keys = _f1_matrix(n, m, phi)
     live = np.any(A != 0.0, axis=1)
     A, keys = A[live], [key for key, on in zip(keys, live) if on]
     U, s, Vt = np.linalg.svd(A)
@@ -418,7 +389,7 @@ class _QuadModel:
         self.n, self.m, self.phi = n, m, phi
         self.uslots = _full_slots(n, m, FIRST_ORDER)
         self.vslots = _full_slots(n, m, SECOND_ORDER)  # vslots[k] is uslots[k]'s twin
-        A, keys, self.N, R = _kernel_split(n, m, phi, self.uslots)
+        A, keys, self.N, R = _kernel_split(n, m, phi)
         self.udim = self.N.shape[1]
         qkeys, zones = _slot_form(n, m, phi, self.uslots)
         # L is 2A with every row key raised by r (see the class docstring)
@@ -791,33 +762,23 @@ def gen_th4(P_polys, Q_polys, phi: float, delta: float = 1e-3, n: int | None = N
     if not 0 < delta < math.inf:
         raise ValueError("delta must be finite and positive")
 
-    # Q map: columns over kernel-constrained first-order slots.  The angular
-    # part contributes nothing to f_1, so the kernel constraints involve only
-    # the delta-scaled part, even on the entries the angular part shares.
-    # r*f_2 at the slot values h + delta*x is Q(h) + 2 delta x^T S_slot h +
-    # O(delta^2) and Q(h) = 0, so r*f_2 / (2 delta) reads x through S_slot h.
-    uslots = _full_slots(n, m, FIRST_ORDER)
-    h = _angular_part(m, uslots)
-    P, pkeys, N, _ = _kernel_split(n, m, phi, uslots)
-    qkeys, zones = _slot_form(n, m, phi, uslots)
+    # Q map: the angular part contributes nothing to f_1 (h = N N^T h), so
+    # the kernel constraints involve only the delta-scaled part.  r*f_2 at
+    # the slot values h + delta*x is Q(h) + 2 delta x^T S_slot h + O(delta^2)
+    # and Q(h) = 0, so r*f_2 / (2 delta) reads x through S_slot h.  P map: a
+    # second-order twin enters r*f_2 through L = 2A, so L / 2 reads r*P.
+    model = _QuadModel(n, m, phi)
+    h = _angular_part(m, model.uslots)
     q_target = PolyVec([Poly(nv, dict(q.terms)) for q in Q_polys])
-    u = _fit_linear(_slot_product(zones, h, N, len(qkeys)), qkeys, q_target, "Q target not realizable: residual "
-                    "{resid:.3e}, map rank {rank} of {shape}; note Q_l must be divisible by r")
-
-    # P map: each second-order entry enters r*f_2 through the integral its
-    # first-order twin has in f_1, and pslots lists the twins of uslots in order
-    pslots = _full_slots(n, m, SECOND_ORDER)
-    p_target = PolyVec([Poly(nv, dict(p.terms)) for p in P_polys])
-    v = _fit_linear(P, pkeys, p_target, "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
-
-    # assemble: angular part plus the delta-scaled first order, then the
-    # delta-scaled second order
-    spec = _spec_from_slots(n, m, phi, uslots + pslots, np.concatenate([h + delta * (N @ u), delta * v]))
+    rp_target = PolyVec([Poly.variable(nv, 0) * Poly(nv, dict(p.terms)) for p in P_polys])
+    u = _fit_linear(_slot_product(model.zones, h, model.N, len(model.monos)), model.monos, q_target,
+                    "Q target not realizable: residual {resid:.3e}, map rank {rank} of {shape}; "
+                    "note Q_l must be divisible by r")
+    v = _fit_linear(model.L / 2, model.monos, rp_target,
+                    "P target not realizable: residual {resid:.3e}, map rank {rank} of {shape}")
+    spec = model.assemble(model.N.T @ h + delta * u, delta * v)
     rf2 = build_f2(spec)
-    reduced = PolyVec([
-        (Poly.variable(nv, 0) * Poly(nv, dict(p.terms))) + Poly(nv, dict(q.terms))
-        for p, q in zip(P_polys, Q_polys)
-    ])
+    reduced = PolyVec([rp + q for rp, q in zip(rp_target, q_target)])
     normalized = PolyVec([p.scaled(0.5 / delta) for p in rf2])
     return GeneratorResult(
         spec, 2, rf2, 0, default_box(m),

@@ -217,31 +217,23 @@ def trig_monomial(p: int, q: int, k: int = 0, lam: complex = 0.0j) -> HarmonicSu
 # Public kernels.
 # ---------------------------------------------------------------------------
 
-_I_CACHE: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _trig_I(p: int, q: int, phi: float) -> float:
     """I_(p,q,phi) by the two-term power reduction recurrence, memoized."""
-    key = (p, q, phi)
-    hit = _I_CACHE.get(key)
-    if hit is not None:
-        return hit
     cphi = math.cos(phi)
     sphi = math.sin(phi)
     if p >= 2:
-        val = (cphi ** (p - 1) * sphi ** (q + 1)) / (p + q) + (p - 1) / (p + q) * _trig_I(p - 2, q, phi)
-    elif q >= 2:
-        val = -(cphi ** (p + 1) * sphi ** (q - 1)) / (p + q) + (q - 1) / (p + q) * _trig_I(p, q - 2, phi)
-    elif (p, q) == (0, 0):
-        val = phi
-    elif (p, q) == (1, 0):
-        val = sphi
-    elif (p, q) == (0, 1):
-        val = 1.0 - cphi
-    else:  # (1, 1)
-        val = 0.5 * sphi * sphi
-    _I_CACHE[key] = val
-    return val
+        return (cphi ** (p - 1) * sphi ** (q + 1)) / (p + q) + (p - 1) / (p + q) * _trig_I(p - 2, q, phi)
+    if q >= 2:
+        return -(cphi ** (p + 1) * sphi ** (q - 1)) / (p + q) + (q - 1) / (p + q) * _trig_I(p, q - 2, phi)
+    if (p, q) == (0, 0):
+        return phi
+    if (p, q) == (1, 0):
+        return sphi
+    if (p, q) == (0, 1):
+        return 1.0 - cphi
+    return 0.5 * sphi * sphi  # (1, 1)
 
 
 def trig_I(key: TrigKey) -> float:

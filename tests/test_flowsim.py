@@ -424,6 +424,26 @@ class TestLockstepSweep:
         result = gen_prop10(1, 0, math.pi / 2)
         assert eps_sweep(result.spec, result.zeros[0], ()) == []
 
+    @pytest.mark.parametrize("nu, shape", [
+        ([1.0, 0.1, 0.2], r"\(3,\)"),
+        ([[1.0, 0.1]], r"\(1, 2\)"),
+        (1.0, r"\(\)"),
+        ([], r"\(0,\)"),
+    ], ids=["too-long", "2-d", "scalar", "empty"])
+    def test_malformed_prediction_is_named(self, nu, shape):
+        # a prediction is 1-D with 1 to d+1 entries; anything else is an input
+        # error naming its shape, not a broadcast, type or cycle error
+        result = gen_prop10(1, 1, math.pi / 3)
+        with pytest.raises(ValueError, match=rf"^prediction has shape {shape}, expected \(k,\) with 1 <= k <= 2$"):
+            eps_sweep(result.spec, nu)
+
+    def test_short_prediction_pads_the_tail(self):
+        result = gen_prop10(1, 1, math.pi / 3)
+        nu = result.zeros[0]
+        (short,) = eps_sweep(result.spec, nu[:1], (1e-2,))
+        assert np.array_equal(short.predicted, [nu[0], 0.0])
+        assert short.accepted
+
 
 def test_cycle_csv(tmp_path):
     result = gen_prop10(1, 0, math.pi / 2)

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from avgcycles import generators
-from avgcycles.avgcore import _field_series, _g_contribution, _ZoneFields, build_f1, build_f2
+from avgcycles.avgcore import _field_series, _g_contribution, _ZoneFields, build_f1, build_f2, f1_kernel_constraints
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
@@ -39,7 +39,7 @@ from avgcycles.generators import (
     second_order_upper_bound,
 )
 from avgcycles.polyalg import Poly, PolyVec
-from avgcycles.rootfind import SearchBox, find_simple_zeros
+from avgcycles.rootfind import SearchBox, certify_count, find_simple_zeros
 from avgcycles.sysspec import FIRST_ORDER, SECOND_ORDER, zero_spec
 from avgcycles.trigkernel import TWO_PI
 
@@ -87,6 +87,23 @@ class TestFirstOrderGenerators:
         result = gen_prop20(2, 0)  # expected count 0
         assert result.expected_count == 0
         assert result.zeros == []
+
+    @pytest.mark.parametrize("n, m", list(itertools.product((1, 2, 3), (0, 1, 2))))
+    @pytest.mark.parametrize("make", [
+        lambda n, m: gen_prop10(n, m, PHI),
+        gen_prop16,
+        gen_prop20,  # role-permuted at (2, 1), (2, 2)
+    ], ids=["gen_prop10", "gen_prop16", "gen_prop20"])
+    def test_certified_zeros_are_the_planted_ones(self, make, n, m):
+        # every first-order entry is a slot, and the minimum-norm fit still
+        # certifies exactly the planted grid
+        result = make(n, m)
+        cert = certify_count(result.system, result.box, result.expected_count)
+        assert cert["pass"], cert
+        simple = [rec.nu for rec in cert["records"] if rec.simple]
+        assert len(simple) == len(result.zeros) == result.expected_count
+        for nu in result.zeros:
+            assert min(np.max(np.abs(z - nu)) for z in simple) < 1e-8, nu
 
 
 class TestSecondOrderGenerators:
@@ -456,7 +473,7 @@ class TestTh4:
         # the angular part, on each kernel direction N e_k
         uslots = _full_slots(n, m, FIRST_ORDER)
         h = _angular_part(m, uslots)
-        _, _, N, _ = _kernel_split(n, m, phi, uslots)
+        _, _, N, _ = _kernel_split(n, m, phi)
         keys, zones = _slot_form(n, m, phi, uslots)
         QN = _slot_product(zones, h, N, len(keys))
         for k, col in enumerate(N.T):
@@ -489,13 +506,29 @@ class TestF1Matrix:
     @pytest.mark.parametrize("n, m, phi", [(2, 1, PHI), (2, 1, math.pi), (2, 0, TWO_PI), (3, 2, PHI)])
     def test_columns_are_unit_slot_build_f1(self, n, m, phi):
         slots = _full_slots(n, m, ("a", "b", "c"))
-        A, keys = _f1_matrix(n, m, phi, slots)
+        A, keys = _f1_matrix(n, m, phi)
         assert len(set(keys)) == len(keys)
         for col, slot in zip(A.T, slots):
             f1 = build_f1(_spec_from_slots(n, m, phi, [slot], [1.0]))
             assert set(_monomial_basis([f1])) <= set(keys)
             # build_f1 drops coefficients below polyalg.PRUNE_TOL = 1e-15
             np.testing.assert_allclose(col, _poly_vec_to_coeffs(f1, keys), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("phi", [PHI, math.pi, TWO_PI], ids=["pi/3", "pi", "2pi"])
+    def test_bit_identical_to_a_per_constraint_lookup(self, phi):
+        # reference: each constraint's weights as a dict, looked up once per
+        # slot; _QuadModel's N, zones and tuning rest on this exact matrix
+        for n, m in itertools.product((1, 2, 3), (0, 1, 2)):
+            slots = _full_slots(n, m, FIRST_ORDER)
+            cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
+            ref = np.zeros((len(cons), len(slots)))
+            for row, con in zip(ref, cons):
+                weights = {(fam, sign, con.component - 1 if fam == "c" else None, idx): w
+                           for fam, sign, idx, w in con.terms}
+                row[:] = [weights.get(slot, 0.0) for slot in slots]
+            A, keys = _f1_matrix(n, m, phi)
+            assert keys == [(con.component, con.monomial) for con in cons]
+            assert A.shape == ref.shape and np.array_equal(A, ref), (n, m)
 
 
 # each generator that needs a generic switching angle, at a small size

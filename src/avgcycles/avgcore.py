@@ -6,19 +6,13 @@ f_1 is linear in the first-order tables: each of its coefficients is the
 residual of one kernel constraint, whose weights are the trigonometric
 integrals of :mod:`trigkernel`.  r*f_2 is the slave term plus, per zone, the
 integral of the order-2 field and of one bilinear form of the zone's
-first-order fields (:class:`_ZoneFields`).  Every field is one
-:class:`trigkernel.HarmonicSum`, a finite sum of terms
-
-    coeff * r^a * z^k * s^j * e^(lam*s)        (lam complex, a >= -1)
-
-keyed by the nu-monomial (a, k), j and lam.  A linear integrand is
-integrated termwise, and :func:`_g_contribution` turns the result into a
-Poly in nu.  The bilinear form is never multiplied out: each series is a
-dense matrix C over nu-monomials and the zone's (j, lam) basis, and the
-integral of a product F*G is Re(C_F W C_G^T), W the basis Gram matrix
-(:func:`_quadratic_rf2`).  An independent route, :func:`numeric_g`,
-evaluates the same objects along the unperturbed flow; the two must agree
-and the tests enforce it.  There each
+first-order fields, all built from arrays of terms val * nu^a * cos^p(s)
+sin^q(s) (:class:`_Terms`), with d/dnu an index map on them.  One Gram
+matrix gives every zone integral (:func:`_zone_kernels`), and the bilinear
+form is one real matmul and one bincount (:func:`_quadratic_rf2`), never a
+series product (the tests keep that route as their reference).  An
+independent route, :func:`numeric_g`, evaluates the same objects along the
+unperturbed flow; the two must agree and the tests enforce it.  There each
 zone is one Chebyshev spectral rule (Greengard, SIAM J. Numer. Anal. 28,
 1991): every field is evaluated in one batch at the Chebyshev-Lobatto nodes
 of the zone's angle interval, and the spectral integration matrix gives
@@ -41,15 +35,17 @@ Conventions fixed here (and pinned against the oracle):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .polyalg import PRUNE_TOL, CompiledPolyVec, Poly, PolyVec
 from .sysspec import FIRST_ORDER, SECOND_ORDER, SystemSpec, multi_indices
-from .trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, gram_matrix, trig_I, trig_J
+from .trigkernel import TWO_PI, TrigKey, _antider_term, _harmonics, gram_matrix, trig_I, trig_J
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
@@ -76,66 +72,149 @@ class QuadratureFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# symbolic field components restricted to the cycle manifold (tail z = 0)
+# zone fields as term arrays
 # ---------------------------------------------------------------------------
 
 
-def _field_series(spec: SystemSpec, order: int, sign: str, comp: int, tail_pick: int | None = None) -> HarmonicSum:
-    """Symbolic A (order 1) or B (order 2) component at tail z = 0.
+@functools.cache
+def _harmonic_table(n: int) -> np.ndarray:
+    """cos^p(s) sin^q(s), p + q <= n + 1, over the harmonics e^(ihs), h = -(n+1)..n+1: row _pq(p, q)."""
+    T = np.zeros((_pq(0, n + 2), 2 * n + 3), dtype=complex)
+    for p, q in itertools.product(range(n + 2), repeat=2):
+        for h, c in _harmonics(p, q) if p + q <= n + 1 else ():
+            T[_pq(p, q), h + n + 1] = c
+    return T
 
-    ``comp`` follows the cylindrical numbering: 1 is the angular component
-    (with its 1/r prefactor), 2 the radial one, l+2 the z_l components.
+
+def _pq(p, q):
+    return (p + q) * (p + q + 1) // 2 + q  # by total degree, then q
+
+
+@functools.cache
+def _mono_grid(n: int, m: int):
+    """The nu-monomials of degree <= 2n + 1, their codes sum_v e_v (2n + 2)^v (a product's code is the sum
+    of the codes) and the code -> position table."""
+    monos = list(multi_indices(2 * n + 1, m + 1))
+    codes = _codes(n, m, np.array(monos, dtype=np.intp).reshape(-1, m + 1))
+    pos = np.full((2 * n + 2) ** (m + 1), -1, dtype=np.intp)
+    pos[codes] = np.arange(len(monos))
+    return monos, codes, pos
+
+
+def _codes(n: int, m: int, E: np.ndarray) -> np.ndarray:
+    return E[:, : m + 1] @ (2 * n + 2) ** np.arange(m + 1)  # of the nu-parts of exponent rows
+
+
+class _Terms(NamedTuple):
+    """Terms val * (r, z_1..z_d)^E * cos^p(s) sin^q(s) in component ``comp`` (0 angular with its 1/r left
+    out, 1 radial, 1 + l z_l) of the field tagged ``tag``, one per row; pq = _pq(p, q)."""
+
+    comp: np.ndarray
+    pq: np.ndarray
+    E: np.ndarray
+    val: np.ndarray
+    tag: np.ndarray
+
+
+def _terms(fam, idx, val, tag) -> _Terms:
+    """The terms of tagged table entries (fam 0 for a, 1 for b, 2 + l for c_l).
+
+    At x = r cos s, y = r sin s: A_1 = (b cos s - a sin s)/r, A_2 = a cos s +
+    b sin s and A_(l+2) = c_l, so an a or b entry gives two terms.
     """
-    m = spec.m
+    k = np.concatenate([np.arange(len(fam)), np.flatnonzero(fam < 2)])
+    first, isa, isb = np.arange(len(k)) < len(fam), fam[k] == 0, fam[k] == 1
+    comp = np.where(first, np.where(fam[k] < 2, 0, fam[k]), 1)
+    p, q = idx[k, 0] + np.where(first, isb, isa), idx[k, 1] + np.where(first, isa, isb)
+    E = np.column_stack([idx[k, 0] + idx[k, 1], idx[k, 2:]])
+    return _Terms(comp, _pq(p, q), E, np.where(first & isa, -val[k], val[k]), tag[k])
+
+
+def _spec_terms(spec: SystemSpec, order: int) -> _Terms:
+    """The terms of both zones' tables of one order, tagged 0 in the plus zone and 1 in the minus zone."""
     fam_a, fam_b, fam_c = FIRST_ORDER if order == 1 else SECOND_ORDER
-    out = HarmonicSum()
-    # the tail exponents an entry must carry: none, or one on z_{m+tail_pick}
-    want = [0] * (spec.d - m)
-    if tail_pick is not None:
-        want[tail_pick - 1] = 1
-    want = tuple(want)
-
-    def add(table, dp, dq, r_off, scale):
-        for idx, coeff in table.entries.items():
-            if idx[2 + m :] != want:
-                continue
-            i, j = idx[0], idx[1]
-            mono, weight = (i + j + r_off,) + idx[2 : 2 + m], coeff * scale
-            for h, c in _harmonics(i + dp, j + dq):
-                out._accum(mono, 0, 1j * h, c * weight)
-
-    if comp == 1:
-        add(spec.table(fam_b, sign), 1, 0, -1, 1.0)
-        add(spec.table(fam_a, sign), 0, 1, -1, -1.0)
-    elif comp == 2:
-        add(spec.table(fam_a, sign), 1, 0, 0, 1.0)
-        add(spec.table(fam_b, sign), 0, 1, 0, 1.0)
-    else:
-        add(spec.table(fam_c, sign, comp - 3), 0, 0, 0, 1.0)
-    return out
+    tables = [t.entries for sign in ("+", "-")
+              for t in (spec.table(fam_a, sign), spec.table(fam_b, sign), *spec.tables[fam_c + sign])]
+    sizes, chain = list(map(len, tables)), itertools.chain.from_iterable
+    idx = np.fromiter(chain(chain(tables)), dtype=np.intp, count=sum(sizes) * (spec.d + 2)).reshape(-1, spec.d + 2)
+    val = np.fromiter(chain(t.values() for t in tables), dtype=float, count=len(idx))
+    zone = np.repeat([0, 1], [sum(sizes[: spec.d + 2]), sum(sizes[spec.d + 2 :])])
+    return _terms(np.repeat(np.tile(np.arange(spec.d + 2), 2), sizes), idx, val, zone)
 
 
-def _zone_bounds(spec: SystemSpec, sign: str):
-    """(start, end) of the y-integration for each zone; minus zone runs backward."""
-    return (0.0, spec.phi) if sign == "+" else (0.0, spec.phi - TWO_PI)
+def _jacobian_terms(n: int, m: int, terms: _Terms):
+    """(t, ell, code, pq, val, tag): -F_l (t = 0) and dF_l/d(r, z_1..z_d)[t - 1] at tail z = 0, l <= m.
 
-
-def _g_contribution(spec: SystemSpec, sign: str, series: HarmonicSum, rshift: int = 0) -> Poly:
-    """Contribution of one zone to g = y+(phi) - y-(phi - 2*pi), as a Poly in nu.
-
-    The series is integrated over the zone and each r exponent raised by
-    ``rshift``; a 1/r term left over must have integrated to zero.
+    F_0 is the radial component and F_l the z_l one: the bilinear form's right factors.
     """
-    a, b = _zone_bounds(spec, sign)
-    poly = Poly(spec.m + 1)
-    for mono, val in series.integrals(a, b).items():
-        r_exp = mono[0] + rshift
-        if r_exp < 0:
-            if abs(val) > 1e-11:
-                raise ValueError(f"residual 1/r term with weight {val}")
-            continue
-        poly._accum((r_exp,) + mono[1:], val)
-    return poly if sign == "+" else poly.scaled(-1.0)
+    E, live = terms.E, (terms.comp >= 1) & (terms.comp <= m + 1)
+    tail = E[:, m + 1 :].sum(axis=1)
+    # a head derivative keeps the tail-free terms, a tail derivative the terms linear in that tail
+    e, v = np.nonzero(live[:, None] & (E > 0) & (tail[:, None] == (np.arange(E.shape[1]) > m)))
+    k = np.concatenate([np.flatnonzero(live & (tail == 0)), e])
+    t, f = np.concatenate([np.zeros(len(k) - len(e), dtype=np.intp), v + 1]), k[: len(k) - len(e)]
+    lowered = np.concatenate([E[f], E[e] - np.eye(E.shape[1], dtype=np.intp)[v]])
+    val = np.concatenate([-terms.val[f], terms.val[e] * E[e, v]])
+    return t, terms.comp[k] - 1, _codes(n, m, lowered), terms.pq[k], val, terms.tag[k]
+
+
+def _running_map(n: int, mu: float):
+    """(columns, M): row h + n + 1 of M is e^(mu*s) int_0^s e^(-mu*u) e^(ihu) du on the (k, lam) columns.
+
+    mu = 0 gives y_1 of a field, a tail's mu its y_1 by variation of constants.
+    """
+    cols, entries = {}, []
+    for row, h in enumerate(range(-n - 1, n + 2)):
+        for (k, lam), c in _antider_term(0, complex(-mu, h)):
+            entries.append((row, cols.setdefault((k, lam + mu), len(cols)), c))
+            if k == 0:
+                entries.append((row, cols.setdefault((0, complex(mu)), len(cols)), -c))
+    M = np.zeros((2 * n + 3, len(cols)), dtype=complex)
+    for row, col, c in entries:
+        M[row, col] += c
+    return list(cols), M
+
+
+_ZONE_SIGN = np.array([1.0, -1.0])  # g takes the minus zone (tag 1 of _spec_terms) negated
+
+
+def _integrals(spec: SystemSpec, K: np.ndarray, rows, nrows: int, zone, code, pq, val) -> np.ndarray:
+    """Each term's val * nu^code * K[zone, pq], summed onto (nrows, mono grid) by its row."""
+    monos, _, pos = _mono_grid(spec.n, spec.m)
+    return np.bincount(rows * len(monos) + pos[code], val * K[zone, pq], len(monos) * nrows).reshape(nrows, -1)
+
+
+def _zone_kernels(spec: SystemSpec):
+    """(Q, K): both zones' integrals, from one Gram matrix evaluation against the harmonics e^(ihs).
+
+    Q[zone, t] = Re(H M_t W_t H^T), H the _harmonic_table, M_0 = I, M_t the
+    _running_map at variable t's mu and W_t the Gram matrix of M_t's columns
+    against the harmonics: the table values are real, so left factor t times
+    right factor t, vectors over pq, integrates to left Q_t right^T.
+    K[shift][zone] holds the integrals of cos^p sin^q e^(shift*s).
+    """
+    n, dmu = spec.n, (0.0,) + spec.mu
+    harm = [(0, complex(0, h)) for h in range(-n - 1, n + 2)]
+    maps = {mu: _running_map(n, mu) for mu in dict.fromkeys(dmu)}
+    shifts = list(dict.fromkeys([0.0] + [s for mu in spec.mu[spec.m :] for s in (mu, -mu)]))
+    rows = {c: k for k, c in enumerate(dict.fromkeys(harm + [c for cols, _ in maps.values() for c in cols]
+                                                       + [(0, complex(s)) for s in shifts]))}
+    W = gram_matrix(list(rows), harm, 0.0, np.array([spec.phi, spec.phi - TWO_PI])[:, None, None])  # minus backward
+    blocks = {mu: np.einsum("ij,zjk->zik", M, W[:, [rows[c] for c in cols]]) for mu, (cols, M) in maps.items()}
+    G = np.stack([W[:, : len(harm)]] + [blocks[mu] for mu in dmu], axis=1)
+    Hr, Hi = _harmonic_table(n).real, _harmonic_table(n).imag  # Re(H G H^T), in real arithmetic
+    Q = Hr @ (G.real @ Hr.T - G.imag @ Hi.T) - Hi @ (G.real @ Hi.T + G.imag @ Hr.T)
+    Ws = W[:, [rows[0, complex(s)] for s in shifts]]
+    K = Ws.real @ Hr.T - Ws.imag @ Hi.T
+    return Q, dict(zip(shifts, K.transpose(1, 0, 2)))
+
+
+def _to_poly(n: int, m: int, vec: np.ndarray) -> Poly:
+    """A coefficient vector over the mono grid as a Poly, pruned below PRUNE_TOL."""
+    monos, keep = _mono_grid(n, m)[0], np.flatnonzero(np.abs(vec) >= PRUNE_TOL)
+    out = Poly(m + 1)
+    out.terms = dict(zip([monos[k] for k in keep.tolist()], vec[keep].tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,117 +322,63 @@ def _delta_entries(spec: SystemSpec):
     return out
 
 
+def _gammas(spec: SystemSpec, K: dict, terms: _Terms) -> list:
+    """Slave components gamma_w, w = m+1..d, as vectors over the mono grid, from _zone_kernels' K."""
+    out = []
+    for w, mu, denom in _delta_entries(spec):
+        T = _Terms(*(a[(terms.comp == w + 1) & ~terms.E[:, spec.m + 1 :].any(axis=1)] for a in terms))
+        weight = -_ZONE_SIGN * np.array([1.0, math.exp(-TWO_PI * mu)]) / denom
+        out.append(_integrals(spec, K[-mu], 0, 1, T.tag, _codes(spec.n, spec.m, T.E), T.pq, weight[T.tag] * T.val)[0])
+    return out
+
+
 def build_gamma(spec: SystemSpec) -> list:
     """Slave components gamma_w(nu) as polynomials, w = m+1..d."""
-    gammas = []
-    for w, mu, denom in _delta_entries(spec):
-        poly = Poly(spec.m + 1)
-        for sign in ("+", "-"):
-            contrib = _g_contribution(spec, sign, _field_series(spec, 1, sign, w + 2).shifted(complex(-mu)))
-            poly += contrib if sign == "+" else contrib.scaled(math.exp(-TWO_PI * mu))
-        gammas.append(poly.scaled(-1.0 / denom))
-    return gammas
+    return [_to_poly(spec.n, spec.m, g) for g in _gammas(spec, _zone_kernels(spec)[1], _spec_terms(spec, 1))]
 
 
-class _ZoneFields:
-    """The first-order fields of one zone at tail z = 0, as the two sides of one bilinear form.
+def _quadratic_rf2(spec: SystemSpec, Q: np.ndarray, zone_of: np.ndarray, terms: _Terms, jac: tuple) -> np.ndarray:
+    """The symmetrized quadratic part of r*f_2 for every pair of tagged fields, tag a in zone zone_of[a].
 
-    The quadratic part of a zone's integrand of r*f_2l is B_l(Z, Z), Z the
-    zone's fields, with
+    X[a, b, l, k] is the coefficient of mono grid monomial k in 2*g of
+    (B_l(F_a, F_b) + B_l(F_b, F_a)) / 2 over F_a's zone, F_a the first-order
+    field tagged a; only pairs of one zone mean anything.  B_l(Z, Z) is the
+    quadratic part of r*f_2l's integrand, Z the zone's fields, with
 
-        B_l(F, G) = -A_1^F f_1l^G + grad(f_1l^G) . y_1^F,
+        B_l(F, G) = -A_1^F f_1l^G + grad(f_1l^G) . y_1^F = sum_t left_t^F right_lt^G,
 
-    bilinear in the first-order tables.  It is a sum of termwise products
-    left[t] * right[l][t]: ``left`` holds A_1 (the angular component) and the
-    closed forms of y_1 (functions of s, d+1 components); ``right[l]`` holds
-    -f_1l and f_1l's derivatives ``grads[l]`` (d_r, d_z1, ..., d_zm, then d_zw
-    for each tail w, those taken at z = 0).  :func:`_quadratic_rf2`
-    integrates the form without forming the products.
+    left_0 = A_1 and left_t (t >= 1) y_1 in variable t, r raised by one, and
+    right_l the ``jac`` terms of component l.  Each side is one dense array
+    of rows (tag, [l,] monomial) and columns (t, pq); through _zone_kernels'
+    Q one real matmul and one bincount give X, zeroed below PRUNE_TOL.
     """
+    n, m, ntag = spec.n, spec.m, len(zone_of)
+    monos, _, pos = _mono_grid(n, m)
+    npq, nt, ncode = _pq(0, n + 2), spec.d + 2, (2 * n + 2) ** (m + 1)
 
-    def __init__(self, spec: SystemSpec, sign: str):
-        m, tails = spec.m, range(spec.m + 1, spec.d + 1)
-        f1 = [_field_series(spec, 1, sign, ell + 2) for ell in range(m + 1)]
-        self.grads = [
-            [f.diff(var) for var in range(m + 1)]
-            + [_field_series(spec, 1, sign, ell + 2, tail_pick=w - m) for w in tails]
-            for ell, f in enumerate(f1)
-        ]
-        y1 = [f.integral_from_zero() for f in f1]
-        for w in tails:  # the tail components by variation of constants
-            mu = spec.mu[w - 1]
-            y1.append(_field_series(spec, 1, sign, w + 2).shifted(complex(-mu)).integral_from_zero().shifted(complex(mu)))
-        self.left = [_field_series(spec, 1, sign, 1)] + y1
-        self.right = [[f.scaled(-1.0)] + g for f, g in zip(f1, self.grads)]
+    def dense(key, t, code, pq, val):  # rows (key, code) x columns (t, pq)
+        rows, row = np.unique(key * ncode + code, return_inverse=True)
+        C = np.bincount((row * nt + t) * npq + pq, val, minlength=len(rows) * nt * npq)
+        return rows // ncode, rows % ncode, C.reshape(len(rows), nt, npq)
 
+    plain = ~terms.E[:, m + 1 :].any(axis=1)
+    comp = terms.comp[plain]
+    ltag, lcode, CL = dense(terms.tag[plain], comp, _codes(n, m, terms.E[plain]) + (comp > 0), terms.pq[plain],
+                            terms.val[plain])
+    t, ell, code, pq, val, tag = jac
+    rkey, rcode, CR = dense(tag * (m + 1) + ell, t, code, pq, val)
+    for z in range(2):  # each left row through its own zone's Q_t
+        on = zone_of[ltag] == z
+        CL[on] = np.matmul(CL[on].transpose(1, 0, 2), Q[z]).transpose(1, 0, 2)
+    P = CL.reshape(len(ltag), nt * npq) @ CR.reshape(len(rkey), nt * npq).T
 
-def _dense_rows(groups, basis: dict, monos: dict, width: int, rshift: int = 0):
-    """Stacked series as dense-matrix rows, one per (group key, nu-monomial).
-
-    ``groups`` yields (key, series), key a tuple of width - 1 ints.  Each
-    (k, lam) is a column of ``basis`` and each monomial, its r exponent raised
-    by ``rshift``, an entry of ``monos``; both dicts gain the new ones.
-    Returns the rows as an int array (key..., monomial's entry) and the
-    (row, column, coeff) entries.
-    """
-    rows, entries = {}, []
-    for key, series in groups:
-        for (mono, k, lam), c in series.terms.items():
-            mono = (mono[0] + rshift,) + mono[1:]
-            row = rows.setdefault(key + (monos.setdefault(mono, len(monos)),), len(rows))
-            entries.append((row, basis.setdefault((k, lam), len(basis)), c))
-    return np.array(list(rows), dtype=np.intp).reshape(len(rows), width), entries
-
-
-def _quadratic_rf2(spec: SystemSpec, sign: str, fields: list):
-    """One zone's contribution to r*f_2 of the symmetrized quadratic part, for every pair of fields.
-
-    Returns (monos, X): X[a, b, l, k] is the coefficient of nu^monos[k] in
-    2*g of (B_l(F_a, F_b) + B_l(F_b, F_a)) / 2 over the zone, F = fields, so
-    that X[a, a] is B_l(F_a, F_a) itself.  Every series of the fields is a
-    dense matrix C (nu-monomials x the zone's (k, lam) basis), and the
-    integral of a product F*G over the zone is Re(C_F W C_G^T), W the basis
-    Gram matrix: one W serves every pair.  One orientation B_l(F_a, F_b) is
-    integrated, then X + X^T.  Each entry lands on mono_F + mono_G with r
-    raised by one; entries below PRUNE_TOL are zeroed.
-    """
-    m, basis, lmonos, rmonos = spec.m, {}, {}, {}
-    # left rows (field, term, mono), right rows (field, component, term, mono)
-    Lrows, Lentries = _dense_rows((((a, t), s) for a, F in enumerate(fields) for t, s in enumerate(F.left)),
-                                  basis, lmonos, 3, rshift=1)
-    Rrows, Rentries = _dense_rows((((b, ell, t), s) for b, G in enumerate(fields)
-                                   for ell, comp in enumerate(G.right) for t, s in enumerate(comp)), basis, rmonos, 4)
-    W = gram_matrix(list(basis), *_zone_bounds(spec, sign))
-    out = {}  # the output monomial of each (left, right) monomial pair, numbered as first met
-    sums = np.array(list(lmonos)).reshape(-1, 1, m + 1) + np.array(list(rmonos)).reshape(1, -1, m + 1)
-    target = np.array([out.setdefault(mo, len(out)) for mo in map(tuple, sums.reshape(-1, m + 1).tolist())],
-                      dtype=np.intp).reshape(len(lmonos), len(rmonos))
-
-    # every product in real form, so no complex BLAS kernel is paged in:
-    # (Re C_F, Im C_F) Wr is (Re, Im) of C_F W, and its product with
-    # (Re C_G, -Im C_G)^T is Re(C_F W C_G^T)
-    Wr = np.block([[W.real, W.imag], [-W.imag, W.real]])
-
-    def dense(rows, entries, imag_sign):
-        C = np.zeros((len(rows), 2, len(basis)))
-        if entries:
-            r, col, c = zip(*entries)
-            C[r, 0, col], C[r, 1, col] = np.real(c), imag_sign * np.imag(c)
-        return C.reshape(len(rows), 2 * len(basis))
-
-    CLW, CR = dense(Lrows, Lentries, 1.0) @ Wr, dense(Rrows, Rentries, -1.0)
-    flat, vals = [], []  # each product term's index in X and its integral
-    for t in range(spec.d + 2):
-        i, j = np.flatnonzero(Lrows[:, 1] == t), np.flatnonzero(Rrows[:, 2] == t)
-        a, b = Lrows[i, :1], Rrows[j, 0]  # broadcast to the (i, j) pairs
-        k = target[Lrows[i, 2:], Rrows[j, 3]]
-        flat.append((((a * len(fields) + b) * (m + 1) + Rrows[j, 1]) * len(out) + k).ravel())
-        vals.append((CLW[i] @ CR[j].T).ravel())
-    shape = (len(fields), len(fields), m + 1, len(out))
-    X = np.bincount(np.concatenate(flat), weights=np.concatenate(vals), minlength=math.prod(shape)).reshape(shape)
-    X = (X + X.transpose(1, 0, 2, 3)) * (1.0 if sign == "+" else -1.0)  # 2 * g of the half-sum
+    pair = (ltag[:, None] * ntag + rkey // (m + 1)) * (m + 1) + rkey % (m + 1)
+    flat = pair * len(monos) + pos[lcode[:, None] + rcode]
+    shape = (ntag, ntag, m + 1, len(monos))
+    X = np.bincount(flat.ravel(), P.ravel(), minlength=math.prod(shape)).reshape(shape)
+    X = (X + X.transpose(1, 0, 2, 3)) * _ZONE_SIGN[zone_of][:, None, None, None]  # 2 * g of the half-sum
     X[np.abs(X) < PRUNE_TOL] = 0.0
-    return list(out), X
+    return X
 
 
 def check_f1_zero(spec: SystemSpec):
@@ -375,28 +400,26 @@ def build_f2(spec: SystemSpec, check_f1: bool = True) -> PolyVec:
     """
     if check_f1:
         check_f1_zero(spec)
-    m = spec.m
-    gammas = build_gamma(spec) if m < spec.d else []
-    zones = {sign: _ZoneFields(spec, sign) for sign in ("+", "-")}
-    quadratic = {sign: _quadratic_rf2(spec, sign, [Z]) for sign, Z in zones.items()}
-    comps = []
-    for ell in range(m + 1):
-        terms = {}
-        for monos, X in quadratic.values():
-            for mono, c in zip(monos, X[0, 0, ell]):
-                terms[mono] = terms.get(mono, 0.0) + c
-        total = Poly(m + 1, terms)  # accumulated in place from here on
-        for w, gam in enumerate(gammas, start=m + 1):
-            # r*d(g_1l)/dz_w: the tail derivative of f_1l carried along e^(mu_w*s)
-            mu = complex(spec.mu[w - 1])
-            dg = Poly(m + 1)
-            for sign, Z in zones.items():
-                dg += _g_contribution(spec, sign, Z.grads[ell][w].shifted(mu), rshift=1)
-            total += (dg * gam).scaled(2.0)
-        for sign in zones:
-            total += _g_contribution(spec, sign, _field_series(spec, 2, sign, ell + 2), rshift=1).scaled(2.0)
-        comps.append(total)
-    return PolyVec(comps)
+    n, m = spec.n, spec.m
+    (Q, K), T = _zone_kernels(spec), _spec_terms(spec, 1)
+    jac = _jacobian_terms(n, m, T)
+    X = _quadratic_rf2(spec, Q, np.arange(2), T, jac)  # one tag per zone
+    total = X[0, 0] + X[1, 1]
+
+    def two_g(shift, ell, code, pq, val, zone):  # 2*g of terms times e^(shift*s), r raised by one, per component
+        return _integrals(spec, K[shift], ell, m + 1, zone, code + 1, pq, 2.0 * _ZONE_SIGN[zone] * val)
+
+    T2 = _spec_terms(spec, 2)
+    T2 = _Terms(*(a[(T2.comp >= 1) & (T2.comp <= m + 1) & ~T2.E[:, m + 1 :].any(axis=1)] for a in T2))
+    total += two_g(0.0, T2.comp - 1, _codes(n, m, T2.E), T2.pq, T2.val, T2.tag)
+    # 2*r*(d(g_1l)/dz_w) gamma_w, the tail derivative of f_1l carried along e^(mu_w*s)
+    monos, codes, pos = _mono_grid(n, m)
+    for w, gamma in enumerate(_gammas(spec, K, T), start=m + 1):
+        dg = two_g(spec.mu[w - 1], *(a[jac[0] == w + 1] for a in jac[1:]))
+        i, j = np.flatnonzero(dg.any(axis=0)), np.flatnonzero(gamma)
+        flat = np.arange(m + 1)[:, None, None] * len(monos) + pos[codes[i][:, None] + codes[j]]
+        total += np.bincount(flat.ravel(), (dg[:, i, None] * gamma[j]).ravel(), total.size).reshape(total.shape)
+    return PolyVec([_to_poly(n, m, row) for row in total])
 
 
 @dataclass

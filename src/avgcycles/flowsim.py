@@ -328,7 +328,7 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     Each point is integrated with its Jacobian points in one batch: the
     prediction's batch gives round 1's Jacobian, and a row's accepted trial
     its next one.  Each trial integrates every eps still searching together.
-    Every eps must be finite and > 0, and nu_star 1-D with 1 to d+1
+    Every eps must be finite and > 0, and nu_star 1-D with 1 to d+1 finite
     entries, the tail zero-padded; if any eps fails, NoConvergenceError
     names the first and its cause: a singular Jacobian, an exhausted line
     search or the Jacobian cap.
@@ -340,6 +340,8 @@ def eps_sweep(spec: SystemSpec, nu_star, eps_values=DEFAULT_EPS_SWEEP) -> list:
     nu_star = np.asarray(nu_star, dtype=float)
     if nu_star.ndim != 1 or not 1 <= len(nu_star) <= n:
         raise ValueError(f"prediction has shape {nu_star.shape}, expected (k,) with 1 <= k <= {n}")
+    if not np.all(np.isfinite(nu_star)):
+        raise ValueError(f"prediction {nu_star.tolist()} is not finite")
     predicted = np.zeros(n)
     predicted[: len(nu_star)] = nu_star
     full_turn = _integrator(spec, (0.0, TWO_PI))

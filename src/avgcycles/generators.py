@@ -27,27 +27,22 @@ the u-slots (_kernel_split) gives N, a basis of its null space, and a basis
 of its range.  At d = m a second-order entry enters r*f_2 as 2r times the
 integral its first-order twin has in f_1, so L is 2A with every row's
 monomial raised by r, and A's range is L's.  r*f_2's quadratic part is
-read once, in slot coordinates, as the slot form (_slot_form): each
-u-slot's zone fields (avgcore._ZoneFields) are computed once in its own
-zone, and S_slot[a, b] is the symmetrized bilinear form B on slots a and
-b, the same form build_f2 integrates, its diagonal the form itself (no
-polarization).  Only slots of the same zone are paired: a "+" and a "-"
-slot never interact in r*f_2 at d = m.  All pairs of one zone come from
-one Gram-matrix contraction (avgcore._quadratic_rf2), with no series
-products, and S_slot is kept as these two zone blocks.  The tuning's
-Q(u)_k = u^T S_k u has S = N^T S_slot N, never formed: one contraction of
-the blocks (_slot_product) gives S u.  The generators tune u by least
-squares against the exact target with
-multistart, each start one run of a trust-region Gauss-Newton loop
-(_gauss_newton) stopped once it reaches its target or stalls, and recover
-v by a linear solve.  Every converged start is re-verified against the
-real build_f1/build_f2 pipeline and certified by root search; one that
-fails either is recorded as an "undercount" and the tuning moves on to its
-next start.  gen_th4 realizes a prescribed reduced system by two linear
-fits on the same surrogate: its Q map is the contraction of the slot form
-with a fixed angular part h, a vector over the u-slots, (S_slot h) N, and
-its P map L / 2 = A against r*P.  The generators call build_f1 and
-build_f2 only to re-verify what they built.
+read once, in slot coordinates, as the slot form S_slot (_slot_form),
+kept as two zone blocks: each u-slot enters avgcore's builder as one unit
+table entry tagged by the slot, and S_slot[a, b] is the symmetrized
+bilinear form build_f2 integrates, its diagonal the form itself.  The
+tuning's Q(u)_k = u^T S_k u has S = N^T S_slot N, never formed: one
+contraction of the blocks (_slot_product) gives S u.  The generators tune
+u by least squares against the exact target with multistart, each start
+one run of a trust-region Gauss-Newton loop (_gauss_newton) stopped once
+it reaches its target or stalls, and recover v by a linear solve.  Every
+converged start is re-verified against the real build_f1/build_f2
+pipeline and certified by root search; one that fails either is recorded
+as an "undercount" and the tuning moves on to its next start.  gen_th4
+realizes a prescribed reduced system by two linear fits on the same
+surrogate: its Q map is (S_slot h) N, h a fixed angular part over the
+u-slots, and its P map L / 2 = A against r*P.  The generators call
+build_f1 and build_f2 only to re-verify what they built.
 """
 
 from __future__ import annotations
@@ -59,13 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .avgcore import (
-    _quadratic_rf2,
-    _ZoneFields,
-    build_f1,
-    build_f2,
-    f1_kernel_constraints,
-)
+from .avgcore import (_jacobian_terms, _mono_grid, _quadratic_rf2, _terms, _zone_kernels, build_f1, build_f2,
+                      f1_kernel_constraints)
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
 from .sysspec import FIRST_ORDER, SECOND_ORDER, VECTOR_FAMILIES, SystemSpec, multi_indices, zero_spec
@@ -343,20 +333,20 @@ def _slot_form(n, m, phi, uslots):
 
     S_slot is kept as one block per zone, (idx, rows, X): X[k, a, b] is the
     coefficient of keys[rows[k]] = (component, monomial) in (B(e_a, e_b) +
-    B(e_b, e_a)) / 2 over the zone's slots uslots[idx], B(e_a, e_a) itself
-    on the diagonal, so it needs no polarization and X[k] is exactly
-    symmetric.  The keys are sorted and hold every nonzero coefficient.
-    Each slot's zone fields are computed once, in its own zone, and every
-    pair of a zone shares one Gram matrix.  Every spec here has d = m, so
-    build_f2 has no gamma * dg_1 slave term and each quadratic term pairs
-    two fields of one zone: S_slot has no cross-zone block.
+    B(e_b, e_a)) / 2 over the zone's slots uslots[idx], so X[k] is exactly
+    symmetric with B(e_a, e_a) itself on the diagonal; the sorted keys hold
+    every nonzero coefficient.  Each slot is one unit table entry tagged by
+    its place in the zone, and one avgcore._quadratic_rf2 gives the zone's
+    pairs.  At d = m there is no slave term, so "+" and "-" slots never meet.
     """
-    base = zero_spec(n, m, m, phi)
-    zones = []
-    for sign in ("+", "-"):
+    base, monos = zero_spec(n, m, m, phi), _mono_grid(n, m)[0]
+    Q, zones = _zone_kernels(base)[0], []
+    for z, sign in enumerate("+-"):
         idx = np.flatnonzero([slot[1] == sign for slot in uslots])
-        fields = [_ZoneFields(_spec_from_slots(n, m, phi, [uslots[k]], [1.0]), sign) for k in idx]
-        monos, X = _quadratic_rf2(base, sign, fields)
+        fam = np.array([2 + uslots[k][2] if uslots[k][0] == "c" else "ab".index(uslots[k][0]) for k in idx])
+        exps = np.array([uslots[k][3] for k in idx], dtype=np.intp).reshape(len(idx), m + 2)
+        terms = _terms(fam, exps, np.ones(len(idx)), np.arange(len(idx)))
+        X = _quadratic_rf2(base, Q, np.full(len(idx), z), terms, _jacobian_terms(n, m, terms))
         X = X.reshape(len(idx), len(idx), -1).transpose(2, 0, 1)  # one block row per (component, monomial)
         keep = np.flatnonzero(X.any(axis=(1, 2)))
         zones.append((idx, [(k // len(monos), monos[k % len(monos)]) for k in keep], X[keep]))

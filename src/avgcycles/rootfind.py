@@ -33,7 +33,7 @@ lower bound otherwise.
 The operator that proves a zero also locates it: every zero in X lies in
 its Krawczyk image K(X), so X <- K(X) ∩ X contracts each proved box about
 its zero (Rump, Acta Numerica 19, 2010, §13).  The record is the centre of
-the last box, simple when G there is below RESIDUAL_TOL.
+the last box, simple when G there is below RESIDUAL_TOL or its rounding bound.
 """
 
 from __future__ import annotations
@@ -122,15 +122,15 @@ def _r_free(p: Poly) -> Poly:
 
 
 def _classify(C: CompiledPolyVec, lo, hi):
-    """Per box [lo, hi]: excluded (no zero), proved (one simple zero), the Krawczyk image, G(c) and det J(c).
+    """Per box [lo, hi]: excluded (no zero), proved (one simple zero), the Krawczyk image, G(c) ± err and det J(c).
 
     With c the box's centre, X - c within [-w, w] and Y the inverse of
     J(c), the Krawczyk image c - Y·G(c) + (I - Y·J(X))·[-w, w] contains
     every zero in X; inside X's interior it proves exactly one, at which J
     is regular.  Every rounding in G(c), Y·G(c) and Y·J(X) joins its radius,
     and the image is returned as its corners rounded outward, or as X itself
-    where X is excluded or J(c) is singular.  G(c) and J(c), whose
-    determinant is returned, are the enclosure's own.
+    where X is excluded or J(c) is singular.  G(c), err bounding its
+    rounding, and J(c), whose determinant is returned, are the enclosure's.
     """
     E = C.enclosures(lo, hi)
     B, n = lo.shape
@@ -152,7 +152,7 @@ def _classify(C: CompiledPolyVec, lo, hi):
         R = (R + g * (np.abs(c) + Yg)) * (1.0 + gamma(2 * n + 8)) + 1e-300
         klo[rows], khi[rows] = np.nextafter(k - R, -np.inf), np.nextafter(k + R, np.inf)
     proved = np.all((klo > lo) & (khi < hi), axis=1)
-    return excluded, proved, klo, khi, E.value, det
+    return excluded, proved, klo, khi, E.value, E.value_err, det
 
 
 def _classify_all(C, lo, hi):
@@ -230,7 +230,7 @@ def _bisect(C: CompiledPolyVec, box: SearchBox, diag: SearchDiagnostics):
         lo, hi = _corners(box, idx, cells)
         examined += len(idx)
         diag.boxes += len(idx)
-        excluded, ok, klo, khi, _, _ = _classify_all(C, lo, hi)
+        excluded, ok, klo, khi, *_ = _classify_all(C, lo, hi)
         diag.excluded += int(excluded.sum())
         diag.proved += int(ok.sum())
         proved.append(_next_box(klo[ok], khi[ok], lo[ok], hi[ok]))
@@ -263,7 +263,7 @@ def _unresolved(C: CompiledPolyVec, box: SearchBox, idx, cells, plo, phi, diag: 
                      for h, m in zip(hulls, clusters)])
     Hlo, Hhi = hulls[free, 0], hulls[free, 1]
     diag.boxes += len(Hlo)
-    excluded, ok, klo, khi, _, _ = _classify(C, Hlo, Hhi)
+    excluded, ok, klo, khi, *_ = _classify(C, Hlo, Hhi)
     diag.excluded += int(excluded.sum())
     diag.proved += int(ok.sum())
     free[free] = excluded | ok
@@ -284,22 +284,24 @@ def _locate(C: CompiledPolyVec, lo, hi, diag: SearchDiagnostics):
     """The record of the zero in each box [lo, hi], each about one proved zero, by X <- K(X) ∩ X.
 
     All boxes go to their next boxes (_next_box) in one batch.  A box stops
-    when max|G| at its centre c is below RESIDUAL_TOL, and its record is
-    simple, or when its next box is not a tenth narrower on the widest
-    side: once K is at its round-off floor, _next_box gives about X back.
-    The record is c, with G(c) and det J(c) from the same enclosure.
+    when G(c) at its centre c is settled, and its record is simple: max|G(c)|
+    below RESIDUAL_TOL, or every |G_i(c)| within its rounding bound.  It also
+    stops when its next box is not a tenth narrower on the widest side: once
+    K is at its round-off floor, _next_box gives about X back.  The record
+    is c, with G(c) and det J(c) from the same enclosure.
     """
-    nus, residuals, dets = np.empty_like(lo), np.empty(len(lo)), np.empty(len(lo))
+    nus, residuals, dets, settled = np.empty_like(lo), np.empty(len(lo)), np.empty(len(lo)), np.zeros(len(lo), bool)
     live = np.arange(len(lo))
     while live.size:
         diag.contractions += live.size
-        _, _, klo, khi, value, det = _classify(C, lo, hi)
+        _, _, klo, khi, value, err, det = _classify(C, lo, hi)
         res = np.max(np.abs(value), axis=1)
-        nus[live], residuals[live], dets[live] = 0.5 * lo + 0.5 * hi, res, det
+        done = (res < RESIDUAL_TOL) | np.all(np.abs(value) <= err, axis=1)
+        nus[live], residuals[live], dets[live], settled[live] = 0.5 * lo + 0.5 * hi, res, det, done
         klo, khi = _next_box(klo, khi, lo, hi)
-        go = (np.max(khi - klo, axis=1) < 0.9 * np.max(hi - lo, axis=1)) & (res >= RESIDUAL_TOL)
+        go = (np.max(khi - klo, axis=1) < 0.9 * np.max(hi - lo, axis=1)) & ~done
         live, lo, hi = live[go], klo[go], khi[go]
-    return [ZeroRecord(x, r, d, r < RESIDUAL_TOL) for x, r, d in zip(nus, residuals.tolist(), dets.tolist())]
+    return [ZeroRecord(x, r, d, s) for x, r, d, s in zip(nus, residuals.tolist(), dets.tolist(), settled.tolist())]
 
 
 def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:

@@ -4,14 +4,15 @@ Every coefficient of the averaged functions reduces to definite integrals of
 ``s^k * e^(mu*s) * cos^p(s) * sin^q(s)``.  These have finite closed forms:
 ``cos^p sin^q`` linearizes into complex harmonics ``e^(i*n*s)`` and each
 ``s^k e^(lam*s)`` term has an elementary antiderivative.  :class:`HarmonicSum`
-is the one series type of that machinery: a finite sum of terms
-``c * nu^mono * s^k * e^(lam*s)``, where nu^mono is a monomial in the
-averaged-function variables (r, z_1, ..., z_m), or () for a function of s
+holds such sums symbolically, with products and running integrals: a finite
+sum of terms ``c * nu^mono * s^k * e^(lam*s)``, where nu^mono is a monomial in
+the averaged-function variables (r, z_1, ..., z_m), or () for a function of s
 alone.  The public kernels I, J and their nested forms are thin wrappers
 over it, or over the memoized power-reduction recurrence for I.
-:func:`gram_matrix` integrates every pairwise product of a basis of
-``s^k * e^(lam*s)`` terms, so that two series' product integrates as a
-bilinear form of their coefficients.
+:func:`gram_matrix` integrates, in one vectorized pass, every product of a
+term of one basis of ``s^k * e^(lam*s)`` terms with a term of another, so
+that two series' product integrates as a bilinear form of their
+coefficients; avgcore reads every zone integral of r*f_2 from it.
 """
 
 from __future__ import annotations
@@ -93,33 +94,11 @@ class HarmonicSum:
         else:
             self.terms[key] = v
 
-    def __add__(self, other):
-        out = HarmonicSum(self.terms)
-        for key, c in other.terms.items():
-            out._accum(*key, c)
-        return out
-
-    def scaled(self, c):
-        return HarmonicSum({key: v * c for key, v in self.terms.items()})
-
     def __mul__(self, other):
         out = HarmonicSum()
         for (m1, k1, l1), c1 in self.terms.items():
             for (m2, k2, l2), c2 in other.terms.items():
                 out._accum(_mono_product(m1, m2), k1 + k2, l1 + l2, c1 * c2)
-        return out
-
-    def shifted(self, lam):
-        """Multiply by e^(lam*s)."""
-        return HarmonicSum({(mono, k, l + lam): c for (mono, k, l), c in self.terms.items()})
-
-    def diff(self, var: int) -> "HarmonicSum":
-        """Formal derivative in nu_var: 0 is r, rho is z_rho."""
-        out = HarmonicSum()
-        for (mono, k, lam), c in self.terms.items():
-            e = mono[var]
-            if e:
-                out._accum(mono[:var] + (e - 1,) + mono[var + 1 :], k, lam, c * e)
         return out
 
     def antiderivative(self) -> "HarmonicSum":
@@ -142,10 +121,6 @@ class HarmonicSum:
         for (mono, k, lam), c in self.terms.items():
             out[mono] = out.get(mono, 0.0j) + c * s**k * cmath.exp(lam * s)
         return out
-
-    def eval(self, s: float) -> complex:
-        """Value at s of a function of s alone."""
-        return self._by_mono(s).get((), 0.0j)
 
     def integrals(self, a: float, b: float) -> dict:
         """Integral over [a, b] (b may be below a) of each nu-monomial's coefficient: {mono: float}."""
@@ -190,18 +165,25 @@ def _antider_term(k: int, lam: complex) -> tuple:
     return tuple(((j, lam), coeffs[j]) for j in range(k + 1))
 
 
-def gram_matrix(basis, a: float, b: float) -> np.ndarray:
-    """W[i, j] = integral over [a, b] of s^(k_i + k_j) e^((lam_i + lam_j)*s), for a basis of (k, lam) pairs.
+def gram_matrix(left, right, a: float, b) -> np.ndarray:
+    """W[..., i, j] = integral over [a, b] of s^(k_i + k_j) e^((lam_i + lam_j)*s), for two bases of (k, lam) pairs.
 
-    Each entry is the antiderivative of the product term, the one
-    HarmonicSum.integrals takes, so a series product integrates to C_F W C_G^T.
+    Each entry takes _antider_term's branch, so a series product integrates
+    to C_F W C_G^T; an array of ends b, shape (..., 1, 1), gives one W per end.
     """
-    W = np.empty((len(basis), len(basis)), dtype=complex)
-    for i, (ki, li) in enumerate(basis):
-        for j in range(i, len(basis)):
-            kj, lj = basis[j]
-            W[i, j] = W[j, i] = sum(c * (b**k * cmath.exp(lam * b) - a**k * cmath.exp(lam * a))
-                                    for (k, lam), c in _antider_term(ki + kj, li + lj))
+    (kl, ll), (kr, lr) = (np.array(basis, dtype=complex).reshape(-1, 2).T for basis in (left, right))
+    k, lam = (kl.real[:, None] + kr.real).astype(int), ll[:, None] + lr
+    big = np.abs(lam) >= _LAM_SMALL
+    W, term = 0.0, np.where(big, 0.0, 1.0)  # small lam: e^(lam*s) ~ sum_t lam^t s^t / t!, one term at lam = 0
+    for t in range(6 if np.any(~big & (lam != 0)) else 1):
+        term = term * lam / t if t else term
+        W = W + term * (b ** (k + t + 1) - a ** (k + t + 1)) / (k + t + 1)
+    lb = np.where(big, lam, 1.0)
+    eb, ea = np.exp(lb * b), np.exp(lb * a)
+    run = (eb - ea) / lb  # else by parts: F(j) = (s^j e^(lam*s) - j F(j-1)) / lam
+    for j in range(int(k.max(initial=0)) + 1):
+        run = (b**j * eb - a**j * ea - j * run) / lb if j else run
+        W = np.where(big & (k == j), run, W)
     return W
 
 

@@ -11,7 +11,6 @@ from avgcycles.avgcore import (
     DegenerateEigenvalueError,
     QuadratureFailure,
     _F1_jacobians,
-    _ZoneFields,
     _F1_of,
     _F2_of,
     _node_fields,
@@ -64,14 +63,14 @@ class TestF1Oracle:
         (3, 0, 2, TWO_PI),
         (2, 2, 2, 1.1),
     ])
-    def test_matches_field_series_route(self, n, m, d, phi):
+    def test_matches_field_series_route(self, n, m, d, phi, series):
         # reference: each zone's radial and z fields integrated termwise, the
         # route build_f1 took before it read the kernel-constraint weights
         spec = random_spec(n, m, d, phi, 13, scale=0.5)
         for ell, poly in enumerate(build_f1(spec)):
             ref = Poly(m + 1)
             for sign in ("+", "-"):
-                ref = ref + avgcore._g_contribution(spec, sign, avgcore._field_series(spec, 1, sign, ell + 2))
+                ref = ref + series.g_contribution(spec, sign, series.field_series(spec, 1, sign, ell + 2))
             monos = set(poly.terms) | set(ref.terms)
             assert max(abs(poly.terms.get(mo, 0.0) - ref.terms.get(mo, 0.0)) for mo in monos) < 4e-15
 
@@ -238,23 +237,43 @@ class TestF2Oracle:
 
 
 class TestQuadraticContraction:
-    """The Gram-matrix contraction against series products integrated termwise."""
+    """The (p, q)-kernel contraction against series products integrated termwise."""
 
     DIMS = [(1, 0, 0), (2, 0, 1), (3, 0, 2), (3, 0, 0), (1, 1, 1), (2, 1, 2), (3, 1, 3), (2, 1, 1),
             (2, 2, 2), (3, 2, 3), (1, 2, 3), (3, 2, 2)]
 
     @pytest.mark.parametrize("phi", [math.pi / 3, math.pi, TWO_PI, 1.1])
     @pytest.mark.parametrize("n,m,d", DIMS)
-    def test_matches_series_products(self, n, m, d, phi, series_bilinear):
+    def test_matches_series_products(self, n, m, d, phi, series):
         spec = project_to_kernel(random_spec(n, m, d, phi, 100 * n + 10 * m + d, scale=0.5))
-        for sign in ("+", "-"):
-            Z = _ZoneFields(spec, sign)
-            monos, X = avgcore._quadratic_rf2(spec, sign, [Z])
+        terms = avgcore._spec_terms(spec, 1)
+        X = avgcore._quadratic_rf2(spec, avgcore._zone_kernels(spec)[0], np.arange(2), terms,
+                                   avgcore._jacobian_terms(n, m, terms))
+        monos = avgcore._mono_grid(n, m)[0]
+        for z, sign in enumerate("+-"):
+            Z = series.ZoneFields(spec, sign)
             for ell in range(m + 1):
-                ref = avgcore._g_contribution(spec, sign, series_bilinear(Z, Z, ell), rshift=1).scaled(2.0)
-                got = dict(zip(monos, X[0, 0, ell]))
+                ref = series.g_contribution(spec, sign, series.bilinear(Z, Z, ell), rshift=1).scaled(2.0)
+                got = dict(zip(monos, X[z, z, ell]))
                 worst = max(abs(got.get(mo, 0.0) - ref.terms.get(mo, 0.0)) for mo in set(got) | set(ref.terms))
                 assert worst <= 1e-14 * ref.max_coeff()  # 0 <= 0 on the empty minus zone at 2*pi
+
+
+class TestSeriesReference:
+    """build_f2 and build_gamma against the series-product route, every part of r*f_2 at once."""
+
+    @pytest.mark.parametrize("phi", [math.pi / 3, math.pi, TWO_PI])
+    @pytest.mark.parametrize("n,m,d", [(n, m, d) for n in (1, 2, 3) for m in (0, 1, 2) for d in (m, m + 1)])
+    def test_build_f2_matches(self, n, m, d, phi, series):
+        spec = project_to_kernel(random_spec(n, m, d, phi, 7 * n + m + d, scale=0.5))
+        got, ref = build_f2(spec, check_f1=False), series.build_f2(spec, check_f1=False)
+        scale = max(p.max_coeff() for p in ref)
+        for p, q in zip(got, ref, strict=True):
+            assert max((abs(p.terms.get(mo, 0.0) - q.terms.get(mo, 0.0)) for mo in set(p.terms) | set(q.terms)),
+                       default=0.0) <= 1e-14 * scale
+        for g, h in zip(build_gamma(spec), series.build_gamma(spec), strict=True):
+            assert max((abs(g.terms.get(mo, 0.0) - h.terms.get(mo, 0.0)) for mo in set(g.terms) | set(h.terms)),
+                       default=0.0) <= 1e-14 * h.max_coeff()
 
 
 class TestBuildAveragedSystem:

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from avgcycles import flowsim
-from avgcycles.avgcore import _node_fields, compile_fields, numeric_g
+from avgcycles.avgcore import _node_fields, build_gamma, compile_fields, numeric_g
 from avgcycles.flowsim import (
     DEFAULT_EPS_SWEEP,
     FD_STEP,
@@ -309,6 +309,18 @@ class TestLockstepSweep:
                 ref = _dop853_reference(spec, rec.epsilon, rec.fixed_point, (0.0, TWO_PI))
                 assert np.max(np.abs(ref - rec.fixed_point)) < PERIOD_RESIDUAL_TOL, (nu, rec.epsilon)
 
+    @pytest.mark.parametrize("mu_tail", [-0.5, 0.7])
+    def test_tail_over_eps_tends_to_the_slave_component(self, mu_tail):
+        # the cycle's tail component is eps * gamma_w(nu*) + O(eps^2), gamma_w
+        # from build_gamma: |tail/eps - gamma_w| falls like eps
+        result = gen_prop10(1, 0, math.pi / 3)
+        spec = _lifted(result.spec, mu_tail)
+        (gamma,) = build_gamma(spec)
+        for nu in result.zeros:
+            records = eps_sweep(spec, nu, DEFAULT_EPS_SWEEP)
+            gaps = [abs(rec.fixed_point[-1] / rec.epsilon - gamma(nu)) for rec in records]
+            assert abs(loglog_slope(DEFAULT_EPS_SWEEP, gaps) - 1.0) < 0.15, (nu, gaps)
+
     def test_refine_cycle_is_the_one_eps_sweep(self):
         result = gen_prop10(2, 1, math.pi / 3)
         rec = refine_cycle(result.spec, 5e-3, result.zeros[1])
@@ -435,6 +447,15 @@ class TestLockstepSweep:
         # error naming its shape, not a broadcast, type or cycle error
         result = gen_prop10(1, 1, math.pi / 3)
         with pytest.raises(ValueError, match=rf"^prediction has shape {shape}, expected \(k,\) with 1 <= k <= 2$"):
+            eps_sweep(result.spec, nu)
+
+    @pytest.mark.parametrize("nu, text", [([math.nan, 0.1], r"\[nan, 0\.1\]"), ([1.0, math.inf], r"\[1\.0, inf\]")],
+                             ids=["nan", "inf"])
+    def test_non_finite_prediction_is_named(self, nu, text):
+        # a NaN entry would exhaust the line search and an infinite one
+        # overflow the integrator; both are input errors naming the prediction
+        result = gen_prop10(1, 1, math.pi / 3)
+        with pytest.raises(ValueError, match=rf"^prediction {text} is not finite$"):
             eps_sweep(result.spec, nu)
 
     def test_short_prediction_pads_the_tail(self):

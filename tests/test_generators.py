@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from avgcycles import generators
-from avgcycles.avgcore import _field_series, _g_contribution, _ZoneFields, build_f1, build_f2, f1_kernel_constraints
+from avgcycles.avgcore import build_f1, build_f2, f1_kernel_constraints
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
@@ -190,26 +190,26 @@ class TestSecondOrderTuning:
         np.testing.assert_allclose(B @ (B.T @ model.L), model.L, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
-    def test_surrogate_matches_pairwise_series_reference(self, n, m, series_bilinear):
+    def test_surrogate_matches_pairwise_series_reference(self, n, m, series):
         # reference: S_slot from the symmetrized bilinear form of each
         # same-zone slot pair as one series product, integrated termwise
         model = _QuadModel(n, m, PHI)
         base = zero_spec(n, m, m, PHI)
-        fields = [_ZoneFields(_spec_from_slots(n, m, PHI, [slot], [1.0]), slot[1]) for slot in model.uslots]
+        fields = [series.ZoneFields(_spec_from_slots(n, m, PHI, [slot], [1.0]), slot[1]) for slot in model.uslots]
 
         blocks = {}
         for a, b in itertools.combinations_with_replacement(range(len(model.uslots)), 2):
             sign = model.uslots[a][1]
             if sign == model.uslots[b][1]:
-                blocks[a, b] = PolyVec([
-                    _g_contribution(base, sign, (series_bilinear(fields[a], fields[b], ell)
-                                                 + series_bilinear(fields[b], fields[a], ell)).scaled(0.5),
-                                    rshift=1).scaled(2.0)
-                    for ell in range(m + 1)])
+                halves = [series.scaled(series.add(series.bilinear(fields[a], fields[b], ell),
+                                                   series.bilinear(fields[b], fields[a], ell)), 0.5)
+                          for ell in range(m + 1)]
+                blocks[a, b] = PolyVec([series.g_contribution(base, sign, h, rshift=1).scaled(2.0) for h in halves])
         # L's columns from each v-slot's own order-2 field series
         lcols = [PolyVec([
-            _g_contribution(base, slot[1], _field_series(_spec_from_slots(n, m, PHI, [slot], [1.0]), 2, slot[1],
-                                                         ell + 2), rshift=1).scaled(2.0) for ell in range(m + 1)])
+            series.g_contribution(base, slot[1], series.field_series(_spec_from_slots(n, m, PHI, [slot], [1.0]), 2,
+                                                                     slot[1], ell + 2), rshift=1).scaled(2.0)
+            for ell in range(m + 1)])
             for slot in model.vslots]
         assert model.monos == _monomial_basis(list(blocks.values()) + lcols)
 

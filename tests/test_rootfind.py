@@ -70,6 +70,17 @@ class TestFindSimpleZeros:
         records = find_simple_zeros(PolyVec([p * p]), SearchBox([0.05], [2.0]))
         assert all(not r.simple for r in records)
 
+    def test_scaled_simple_zeros_settle_at_the_rounding_bound(self):
+        # at 1e13 scale the residual at either zero is about 1e-3, far above
+        # RESIDUAL_TOL, yet within the enclosure's own rounding bound: both
+        # zeros are proved and settled, so both records are simple
+        r = Poly.variable(1, 0)
+        F = PolyVec([((r - Poly.constant(1, 1 / 3)) * (r - Poly.constant(1, 0.7))).scaled(1e13)])
+        records = find_simple_zeros(F, SearchBox([0.05], [2.0]))
+        assert [rec.simple for rec in records] == [True, True]
+        assert all(rec.residual > RESIDUAL_TOL for rec in records)
+        np.testing.assert_allclose([rec.nu[0] for rec in records], [1 / 3, 0.7], rtol=0, atol=1e-14)
+
     def test_root_below_r_min_excluded(self):
         records = find_simple_zeros(_radial_poly([-0.3, 1.0]), SearchBox([0.05], [2.0]))
         assert [round(r.nu[0], 6) for r in records] == [1.0]

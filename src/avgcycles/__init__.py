@@ -9,7 +9,6 @@ from .avgcore import (
     build_f1,
     build_f2,
     build_gamma,
-    f1_kernel_constraints,
     numeric_g,
     oracle_f1,
     oracle_f2,
@@ -91,7 +90,6 @@ __all__ = [
     "build_f1",
     "build_f2",
     "build_gamma",
-    "f1_kernel_constraints",
     "jacobian",
     "numeric_g",
     "oracle_f1",

@@ -2,21 +2,21 @@
 
 The first- and second-order averaged functions of a system are polynomials in
 nu = (r, z_1, ..., z_m), assembled here exactly, each by one closed form.
-f_1 is linear in the first-order tables: each of its coefficients is the
-residual of one kernel constraint, whose weights are the trigonometric
-integrals of :mod:`trigkernel`.  r*f_2 is the slave term plus, per zone, the
-integral of the order-2 field and of one bilinear form of the zone's
-first-order fields, all built from arrays of terms val * nu^a * cos^p(s)
-sin^q(s) (:class:`_Terms`), with d/dnu an index map on them.  One Gram
-matrix gives every zone integral (:func:`_zone_kernels`), and the bilinear
-form is one real matmul and one bincount (:func:`_quadratic_rf2`), never a
-series product (the tests keep that route as their reference).  An
-independent route, :func:`numeric_g`, evaluates the same objects along the
-unperturbed flow; the two must agree and the tests enforce it.  There each
-zone is one Chebyshev spectral rule (Greengard, SIAM J. Numer. Anal. 28,
-1991): every field is evaluated in one batch at the Chebyshev-Lobatto nodes
-of the zone's angle interval, and the spectral integration matrix gives
-y_1, y_2 and dy_1/dz_tail.  The integrands
+f_1 is linear in the first-order tables: one map per (n, m, phi), cached
+(:func:`_f1_map`), sums each table entry, weighted by a trigonometric
+integral of :mod:`trigkernel`, into the one coefficient it reaches.  r*f_2
+is the slave term plus, per zone, the integral of the order-2 field and of
+one bilinear form of the zone's first-order fields, all built from arrays
+of terms val * nu^a * cos^p(s) sin^q(s) (:class:`_Terms`), with d/dnu an
+index map on them.  One Gram matrix gives every zone integral
+(:func:`_zone_kernels`), and the bilinear form is one real matmul and one
+bincount (:func:`_quadratic_rf2`), never a series product (the tests keep
+that route as their reference).  An independent route, :func:`numeric_g`,
+evaluates the same objects along the unperturbed flow; the two must agree
+and the tests enforce it.  There each zone is one Chebyshev spectral rule
+(Greengard, SIAM J. Numer. Anal. 28, 1991): every field is evaluated in one
+batch at the Chebyshev-Lobatto nodes of the zone's angle interval, and the
+spectral integration matrix gives y_1, y_2 and dy_1/dz_tail.  The integrands
 are entire, so the rule converges geometrically in its node count N: from
 N = 32, doubling, the 2N result is accepted once N and 2N agree to
 QUAD_TOL * max(1, |y|_inf).
@@ -44,12 +44,12 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebvander
 
 from .polyalg import PRUNE_TOL, CompiledPolyVec, Poly, PolyVec
-from .sysspec import FIRST_ORDER, SECOND_ORDER, SystemSpec, multi_indices
+from .sysspec import FIRST_ORDER, SECOND_ORDER, VECTOR_FAMILIES, SystemSpec, multi_indices
 from .trigkernel import TWO_PI, TrigKey, _antider_term, _harmonics, gram_matrix, trig_I, trig_J
 
 F1_ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
-KERNEL_WEIGHT_TOL = 1e-12  # integral weights below this cannot carry a kernel constraint
+KERNEL_WEIGHT_TOL = 1e-12  # a row of f_1's map whose weights are all below this constrains nothing
 QUAD_TOL = 1e-12  # the oracle's N and 2N Chebyshev results must agree to QUAD_TOL * max(1, |y|_inf)
 NODE_START = 32  # N of the oracle's first N/2N comparison
 NODE_CAP = 512  # largest N compared; past it the oracle raises QuadratureFailure
@@ -61,10 +61,6 @@ class DegenerateEigenvalueError(ValueError):
 
 class FirstOrderNotZeroError(ValueError):
     """build_f2 requires the first-order averaged function to vanish."""
-
-
-class InfeasibleConstraintError(ValueError):
-    """A kernel constraint pins a coefficient through vanishing integrals."""
 
 
 class QuadratureFailure(RuntimeError):
@@ -222,87 +218,96 @@ def _to_poly(n: int, m: int, vec: np.ndarray) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class KernelConstraint:
-    """Linear relation on spec coefficients forcing one f_1 monomial to zero."""
+def _full_slots(n, m, families) -> list:
+    """Every entry of total degree <= n of the given families in both zones; vector families per component.
 
-    component: int  # 0 for the radial equation, 1..m for z_l
-    monomial: tuple  # (r_exp, k_1, ..., k_m)
-    terms: tuple  # (family, sign, index, weight) per entry
-
-    def residual(self, spec: SystemSpec) -> float:
-        total = 0.0
-        for fam, sign, idx, w in self.terms:
-            ell = self.component - 1 if fam == "c" else None
-            total += w * spec.table(fam, sign, ell).get(idx)
-        return total
-
-
-def f1_kernel_constraints(spec: SystemSpec) -> tuple:
-    """One linear constraint per potential monomial of each f_1 component.
-
-    A constraint's residual is that monomial's coefficient in f_1: the
-    weights are the integrals I (zone +) and J (zone -) of the trigonometric
-    factor each table entry carries at tail z = 0.  They depend on the
-    spec's shape (n, m, d, phi) alone, never on its tables, so each shape's
-    constraints are built once and shared.
+    A slot is (family, sign, ell, idx), ell None for scalar families.  Entries
+    run family by family, then component, then zone ("+" first), in sorted
+    index order.
     """
-    return _kernel_constraints(spec.n, spec.m, spec.d, spec.phi)
+    out, indices = [], sorted(multi_indices(n, m + 2))
+    for fam in families:
+        for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
+            for sign in ("+", "-"):
+                out += [(fam, sign, ell, idx) for idx in indices]
+    return out
+
+
+def _slot_terms(slots) -> _Terms:
+    """The terms of one unit first-order table entry per slot, each tagged by its place in ``slots``."""
+    fam = np.array([2 + ell if f == "c" else "ab".index(f) for f, _, ell, _ in slots], dtype=np.intp)
+    idx = np.array([slot[3] for slot in slots], dtype=np.intp)
+    return _terms(fam, idx, np.ones(len(slots)), np.arange(len(slots)))
+
+
+class _F1Map(NamedTuple):
+    """f_1 as a linear map of the values x of the first-order slots ``slots`` (_full_slots, d = m).
+
+    The coefficient of keys[k] = (component, monomial) in f_1 is the sum of
+    weight[t] * x[col[t]] over the terms t of row[t] = k.  A weight is the
+    integral I (zone +) or J (zone -) of the cos^p(s) sin^q(s) its entry
+    carries at tail z = 0, so it depends on (n, m, phi) alone.  Every slot is
+    the one term of exactly one key.  Terms run row by row and, in a row, by
+    the entry's x exponent, then zone, then family; pivot[k] is the term of
+    row k with the largest |weight|, ties going to the later slot.
+    """
+
+    slots: tuple
+    keys: tuple
+    row: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
+    pivot: np.ndarray
+
+    def coefficients(self, spec: SystemSpec) -> np.ndarray:
+        """f_1's coefficient per key: the spec's slot values, tail exponents zero, through the map."""
+        tail = (0,) * (spec.d - spec.m)
+        x = np.array([spec.table(fam, sign, ell).get(idx + tail) for fam, sign, ell, idx in self.slots])
+        return np.bincount(self.row, self.weight * x[self.col], len(self.keys))
 
 
 @functools.cache
-def _kernel_constraints(n: int, m: int, d: int, phi: float) -> tuple:
-    tail = (0,) * (d - m)
-    constraints = []
-    heads = sorted(set(multi_indices(n, m)))
-    for ell in range(m + 1):
-        for kvec in heads:
-            ksum = sum(kvec)
-            for e in range(0, n - ksum + 1):
-                terms = []
-                for i in range(e + 1):
-                    j = e - i
-                    idx = (i, j) + kvec + tail
-                    if ell == 0:
-                        terms.append(("a", "+", idx, trig_I(TrigKey(i + 1, j, phi))))
-                        terms.append(("b", "+", idx, trig_I(TrigKey(i, j + 1, phi))))
-                        terms.append(("a", "-", idx, trig_J(TrigKey(i + 1, j, phi))))
-                        terms.append(("b", "-", idx, trig_J(TrigKey(i, j + 1, phi))))
-                    else:
-                        terms.append(("c", "+", idx, trig_I(TrigKey(i, j, phi))))
-                        terms.append(("c", "-", idx, trig_J(TrigKey(i, j, phi))))
-                constraints.append(KernelConstraint(ell, (e,) + kvec, tuple(terms)))
-    return tuple(constraints)
+def _f1_map(n: int, m: int, phi: float) -> _F1Map:
+    slots = tuple(_full_slots(n, m, FIRST_ORDER))
+    T = _slot_terms(slots)
+    f1 = T.comp >= 1  # the radial and z_l terms; the angular ones leave f_1
+    col, key = T.tag[f1], np.column_stack([T.comp[f1] - 1, T.E[f1]])  # key: component, r exponent, z exponents
+    zone = np.array([sign == "-" for _, sign, _, _ in slots], dtype=np.intp)[col]
+    xexp = np.array([idx[0] for *_, idx in slots])[col]
+    pq = [(t - q, q) for t in range(n + 2) for q in range(t + 1)]  # in _pq order
+    W = np.array([[trig_I(TrigKey(p, q, phi)) for p, q in pq], [trig_J(TrigKey(p, q, phi)) for p, q in pq]])
+    # rows by component, then z exponents, then r exponent
+    order = np.lexsort((col, zone, xexp, key[:, 1], *key[:, :1:-1].T, key[:, 0]))
+    col, key, weight = col[order], key[order], (W[zone, T.pq[f1]] * T.val[f1])[order]
+    first = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
+    row = np.cumsum(first) - 1
+    pivot = np.lexsort((col, np.abs(weight), row))[np.append(np.flatnonzero(first[1:]), len(row) - 1)]
+    for a in (row, col, weight, pivot):
+        a.flags.writeable = False  # the map is shared by every spec of its shape
+    return _F1Map(slots, tuple((c, tuple(mono)) for c, *mono in key[first].tolist()), row, col, weight, pivot)
 
 
 def build_f1(spec: SystemSpec) -> PolyVec:
-    """Closed-form first-order averaged function (m+1 components in nu).
-
-    f_1 is linear in the first-order tables: each coefficient is the
-    residual of its kernel constraint.
-    """
+    """Closed-form first-order averaged function (m+1 components in nu), linear in the first-order tables."""
+    f1map = _f1_map(spec.n, spec.m, spec.phi)
     comps = [Poly(spec.m + 1) for _ in range(spec.m + 1)]
-    for con in f1_kernel_constraints(spec):
-        comps[con.component]._accum(con.monomial, con.residual(spec))
+    for (comp, mono), c in zip(f1map.keys, f1map.coefficients(spec).tolist()):
+        comps[comp]._accum(mono, c)
     return PolyVec(comps)
 
 
 def project_to_kernel(spec: SystemSpec) -> SystemSpec:
-    """Nearest spec with f_1 identically zero, solving one coefficient per constraint."""
-    out = spec.copy()
-    for con in f1_kernel_constraints(out):
-        res = con.residual(out)
-        if abs(res) < 1e-14:
-            continue
-        fam, sign, idx, w = max(con.terms, key=lambda t: (abs(t[3]), t[:3]))
-        if abs(w) < KERNEL_WEIGHT_TOL:
-            raise InfeasibleConstraintError(
-                f"constraint on component {con.component}, monomial {con.monomial}: "
-                f"all integral weights vanish but the residual is {res:.3e}"
-            )
-        ell = con.component - 1 if fam == "c" else None
+    """Nearest spec with f_1 identically zero, solving each coefficient on its row's pivot entry.
+
+    A row whose pivot weight is below KERNEL_WEIGHT_TOL has integrals that
+    all vanish: it constrains nothing and is left as it is.
+    """
+    out, f1map, tail = spec.copy(), _f1_map(spec.n, spec.m, spec.phi), (0,) * (spec.d - spec.m)
+    res, w = f1map.coefficients(spec), f1map.weight[f1map.pivot]
+    for k in np.flatnonzero((np.abs(res) >= 1e-14) & (np.abs(w) >= KERNEL_WEIGHT_TOL)).tolist():
+        fam, sign, ell, idx = f1map.slots[f1map.col[f1map.pivot[k]]]
         table = out.table(fam, sign, ell)
-        table.set(idx, table.get(idx) - res / w)
+        table.set(idx + tail, table.get(idx + tail) - res[k] / w[k])
     return out
 
 

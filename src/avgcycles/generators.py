@@ -7,10 +7,10 @@ exponent) entry of a zone's coefficient table, and _spec_from_slots adds a
 value to each.
 
 Every generator solves on one slot set: every first-order entry of degree
-<= n in both zones (_full_slots), with, at second order, its second-order
-twin.  The first-order generators invert a linear map, read from the f_1
-kernel constraints (_f1_matrix): a constraint's weights on the slots form
-one row, its residual being one coefficient of f_1.  The matrix is solved
+<= n in both zones (avgcore._full_slots), with, at second order, its
+second-order twin.  The first-order generators invert f_1's linear map on
+the slots, avgcore's cached map written out as a matrix (_f1_matrix): row k
+holds each slot's weight in one coefficient of f_1.  The matrix is solved
 (least squares, minimum norm) against target polynomials with hand-placed
 roots; an entry that reaches no target monomial stays zero.
 
@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng
 
-from .avgcore import (_jacobian_terms, _mono_grid, _quadratic_rf2, _terms, _zone_kernels, build_f1, build_f2,
-                      f1_kernel_constraints)
+from .avgcore import (_f1_map, _full_slots, _jacobian_terms, _mono_grid, _quadratic_rf2, _slot_terms,
+                      _zone_kernels, build_f1, build_f2)
 from .polyalg import Poly, PolyVec
 from .rootfind import SearchBox, find_simple_zeros
-from .sysspec import FIRST_ORDER, SECOND_ORDER, VECTOR_FAMILIES, SystemSpec, multi_indices, zero_spec
+from .sysspec import FIRST_ORDER, SECOND_ORDER, SystemSpec, zero_spec
 from .trigkernel import TWO_PI
 
 LINEAR_TOL = 1e-9
@@ -163,34 +163,12 @@ def _monomial_basis(pvs) -> list:
     return sorted({(ci, mo) for pv in pvs for ci, p in enumerate(pv) for mo in p.terms})
 
 
-def _full_slots(n, m, families):
-    """Every entry of total degree <= n of the given families in both zones; vector families per component.
-
-    Entries run family by family, then component, then zone ("+" first), in
-    sorted index order.
-    """
-    out = []
-    for fam in families:
-        for ell in range(m) if fam in VECTOR_FAMILIES else (None,):
-            for sign in ("+", "-"):
-                out += [(fam, sign, ell, idx) for idx in sorted(multi_indices(n, m + 2))]
-    return out
-
-
 def _f1_matrix(n, m, phi):
-    """The linear map from the first-order slot values to f_1's coefficients, and its row keys.
-
-    Column j is slot j of _full_slots(n, m, FIRST_ORDER).  Row k holds each
-    slot's weight in kernel constraint k, whose residual is the coefficient
-    of keys[k] = (component, monomial) in f_1.
-    """
-    cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
-    column = {slot: j for j, slot in enumerate(_full_slots(n, m, FIRST_ORDER))}
-    A = np.zeros((len(cons), len(column)))
-    for row, con in zip(A, cons):
-        for fam, sign, idx, w in con.terms:
-            row[column[fam, sign, con.component - 1 if fam == "c" else None, idx]] = w
-    return A, [(con.component, con.monomial) for con in cons]
+    """avgcore's map of f_1 as a matrix on the first-order slots, and its row keys (component, monomial)."""
+    f1map = _f1_map(n, m, phi)
+    A = np.zeros((len(f1map.keys), len(f1map.slots)))
+    A[f1map.row, f1map.col] = f1map.weight
+    return A, list(f1map.keys)
 
 
 def _fit_linear(A, keys, target: PolyVec, message: str) -> np.ndarray:
@@ -316,8 +294,8 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 def _kernel_split(n, m, phi):
     """f_1's map on the first-order slots, split by one SVD: (A, keys, N, R).
 
-    A and keys are _f1_matrix's, without the constraints that involve no
-    slot.  N's columns span A's null space (the slot values that keep f_1
+    A and keys are _f1_matrix's, without the rows whose weights are all
+    zero.  N's columns span A's null space (the slot values that keep f_1
     zero), R's columns A's range; one rank rule, s > 1e-12 * s_0, sets both.
     """
     A, keys = _f1_matrix(n, m, phi)
@@ -343,9 +321,7 @@ def _slot_form(n, m, phi, uslots):
     Q, zones = _zone_kernels(base)[0], []
     for z, sign in enumerate("+-"):
         idx = np.flatnonzero([slot[1] == sign for slot in uslots])
-        fam = np.array([2 + uslots[k][2] if uslots[k][0] == "c" else "ab".index(uslots[k][0]) for k in idx])
-        exps = np.array([uslots[k][3] for k in idx], dtype=np.intp).reshape(len(idx), m + 2)
-        terms = _terms(fam, exps, np.ones(len(idx)), np.arange(len(idx)))
+        terms = _slot_terms([uslots[k] for k in idx])
         X = _quadratic_rf2(base, Q, np.full(len(idx), z), terms, _jacobian_terms(n, m, terms))
         X = X.reshape(len(idx), len(idx), -1).transpose(2, 0, 1)  # one block row per (component, monomial)
         keep = np.flatnonzero(X.any(axis=(1, 2)))

@@ -305,12 +305,14 @@ def _locate(C: CompiledPolyVec, lo, hi, diag: SearchDiagnostics):
 
 
 def find_simple_zeros(F: PolyVec, box: SearchBox, diagnostics: SearchDiagnostics | None = None) -> list:
-    """Every zero of F in the box, proved simple, and every region left unresolved; sorted.
+    """F's zeros in the box that are proved simple, and every region left unresolved; sorted.
 
-    The search, the residuals and det J are those of the r-free system
-    (module docstring), which has F's zeros on the box.  When one of its
-    components is constant it has no isolated zero: nothing is searched and
-    no record returned.
+    When every record is simple, they are all of F's zeros in the box;
+    otherwise the simple records are only a proved lower bound on their
+    number.  The search, the residuals and det J are those of the r-free
+    system (module docstring), which has F's zeros on the box.  When one of
+    its components is constant it has no isolated zero: nothing is searched
+    and no record returned.
     """
     if len(F) != F.nvars:
         raise ValueError(f"system is not square: {len(F)} equations, {F.nvars} variables")

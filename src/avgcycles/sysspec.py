@@ -200,7 +200,10 @@ class SystemSpec:
         missing = required - set(data)
         if missing:
             raise SpecError(f"missing spec fields: {sorted(missing)}")
-        n, m, d = int(data["n"]), int(data["m"]), int(data["d"])
+        for key in ("n", "m", "d"):
+            if isinstance(data[key], bool) or not isinstance(data[key], int):
+                raise SpecError(f"spec field {key!r} must be an integer, got {data[key]!r}")
+        n, m, d = data["n"], data["m"], data["d"]
 
         def untab(raw, key):
             entries = {}

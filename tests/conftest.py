@@ -1,22 +1,28 @@
-"""Shared test fixtures, and the series-product reference for r*f_2.
+"""Shared test fixtures, the series-product reference for r*f_2 and the per-constraint reference for f_1.
 
-The reference builds every zone field as one trigkernel.HarmonicSum, one
-harmonic at a time, with the sums, scalings, shifts by e^(lam*s) and
+The series reference builds every zone field as one trigkernel.HarmonicSum,
+one harmonic at a time, with the sums, scalings, shifts by e^(lam*s) and
 nu-derivatives defined here, multiplies the bilinear form's series out term
 by term and integrates the products termwise.  It shares no code with
 avgcore's array builder beyond the harmonic linearization and the
 antiderivatives.
+
+The per-constraint reference writes f_1 out as one constraint per
+coefficient, with the weight of each table entry in it, and reads the
+tables one term at a time: build_f1, project_to_kernel and the generators'
+matrix, as they were before avgcore's cached map replaced them.
 """
 
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from avgcycles.avgcore import _delta_entries, check_f1_zero
+from avgcycles.avgcore import KERNEL_WEIGHT_TOL, _delta_entries, _full_slots, check_f1_zero
 from avgcycles.polyalg import Poly, PolyVec
-from avgcycles.sysspec import FIRST_ORDER, SECOND_ORDER
-from avgcycles.trigkernel import TWO_PI, HarmonicSum, _harmonics
+from avgcycles.sysspec import FIRST_ORDER, SECOND_ORDER, multi_indices
+from avgcycles.trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, trig_I, trig_J
 
 
 def _add(f, g):
@@ -179,3 +185,76 @@ SERIES = SimpleNamespace(add=_add, scaled=_scaled, shifted=_shifted, diff=_diff,
 def series():
     """The series-product reference route (see the module docstring)."""
     return SERIES
+
+
+def _kernel_constraints(n, m, d, phi):
+    """f_1 as [(key, terms)]: per key (component, monomial), the (family, sign, ell, idx, weight) of each entry.
+
+    At tail z = 0 an a or b entry x^i y^j z^k reaches the radial component
+    through cos^(i+1) sin^j or cos^i sin^(j+1), a c_l entry component l + 1
+    through cos^i sin^j; the weight is the factor's integral, I in zone +
+    and J in zone -.
+    """
+    tail, out = (0,) * (d - m), []
+    for comp in range(m + 1):
+        for kvec in sorted(set(multi_indices(n, m))):
+            for e in range(n - sum(kvec) + 1):
+                terms = []
+                for i in range(e + 1):
+                    idx, j = (i, e - i) + kvec + tail, e - i
+                    if comp == 0:
+                        terms += [("a", "+", None, idx, trig_I(TrigKey(i + 1, j, phi))),
+                                  ("b", "+", None, idx, trig_I(TrigKey(i, j + 1, phi))),
+                                  ("a", "-", None, idx, trig_J(TrigKey(i + 1, j, phi))),
+                                  ("b", "-", None, idx, trig_J(TrigKey(i, j + 1, phi)))]
+                    else:
+                        terms += [("c", "+", comp - 1, idx, trig_I(TrigKey(i, j, phi))),
+                                  ("c", "-", comp - 1, idx, trig_J(TrigKey(i, j, phi)))]
+                out.append(((comp, (e,) + kvec), terms))
+    return out
+
+
+def _residual(spec, terms):
+    total = 0.0
+    for fam, sign, ell, idx, w in terms:
+        total += w * spec.table(fam, sign, ell).get(idx)
+    return total
+
+
+def _ref_build_f1(spec):
+    comps = [Poly(spec.m + 1) for _ in range(spec.m + 1)]
+    for (comp, mono), terms in _kernel_constraints(spec.n, spec.m, spec.d, spec.phi):
+        comps[comp]._accum(mono, _residual(spec, terms))
+    return PolyVec(comps)
+
+
+def _ref_project_to_kernel(spec):
+    """One coefficient per constraint solved on its largest weight, ties to the largest (family, sign, idx)."""
+    out = spec.copy()
+    for _, terms in _kernel_constraints(spec.n, spec.m, spec.d, spec.phi):
+        res = _residual(out, terms)
+        fam, sign, ell, idx, w = max(terms, key=lambda t: (abs(t[4]), t[:4]))
+        if abs(res) >= 1e-14 and abs(w) >= KERNEL_WEIGHT_TOL:
+            table = out.table(fam, sign, ell)
+            table.set(idx, table.get(idx) - res / w)
+    return out
+
+
+def _ref_f1_matrix(n, m, phi):
+    """Each constraint's weights as a dict, looked up once per first-order slot."""
+    slots, cons = _full_slots(n, m, FIRST_ORDER), _kernel_constraints(n, m, m, phi)
+    A = np.zeros((len(cons), len(slots)))
+    for row, (_, terms) in zip(A, cons):
+        weights = {(fam, sign, ell, idx): w for fam, sign, ell, idx, w in terms}
+        row[:] = [weights.get(slot, 0.0) for slot in slots]
+    return A, [key for key, _ in cons]
+
+
+F1_REFERENCE = SimpleNamespace(constraints=_kernel_constraints, build_f1=_ref_build_f1,
+                               project_to_kernel=_ref_project_to_kernel, f1_matrix=_ref_f1_matrix)
+
+
+@pytest.fixture
+def f1_reference():
+    """The per-constraint reference route for f_1 (see the module docstring)."""
+    return F1_REFERENCE

@@ -1,5 +1,6 @@
 """Closed-form averaged functions against the quadrature oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad_vec, solve_ivp
 
 from avgcycles import avgcore
 from avgcycles.avgcore import (
+    F1_ZERO_TOL,
     DegenerateEigenvalueError,
     QuadratureFailure,
     _F1_jacobians,
@@ -19,8 +21,8 @@ from avgcycles.avgcore import (
     build_f1,
     build_f2,
     build_gamma,
+    _f1_map,
     compile_fields,
-    f1_kernel_constraints,
     numeric_g,
     oracle_f1,
     oracle_f2,
@@ -162,20 +164,24 @@ class TestKernelConstraints:
     def test_constraints_annihilate_projected_tables(self):
         spec = random_spec(2, 0, 1, 1.2, 5)
         ps = project_to_kernel(spec)
-        for con in f1_kernel_constraints(ps):
-            total = sum(w * ps.table(fam, sign, con.component - 1 if fam == "c" else None).get(idx)
-                        for fam, sign, idx, w in con.terms)
+        f1map = _f1_map(ps.n, ps.m, ps.phi)
+        totals = np.zeros(len(f1map.keys))
+        for k, j, w in zip(f1map.row, f1map.col, f1map.weight):
+            fam, sign, ell, idx = f1map.slots[j]
+            totals[k] += w * ps.table(fam, sign, ell).get(idx + (0,) * (ps.d - ps.m))
+        for total in totals:
             assert abs(total) < 1e-10
 
     @pytest.mark.parametrize("shape", [(1, 0, 1), (2, 1, 2), (3, 2, 3), (2, 2, 2)])
-    def test_shared_constraints_give_bit_identical_results(self, shape, monkeypatch):
-        # the constraints depend on (n, m, d, phi) alone: specs of one shape
-        # share one immutable tuple, and build_f1 and project_to_kernel give
-        # bit for bit what they give with constraints built afresh per call
+    def test_shared_map_gives_bit_identical_results(self, shape, monkeypatch):
+        # the map depends on (n, m, phi) alone: specs of one shape share one
+        # read-only map, and build_f1 and project_to_kernel give bit for bit
+        # what they give with the map built afresh per call
         specs = [random_spec(*shape, math.pi / 3, seed, scale=0.5) for seed in range(3)]
-        shared = f1_kernel_constraints(specs[0])
-        assert isinstance(shared, tuple) and all(isinstance(c.terms, tuple) for c in shared)
-        assert all(f1_kernel_constraints(s) is shared for s in specs[1:])
+        shared = _f1_map(shape[0], shape[1], math.pi / 3)
+        assert isinstance(shared.slots, tuple) and isinstance(shared.keys, tuple)
+        assert not any(a.flags.writeable for a in (shared.row, shared.col, shared.weight, shared.pivot))
+        assert all(_f1_map(s.n, s.m, s.phi) is shared for s in specs[1:])
 
         def results():
             out = []
@@ -185,10 +191,45 @@ class TestKernelConstraints:
             return out
 
         cached = results()
-        monkeypatch.setattr(avgcore, "_kernel_constraints", avgcore._kernel_constraints.__wrapped__)
-        assert f1_kernel_constraints(specs[0]) == shared
-        assert f1_kernel_constraints(specs[0]) is not shared
+        monkeypatch.setattr(avgcore, "_f1_map", avgcore._f1_map.__wrapped__)
+        fresh = avgcore._f1_map(shape[0], shape[1], math.pi / 3)
+        assert fresh is not shared
+        assert fresh.slots == shared.slots and fresh.keys == shared.keys
+        assert all(np.array_equal(getattr(fresh, a), getattr(shared, a)) for a in ("row", "col", "weight", "pivot"))
         assert repr(results()) == repr(cached)
+
+    @pytest.mark.parametrize("phi", [math.pi / 3, math.pi, TWO_PI, 1.2, 0.7], ids=["pi/3", "pi", "2pi", "1.2", "0.7"])
+    def test_bit_identical_to_the_per_constraint_reference(self, phi, f1_reference):
+        # n <= 3, m <= 2, d in {m, m + 1}, two seeds: 48 specs per angle
+        for n, m, extra, seed in itertools.product(range(4), range(3), (0, 1), (0, 5)):
+            spec = random_spec(n, m, m + extra, phi, seed)
+            assert repr([list(p.terms.items()) for p in build_f1(spec)]) == \
+                repr([list(p.terms.items()) for p in f1_reference.build_f1(spec)]), (n, m, extra, seed)
+            assert repr(project_to_kernel(spec).to_json_dict()) == \
+                repr(f1_reference.project_to_kernel(spec).to_json_dict()), (n, m, extra, seed)
+
+    @pytest.mark.parametrize("phi", [math.pi / 3, math.pi, TWO_PI], ids=["pi/3", "pi", "2pi"])
+    def test_each_slot_is_one_term_of_one_key(self, phi):
+        # the single pass rests on this: a slot's value enters exactly one
+        # coefficient of f_1, the one of its own component and monomial
+        for n, m in itertools.product(range(4), range(3)):
+            f1map = _f1_map(n, m, phi)
+            assert np.array_equal(np.sort(f1map.col), np.arange(len(f1map.slots)))
+            assert len(set(f1map.keys)) == len(f1map.keys) and np.all(np.diff(f1map.row) >= 0)
+            for k, j in zip(f1map.row, f1map.col):
+                fam, _, ell, (i, jy, *kvec) = f1map.slots[j]
+                assert f1map.keys[k] == (0 if fam in "ab" else ell + 1, (i + jy, *kvec)), (n, m, j)
+
+    @pytest.mark.parametrize("value", [100.0, 1e3])
+    def test_rows_whose_integrals_vanish_constrain_nothing(self, value):
+        # at the full turn int_0^(2 pi) cos s ds = 0, but its float weight is
+        # sin(2 pi) = -2.4e-16: the row of a+ at (0, 0) has nothing to solve
+        spec = zero_spec(1, 0, 0, TWO_PI)
+        spec.table("a", "+").set((0, 0), value)
+        ps = project_to_kernel(spec)
+        assert ps.to_json_dict() == spec.to_json_dict()
+        assert max(p.max_coeff() for p in build_f1(ps)) <= F1_ZERO_TOL
+        build_f2(ps)
 
 
 class TestGammaOracle:

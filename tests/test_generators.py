@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from avgcycles import generators
-from avgcycles.avgcore import build_f1, build_f2, f1_kernel_constraints
+from avgcycles.avgcore import _full_slots, build_f1, build_f2
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
@@ -16,7 +16,6 @@ from avgcycles.generators import (
     InfeasibleTargetError,
     _angular_part,
     _f1_matrix,
-    _full_slots,
     _gauss_newton,
     _kernel_split,
     _monomial_basis,
@@ -514,21 +513,24 @@ class TestF1Matrix:
             # build_f1 drops coefficients below polyalg.PRUNE_TOL = 1e-15
             np.testing.assert_allclose(col, _poly_vec_to_coeffs(f1, keys), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("phi", [PHI, math.pi, TWO_PI], ids=["pi/3", "pi", "2pi"])
-    def test_bit_identical_to_a_per_constraint_lookup(self, phi):
+    @pytest.mark.parametrize("phi", [PHI, math.pi, TWO_PI, 1.2, 0.7], ids=["pi/3", "pi", "2pi", "1.2", "0.7"])
+    def test_bit_identical_to_a_per_constraint_lookup(self, phi, f1_reference):
         # reference: each constraint's weights as a dict, looked up once per
         # slot; _QuadModel's N, zones and tuning rest on this exact matrix
-        for n, m in itertools.product((1, 2, 3), (0, 1, 2)):
-            slots = _full_slots(n, m, FIRST_ORDER)
-            cons = f1_kernel_constraints(zero_spec(n, m, m, phi))
-            ref = np.zeros((len(cons), len(slots)))
-            for row, con in zip(ref, cons):
-                weights = {(fam, sign, con.component - 1 if fam == "c" else None, idx): w
-                           for fam, sign, idx, w in con.terms}
-                row[:] = [weights.get(slot, 0.0) for slot in slots]
+        for n, m in itertools.product((0, 1, 2, 3), (0, 1, 2)):
+            ref, ref_keys = f1_reference.f1_matrix(n, m, phi)
             A, keys = _f1_matrix(n, m, phi)
-            assert keys == [(con.component, con.monomial) for con in cons]
+            assert keys == ref_keys
             assert A.shape == ref.shape and np.array_equal(A, ref), (n, m)
+
+    @pytest.mark.parametrize("phi", [PHI, math.pi, TWO_PI, 1.2, 0.7], ids=["pi/3", "pi", "2pi", "1.2", "0.7"])
+    def test_kernel_split_bit_identical_on_the_reference_matrix(self, phi, f1_reference, monkeypatch):
+        split = {(n, m): _kernel_split(n, m, phi) for n, m in itertools.product((0, 1, 2, 3), (0, 1, 2))}
+        monkeypatch.setattr(generators, "_f1_matrix", f1_reference.f1_matrix)
+        for (n, m), (A, keys, N, R) in split.items():
+            A_ref, keys_ref, N_ref, R_ref = _kernel_split(n, m, phi)
+            assert keys == keys_ref, (n, m)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip((A, N, R), (A_ref, N_ref, R_ref)))
 
 
 # each generator that needs a generic switching angle, at a small size

@@ -36,6 +36,14 @@ def test_package_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_exports_resolve_once():
+    import avgcycles
+
+    assert len(set(avgcycles.__all__)) == len(avgcycles.__all__)
+    missing = [name for name in avgcycles.__all__ if not hasattr(avgcycles, name)]
+    assert not missing
+
+
 class TestRunConfig:
     def test_suite_validation(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -158,10 +166,11 @@ class TestReport:
         assert type(error).__name__ in row.detail
 
 
-def _spec_text(mu=None, **tables):
-    """JSON of a zero n = 1, m = 0, d = 1 spec with the given mu and tables."""
+def _spec_text(mu=None, fields=(), **tables):
+    """JSON of a zero n = 1, m = 0, d = 1 spec with the given mu, top-level fields and tables."""
     data = zero_spec(1, 0, 1, 1.0).to_json_dict()
     data["tables"].update(tables)
+    data.update(fields)
     if mu is not None:
         data["mu"] = mu
     return json.dumps(data)  # writes inf and nan as Infinity and NaN, which json.load reads back
@@ -317,7 +326,10 @@ class TestCli:
     @pytest.mark.parametrize("spec_text,shown", [
         (_spec_text(b_plus={"1,0,0": math.inf}), "non-finite coefficient inf at index (1, 0, 0)"),
         (_spec_text(mu=[math.nan]), "mu must be finite"),
-    ], ids=["inf_table_entry", "nan_mu"])
+        (_spec_text(fields={"n": 2.7}), "spec field 'n' must be an integer, got 2.7"),
+        (_spec_text(fields={"m": True}), "spec field 'm' must be an integer, got True"),
+        (_spec_text(fields={"d": "3"}), "spec field 'd' must be an integer, got '3'"),
+    ], ids=["inf_table_entry", "nan_mu", "float_n", "bool_m", "string_d"])
     @pytest.mark.parametrize("command", ["averaged", "zeros", "verify"])
     def test_non_finite_spec_is_a_usage_error(self, command, spec_text, shown, tmp_path, capsys):
         path = tmp_path / "bad.json"

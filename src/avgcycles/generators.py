@@ -24,21 +24,26 @@ slot values x = N u, v the second-order tables, which enter linearly).
 Every first-order entry of degree <= n is a u-slot, and the v-slots are
 their second-order twins in the same order.  One SVD of f_1's matrix A on
 the u-slots (_kernel_split) gives N, a basis of its null space, and a basis
-of its range.  At d = m a second-order entry enters r*f_2 as 2r times the
-integral its first-order twin has in f_1, so L is 2A with every row's
-monomial raised by r, and A's range is L's.  r*f_2's quadratic part is
-read once, in slot coordinates, as the slot form S_slot (_slot_form),
-kept as two zone blocks: each u-slot enters avgcore's builder as one unit
-table entry tagged by the slot, and S_slot[a, b] is the symmetrized
-bilinear form build_f2 integrates, its diagonal the form itself.  The
-tuning's Q(u)_k = u^T S_k u has S = N^T S_slot N, never formed: one
-contraction of the blocks (_slot_product) gives S u.  The generators tune
-u by least squares against the exact target with multistart, each start
-one run of a trust-region Gauss-Newton loop (_gauss_newton) stopped once
-it reaches its target or stalls, and recover v by a linear solve.  Every
-converged start is re-verified against the real build_f1/build_f2
-pipeline and certified by root search; one that fails either is recorded
-as an "undercount" and the tuning moves on to its next start.  gen_th4
+of the complement of its range.  At d = m a second-order entry enters
+r*f_2 as 2r times the integral its first-order twin has in f_1, so L is 2A
+with every row's monomial raised by r, and A's range is L's.  r*f_2's
+quadratic part is read once, in slot coordinates, as the slot form S_slot
+(_slot_form), kept as two zone blocks: each u-slot enters avgcore's
+builder as one unit table entry tagged by the slot, and S_slot[a, b] is
+the symmetrized bilinear form build_f2 integrates, its diagonal the form
+itself.  The tuning's Q(u)_k = u^T S_k u has S = N^T S_slot N, never
+formed: one contraction of the blocks (_slot_product) gives S u.  The
+generators tune u by least squares against the exact target with
+multistart, in the coordinates of P, an orthonormal basis of the
+complement of L's range: the residual P^T (Q(u) - t) is the part of the
+gap no v can absorb.  Each start runs a trust-region Gauss-Newton loop
+(_gauss_newton) until it reaches its target or stalls; one that reaches it
+is projected onto the row space of its Jacobian, the minimum-norm point of
+the linearized solution set, and run once more from there.  v comes from a
+linear solve.  Every converged start is re-verified against the real
+build_f1/build_f2 pipeline and certified by root search; one that fails
+either is recorded as an "undercount" and the tuning moves on to its next
+start.  gen_th4
 realizes a prescribed reduced system by two linear fits on the same
 surrogate: its Q map is (S_slot h) N, h a fixed angular part over the
 u-slots, and its P map L / 2 = A against r*P.  The generators call
@@ -292,18 +297,19 @@ def gen_prop20(n: int, m: int) -> GeneratorResult:
 
 
 def _kernel_split(n, m, phi):
-    """f_1's map on the first-order slots, split by one SVD: (A, keys, N, R).
+    """f_1's map on the first-order slots, split by one SVD: (A, keys, N, C).
 
     A and keys are _f1_matrix's, without the rows whose weights are all
     zero.  N's columns span A's null space (the slot values that keep f_1
-    zero), R's columns A's range; one rank rule, s > 1e-12 * s_0, sets both.
+    zero), C's columns the orthogonal complement of A's range in the row
+    keys; one rank rule, s > 1e-12 * s_0, sets both.
     """
     A, keys = _f1_matrix(n, m, phi)
     live = np.any(A != 0.0, axis=1)
     A, keys = A[live], [key for key, on in zip(keys, live) if on]
     U, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-12 * s[0]))
-    return A, keys, Vt[rank:].T, U[:, :rank]
+    return A, keys, Vt[rank:].T, U[:, rank:]
 
 
 def _slot_form(n, m, phi, uslots):
@@ -348,14 +354,16 @@ class _QuadModel:
     twins: at d = m a twin enters r*f_2 as 2r times the integral its
     first-order entry has in f_1, so L is 2A (A being f_1's matrix on the
     u-slots) with each row moved from its monomial to r times it.  The SVD
-    that gives N also gives Lbasis, an orthonormal basis of L's range.
+    that gives N also gives P, an orthonormal basis of the orthogonal
+    complement of L's range: A's complement on L's rows, and a unit column
+    for every monomial L never reaches.
     """
 
     def __init__(self, n, m, phi):
         self.n, self.m, self.phi = n, m, phi
         self.uslots = _full_slots(n, m, FIRST_ORDER)
         self.vslots = _full_slots(n, m, SECOND_ORDER)  # vslots[k] is uslots[k]'s twin
-        A, keys, self.N, R = _kernel_split(n, m, phi)
+        A, keys, self.N, C = _kernel_split(n, m, phi)
         self.udim = self.N.shape[1]
         qkeys, zones = _slot_form(n, m, phi, self.uslots)
         # L is 2A with every row key raised by r (see the class docstring)
@@ -367,8 +375,11 @@ class _QuadModel:
         rows = [self.pos[key] for key in lkeys]
         self.L = np.zeros((len(self.monos), len(self.vslots)))
         self.L[rows] = 2.0 * A
-        self.Lbasis = np.zeros((len(self.monos), R.shape[1]))  # orthonormal, spans L's range
-        self.Lbasis[rows] = R
+        free = np.ones(len(self.monos), dtype=bool)  # the monomials L never reaches
+        free[rows] = False
+        self.P = np.zeros((len(self.monos), C.shape[1] + np.count_nonzero(free)))  # see the class docstring
+        self.P[rows, : C.shape[1]] = C
+        self.P[free, C.shape[1]:] = np.eye(np.count_nonzero(free))
 
     def _Su(self, u) -> np.ndarray:  # S u, S = N^T S_slot N
         return _slot_product(self.zones, self.N @ u, self.N, len(self.monos))
@@ -377,10 +388,13 @@ class _QuadModel:
         return self._Su(u) @ u
 
     def residual(self, u, t):
-        """Q(u) - t and its exact Jacobian 2 S u, both with L's range projected out, from one S u."""
-        Su = self._Su(u)
-        gap, J = Su @ u - t, 2.0 * Su
-        return gap - self.Lbasis @ (self.Lbasis.T @ gap), J - self.Lbasis @ (self.Lbasis.T @ J)
+        """P^T (Q(u) - t) and its exact Jacobian 2 P^T S u, from one S u.
+
+        In P's coordinates the residual is the part of Q(u) - t no choice of
+        v can absorb: P P^T (Q(u) - t) is the gap left after L v's best fit.
+        """
+        PtSu = self.P.T @ self._Su(u)
+        return PtSu @ u - self.P.T @ t, 2.0 * PtSu
 
     def solve_v(self, u, t) -> np.ndarray:
         v, *_ = np.linalg.lstsq(self.L, t - self.quad(u), rcond=None)
@@ -401,19 +415,22 @@ class _QuadModel:
 class _StopRule:
     """Callback of _gauss_newton ending a start at its target misfit or on a stall.
 
-    It is called with the residual vector after each accepted step.  The
-    misfit is the largest coefficient residual: the residual without its
-    norm-penalty tail.  A start stalls when its best misfit has not halved
-    over the last STALL_WINDOW iterations.
+    It is called with the residual P^T (Q(u) - t) after each accepted step.
+    The misfit is the largest coefficient of P times it, the gap that the
+    best L v leaves in monomial coordinates.  A start stalls when its best
+    misfit has not halved over the last STALL_WINDOW iterations.
     """
 
-    def __init__(self, nmono, target):
-        self.nmono, self.target = nmono, target
+    def __init__(self, P, target):
+        self.P, self.target = P, target
         self.best = []  # best misfit after each iteration
         self.reason = None
 
+    def misfit(self, residual) -> float:
+        return float(np.max(np.abs(self.P @ residual), initial=0.0))
+
     def __call__(self, residual):
-        err = float(np.max(np.abs(residual[: self.nmono])))
+        err = self.misfit(residual)
         self.best.append(min(err, self.best[-1]) if self.best else err)
         if err < self.target:
             self.reason = "target"
@@ -421,6 +438,11 @@ class _StopRule:
             self.reason = "stall"
         if self.reason:
             raise StopIteration
+
+
+def _rank(s, shape) -> int:
+    """How many of the descending singular values s of a shape-sized matrix pass lstsq's default rank rule."""
+    return int(np.sum(s > np.finfo(float).eps * max(shape) * s[0]))
 
 
 def _trust_step(uf, s, Vt, radius, alpha):
@@ -478,8 +500,8 @@ def _gauss_newton(fun, x, callback, max_nfev=4000):
     radius = float(np.linalg.norm(x)) or 1.0
     while True:
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(U.shape) * s[0]  # lstsq's default rank rule
-        uf, s, Vt = (U.T @ f)[keep], s[keep], Vt[keep]
+        rank = _rank(s, J.shape)
+        uf, s, Vt = (U.T @ f)[:rank], s[:rank], Vt[:rank]
         while True:
             if nfev >= max_nfev:
                 return x, nfev, "max_nfev"
@@ -511,47 +533,79 @@ def _gauss_newton(fun, x, callback, max_nfev=4000):
                 break
 
 
+def _tune_start(model: _QuadModel, t, u0, stop_at):
+    """One tuning start from u0: (u, nfev, reason, misfit), reason "target", "stall" or "max_nfev".
+
+    Gauss-Newton runs on the residual until the _StopRule or the loop's own
+    tests end it.  A start that reaches its target is projected onto the row
+    space of J(u), the minimum-norm point of the linearized solution set, and
+    run again from there; the second point is kept only if it reaches the
+    target too, and nfev counts both runs.  When L's range leaves no
+    complement the target is met at u = 0 and nothing runs.  A LinAlgError
+    in the first run ends the start as a stall at its best misfit so far; in
+    the second, it keeps the first point.
+    """
+    if model.P.shape[1] == 0:
+        return np.zeros(model.udim), 0, "target", 0.0
+    nfev = 0
+
+    def fun(u):
+        nonlocal nfev
+        nfev += 1
+        return model.residual(u, t)
+
+    def run(u):
+        rule = _StopRule(model.P, stop_at)
+        try:
+            u, _, status = _gauss_newton(fun, u, rule)
+        except np.linalg.LinAlgError:
+            return None, "stall", rule.best[-1] if rule.best else rule.misfit(model.residual(u, t)[0])
+        err = rule.misfit(model.residual(u, t)[0])
+        if status == "max_nfev":
+            return u, "max_nfev", err
+        # the rule's verdict, or the loop's cost/step test: no more progress
+        return u, rule.reason or ("target" if err < stop_at else "stall"), err
+
+    u, reason, err = run(u0)
+    if reason == "target":
+        try:
+            J = model.residual(u, t)[1]
+            _, s, Vt = np.linalg.svd(J, full_matrices=False)
+            Vt = Vt[: _rank(s, J.shape)]
+            second = run(Vt.T @ (Vt @ u))
+        except np.linalg.LinAlgError:
+            second = (None, "stall", math.inf)
+        if second[1] == "target":
+            u, reason, err = second
+    return u, nfev, reason, err
+
+
 def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0, seed=0):
     """Multistart least squares on u; returns (spec, rf2, misfit, zeros).
 
-    A start converges when its misfit is below LINEAR_TOL * scale.  Every
-    converged start is re-verified against the real build_f1/build_f2
-    pipeline and its simple zeros certified in the default box; the first
-    with at least ``expected`` of them wins.  Each start appends {"reason",
-    "nfev", "misfit"} to ``starts``, its reason being how it stopped
-    ("target", "stall" or "max_nfev") or "undercount" for a converged start
-    whose spec failed its re-verification or certified too few zeros; a
-    successful tuning's winning start is the last one appended.
+    Each start is one _tune_start; one whose misfit is below LINEAR_TOL *
+    scale has converged.  Every converged start is re-verified against the
+    real build_f1/build_f2 pipeline and its simple zeros certified in the
+    default box; the first with at least ``expected`` of them wins.  Each
+    start appends {"reason", "nfev", "misfit"} to ``starts``, its reason
+    being how it stopped ("target", "stall" or "max_nfev") or "undercount"
+    for a converged start whose spec failed its re-verification or
+    certified too few zeros; a successful tuning's winning start is the
+    last one appended.  With no complement of L's range every start would
+    be u = 0, so there is one.
     """
     t = model.target_vector(target)
     rng = default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(t), initial=0.0)))
     stop_at = 1e-3 * LINEAR_TOL * scale
-    # A tiny norm penalty keeps the optimizer off the asymptotic escape
-    # directions (huge-norm parameter vectors whose first-order tables
-    # amplify round-off past the kernel check downstream); the induced bias
-    # on the coefficient misfit is far below the acceptance tolerance.
-    lam = 1e-9 * scale
-    eye = lam * np.eye(model.udim)
-
-    def fun(u):
-        f, J = model.residual(u, t)
-        return np.concatenate([f, lam * u]), np.vstack([J, eye])
-
     best = math.inf
     rejected = None
-    for trial in range(TUNING_STARTS):
+    for trial in range(TUNING_STARTS if model.P.shape[1] else 1):
         u0 = rng.normal(scale=1.0 + 0.5 * (trial % 3), size=model.udim)
-        rule = _StopRule(len(model.monos), stop_at)
-        u, nfev, status = _gauss_newton(fun, u0, rule)
-        err = float(np.max(np.abs(model.residual(u, t)[0])))
+        u, nfev, reason, err = _tune_start(model, t, u0, stop_at)
         best = min(best, err)
-        if status == "max_nfev":
-            reason = "max_nfev"
-        else:  # the rule's verdict, or the loop's cost/step test: no more progress
-            reason = rule.reason or ("target" if err < stop_at else "stall")
         tuned = None
-        if err < LINEAR_TOL * scale:
+        if u is not None and err < LINEAR_TOL * scale:
             try:
                 tuned = _certify_tuned(model, u, t, scale, expected)
             except ConstructionError as exc:
@@ -563,7 +617,7 @@ def _tune_quadratic(model: _QuadModel, target: PolyVec, starts: list, expected=0
         raise rejected
     raise ConstructionError(
         f"second-order tuning stalled: coefficient misfit {best:.3e} "
-        f"(target scale {scale:.3g}, {model.udim} quadratic + {model.Lbasis.shape[1]} linear unknowns)"
+        f"(target scale {scale:.3g}, {model.udim} quadratic + {len(model.monos) - model.P.shape[1]} linear unknowns)"
     )
 
 

@@ -212,7 +212,7 @@ class SystemSpec:
                     idx = tuple(int(tok) for tok in skey.split(","))
                 except ValueError as exc:
                     raise SpecError(f"bad exponent key {skey!r} in table {key}") from exc
-                entries[idx] = float(val)
+                entries[idx] = _json_number(val, f"table {key} entry {skey!r}")
             return CoefficientTable(n, d, entries)
 
         tables = {}
@@ -234,7 +234,10 @@ class SystemSpec:
         unknown = set(raw_tables) - known
         if unknown:
             raise SpecError(f"unknown table groups: {sorted(unknown)}")
-        return cls(n, m, d, float(data["phi"]), tuple(data["mu"]), tables)
+        if not isinstance(data["mu"], list):
+            raise SpecError(f"spec field 'mu' must be a list, got {data['mu']!r}")
+        mu = tuple(_json_number(val, f"spec field 'mu' entry {k}") for k, val in enumerate(data["mu"]))
+        return cls(n, m, d, _json_number(data["phi"], "spec field 'phi'"), mu, tables)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -248,6 +251,13 @@ class SystemSpec:
             except json.JSONDecodeError as exc:
                 raise SpecError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
         return cls.from_json_dict(data)
+
+
+def _json_number(val, what) -> float:
+    """A JSON number as a float; a bool, string or anything else raises SpecError naming ``what``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SpecError(f"{what} must be a number, got {val!r}")
+    return float(val)
 
 
 def zero_spec(n: int, m: int, d: int, phi: float, mu=None) -> SystemSpec:

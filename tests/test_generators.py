@@ -9,6 +9,7 @@ from scipy.optimize import least_squares
 
 from avgcycles import generators
 from avgcycles.avgcore import _full_slots, build_f1, build_f2
+from avgcycles.flowsim import distance_slope, eps_sweep
 from avgcycles.generators import (
     STALL_WINDOW,
     TUNING_STARTS,
@@ -182,11 +183,11 @@ class TestSecondOrderTuning:
         lcols = np.stack([probe(zero_u, e) for e in np.eye(len(model.vslots))], axis=1)
         np.testing.assert_allclose(model.L, lcols, rtol=0, atol=1e-14)
         assert seen <= set(model.monos)
-        # Lbasis is an orthonormal basis of L's range
-        B = model.Lbasis
-        assert B.shape[1] == np.linalg.matrix_rank(model.L)
-        np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(B @ (B.T @ model.L), model.L, rtol=0, atol=1e-14)
+        # P is an orthonormal basis of the orthogonal complement of L's range
+        P = model.P
+        assert P.shape[1] == len(model.monos) - np.linalg.matrix_rank(model.L)
+        np.testing.assert_allclose(P.T @ P, np.eye(P.shape[1]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(P.T @ model.L, 0.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
     def test_surrogate_matches_pairwise_series_reference(self, n, m, series):
@@ -251,9 +252,8 @@ class TestSecondOrderTuning:
         rng = np.random.default_rng(6)
         u, t = rng.normal(size=udim), rng.normal(size=nmono)
         np.testing.assert_allclose(model.quad(u), S @ u @ u, rtol=0, atol=1e-12)
-        P = np.eye(nmono) - model.Lbasis @ model.Lbasis.T  # L's range projected out
-        gap, J = model.residual(u, t)
-        np.testing.assert_allclose(gap, P @ (S @ u @ u - t), rtol=0, atol=1e-12)
+        gap, J = model.residual(u, t)  # in the coordinates of L's range's complement
+        np.testing.assert_allclose(gap, model.P.T @ (S @ u @ u - t), rtol=0, atol=1e-12)
         h = 1e-3  # central differences are exact on a quadratic, up to round-off
         fd = np.stack([(model.residual(u + h * e, t)[0] - model.residual(u - h * e, t)[0]) / (2 * h)
                        for e in np.eye(udim)], axis=1)
@@ -285,6 +285,53 @@ class TestSecondOrderTuning:
         assert starts and all(rec["reason"] == "target" for rec in starts)
         assert all(set(rec) == {"reason", "nfev", "misfit"} for rec in starts)
         assert starts[-1]["nfev"] < 200  # the winning start
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_prop12(1, 0, PHI), lambda: gen_prop12(2, 0, PHI), lambda: gen_prop18(1, 1),
+    ], ids=["prop12-1-0", "prop12-2-0", "prop18-1-1"])
+    def test_winning_start_is_short(self, make):
+        # each of these took 35 to 40 evaluations when the tuning residual
+        # carried norm-penalty rows
+        assert make().notes["starts"][-1]["nfev"] <= 20
+
+    def test_minimum_norm_point_keeps_the_cycles_linear(self):
+        # what the norm-penalty rows were kept for, now held by the
+        # minimum-norm projection: criterion 5's sweep at every zero of the
+        # tuned specs has distance slope 1 +- 0.15
+        eps_values = (2.5e-2, 1.25e-2, 6.25e-3, 2.5e-3)
+        for seed in range(1, 5):
+            result = gen_prop12(1, 0, PHI, seed=seed)
+            for nu in result.zeros:
+                records = eps_sweep(result.spec, nu, eps_values)
+                assert all(rec.accepted for rec in records), (seed, nu)
+                assert distance_slope(records) == pytest.approx(1.0, abs=0.15), (seed, nu)
+
+    def test_target_in_l_range_needs_no_tuning(self):
+        # gen_prop18(1, 0)'s target lies in L's range: u = 0 meets it
+        model = _QuadModel(1, 0, math.pi)
+        assert model.P.shape[1] == 0
+        starts = gen_prop18(1, 0).notes["starts"]
+        assert starts == [{"reason": "target", "nfev": 0, "misfit": 0.0}]
+
+    def test_linalg_error_ends_one_start(self, monkeypatch):
+        # a LAPACK failure inside one start is that start's stall, recorded
+        # with its evaluations and misfit so far; the next start goes on
+        model = _QuadModel(1, 0, PHI)
+        target = generators._mixed_targets(1, 0, 2, 1)
+        real, calls = np.linalg.svd, []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generators.np.linalg, "svd", first_fails)
+        starts = []
+        _, _, _, zeros = _tune_quadratic(model, target, starts, expected=2)
+        assert [rec["reason"] for rec in starts] == ["stall", "target"]
+        assert starts[0]["nfev"] == 1 and 0 < starts[0]["misfit"] < math.inf
+        assert len(zeros) == 2
 
     def test_unreachable_target_stalls_early(self):
         # generic coefficients on every monomial lie outside Q(u) + L v: the
@@ -328,7 +375,8 @@ class TestSecondOrderTuning:
         lambda: gen_prop18(3, 1, seed=0),
         lambda: gen_cor13(2, PHI, seed=12),
         lambda: gen_cor13(2, PHI, seed=22),
-    ], ids=["prop18-3-1-seed0", "cor13-2-seed12", "cor13-2-seed22"])
+        lambda: gen_cor13(3, PHI, seed=0),
+    ], ids=["prop18-3-1-seed0", "cor13-2-seed12", "cor13-2-seed22", "cor13-3-seed0"])
     def test_full_first_order_slots_certify(self, make):
         # these m = 1 targets lie outside the surrogate's image unless every
         # first-order entry is a u-slot
@@ -343,7 +391,7 @@ class TestSecondOrderTuning:
 
 
 def _linear(A, b, lam):
-    """Residual and Jacobian of |A u - b|^2 + lam^2 |u|^2, as _tune_quadratic stacks them."""
+    """Residual and Jacobian of |A u - b|^2 + lam^2 |u|^2, the penalty as rows under A u - b."""
     eye = lam * np.eye(A.shape[1])
     return (lambda u: np.concatenate([A @ u - b, lam * u]), lambda u: np.vstack([A, eye]))
 
@@ -396,7 +444,9 @@ class TestGaussNewton:
     @pytest.mark.parametrize("n, m", [(1, 0), (1, 1)])
     def test_matches_scipy_trf_on_a_tuning_residual(self, n, m):
         # the loop is trf's exact-subproblem iteration at unit scaling: the
-        # same evaluations give the same iterate up to round-off
+        # same evaluations give the same iterate up to round-off.  Penalty
+        # rows under the tuning residual make J full rank; without them trf
+        # keeps singular values that the loop's rank rule drops
         model = _QuadModel(n, m, PHI)
         t = model.target_vector(generators._mixed_targets(n, m, 2 * n, 2 * n - 1))
         lam = 1e-9 * max(1.0, float(np.max(np.abs(t))))

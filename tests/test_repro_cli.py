@@ -329,7 +329,13 @@ class TestCli:
         (_spec_text(fields={"n": 2.7}), "spec field 'n' must be an integer, got 2.7"),
         (_spec_text(fields={"m": True}), "spec field 'm' must be an integer, got True"),
         (_spec_text(fields={"d": "3"}), "spec field 'd' must be an integer, got '3'"),
-    ], ids=["inf_table_entry", "nan_mu", "float_n", "bool_m", "string_d"])
+        (_spec_text(fields={"phi": True}), "spec field 'phi' must be a number, got True"),
+        (_spec_text(fields={"phi": "1.0"}), "spec field 'phi' must be a number, got '1.0'"),
+        (_spec_text(mu=["-0.5"]), "spec field 'mu' entry 0 must be a number, got '-0.5'"),
+        (_spec_text(mu=[True]), "spec field 'mu' entry 0 must be a number, got True"),
+        (_spec_text(b_plus={"1,0,0": True}), "table b_plus entry '1,0,0' must be a number, got True"),
+    ], ids=["inf_table_entry", "nan_mu", "float_n", "bool_m", "string_d",
+            "bool_phi", "string_phi", "string_mu", "bool_mu", "bool_table_entry"])
     @pytest.mark.parametrize("command", ["averaged", "zeros", "verify"])
     def test_non_finite_spec_is_a_usage_error(self, command, spec_text, shown, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,7 +2,7 @@
 perturbations of linear rotation-plus-contraction systems."""
 
 from .sysspec import CoefficientTable, SpecError, SystemSpec, random_spec, zero_spec
-from .polyalg import Poly, PolyVec, bezout_bound, jacobian
+from .polyalg import Poly, PolyVec, bezout_bound
 from .avgcore import (
     AveragedSystem,
     build_averaged_system,
@@ -90,7 +90,6 @@ __all__ = [
     "build_f1",
     "build_f2",
     "build_gamma",
-    "jacobian",
     "numeric_g",
     "oracle_f1",
     "oracle_f2",

@@ -82,14 +82,6 @@ class NoConvergenceError(CycleError):
 
 
 @dataclass
-class FlowState:
-    """State of the theta-parameterized flow."""
-
-    theta: float
-    x: np.ndarray  # (r, z_1, ..., z_d)
-
-
-@dataclass
 class CycleRecord:
     """A refined periodic point of the return map at one eps."""
 
@@ -280,22 +272,17 @@ def _integrator(spec: SystemSpec, theta_span):
     return integrate
 
 
-def _integrate(spec: SystemSpec, E, Z, theta_span) -> np.ndarray:
-    """Integrate every row (E[b], Z[b]) from theta_span[0] to theta_span[1] together (see _integrator)."""
-    return _integrator(spec, theta_span)(E, Z)
-
-
-def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span):
-    """Integrate from theta_span[0] to theta_span[1]; returns FlowState."""
+def integrate_theta(spec: SystemSpec, eps: float, z0, theta_span) -> np.ndarray:
+    """The state (r, z_1, ..., z_d) at theta_span[1] of the flow from z0 at theta_span[0]."""
     x = np.asarray(z0, dtype=float)
     if x.shape != (spec.d + 1,):
         raise ValueError(f"state has shape {x.shape}, expected ({spec.d + 1},)")
-    return FlowState(float(theta_span[1]), _integrate(spec, [eps], x[None], theta_span)[0])
+    return _integrator(spec, theta_span)([eps], x[None])[0]
 
 
 def return_map(spec: SystemSpec, eps: float, z0) -> np.ndarray:
     """P(z0): the state after one full turn theta = 0 -> 2*pi."""
-    return integrate_theta(spec, eps, z0, (0.0, TWO_PI)).x
+    return integrate_theta(spec, eps, z0, (0.0, TWO_PI))
 
 
 def displacement(spec: SystemSpec, eps: float, z0) -> np.ndarray:

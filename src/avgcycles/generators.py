@@ -413,18 +413,18 @@ class _QuadModel:
 
 
 class _StopRule:
-    """Callback of _gauss_newton ending a start at its target misfit or on a stall.
+    """Stop test of _gauss_newton ending a start at its target misfit or on a stall.
 
-    It is called with the residual P^T (Q(u) - t) after each accepted step.
-    The misfit is the largest coefficient of P times it, the gap that the
-    best L v leaves in monomial coordinates.  A start stalls when its best
-    misfit has not halved over the last STALL_WINDOW iterations.
+    It is called with the residual P^T (Q(u) - t) after each accepted step
+    and returns "target", "stall" or None to go on.  The misfit is the
+    largest coefficient of P times it, the gap that the best L v leaves in
+    monomial coordinates.  A start stalls when its best misfit has not
+    halved over the last STALL_WINDOW iterations.
     """
 
     def __init__(self, P, target):
         self.P, self.target = P, target
         self.best = []  # best misfit after each iteration
-        self.reason = None
 
     def misfit(self, residual) -> float:
         return float(np.max(np.abs(self.P @ residual), initial=0.0))
@@ -433,11 +433,10 @@ class _StopRule:
         err = self.misfit(residual)
         self.best.append(min(err, self.best[-1]) if self.best else err)
         if err < self.target:
-            self.reason = "target"
-        elif len(self.best) > STALL_WINDOW and self.best[-1] > 0.5 * self.best[-1 - STALL_WINDOW]:
-            self.reason = "stall"
-        if self.reason:
-            raise StopIteration
+            return "target"
+        if len(self.best) > STALL_WINDOW and self.best[-1] > 0.5 * self.best[-1 - STALL_WINDOW]:
+            return "stall"
+        return None
 
 
 def _rank(s, shape) -> int:
@@ -479,8 +478,8 @@ def _trust_step(uf, s, Vt, radius, alpha):
     return p * (radius / np.linalg.norm(p)), alpha
 
 
-def _gauss_newton(fun, x, callback, max_nfev=4000):
-    """Minimize |f(x)|^2 from x by trust-region Gauss-Newton; returns (x, nfev, status).
+def _gauss_newton(fun, x, stop, max_nfev=4000):
+    """Minimize |f(x)|^2 from x by trust-region Gauss-Newton; returns (x, f, J, nfev, status).
 
     Moré's Levenberg-Marquardt (LNM 630, 1978) on a dense Jacobian: one SVD
     per accepted point, each trial the exact step of _trust_step.  A trial
@@ -488,11 +487,11 @@ def _gauss_newton(fun, x, callback, max_nfev=4000):
     to a quarter of the step when the cost falls by less than a quarter of
     the model's prediction, and doubles when it falls by more than three
     quarters on a step at the boundary.  ``fun(x)`` returns the residual f
-    and its Jacobian J, and ``callback(f)`` runs after each accepted step.
-    status is "callback" when it raised StopIteration, "converged" when the
-    cost fell by less than tol * cost or the step was shorter than
-    tol * (tol + |x|), tol = 3e-16, and "max_nfev" when fun ran max_nfev
-    times.
+    and its Jacobian J, and ``stop(f)`` runs after each accepted step.  f
+    and J are those at the returned x.  status is stop's verdict when it
+    returned one, "converged" when the cost fell by less than tol * cost or
+    the step was shorter than tol * (tol + |x|), tol = 3e-16, and
+    "max_nfev" when fun ran max_nfev times.
     """
     tol = 3e-16
     f, J = fun(x)
@@ -504,7 +503,7 @@ def _gauss_newton(fun, x, callback, max_nfev=4000):
         uf, s, Vt = (U.T @ f)[:rank], s[:rank], Vt[:rank]
         while True:
             if nfev >= max_nfev:
-                return x, nfev, "max_nfev"
+                return x, f, J, nfev, "max_nfev"
             step, alpha = _trust_step(uf, s, Vt, radius, alpha)
             x_new = x + step
             f_new, J_new = fun(x_new)
@@ -517,12 +516,11 @@ def _gauss_newton(fun, x, callback, max_nfev=4000):
                          or step_norm < tol * (tol + np.linalg.norm(x)))
             if rho > 0:
                 x, f, J, cost = x_new, f_new, J_new, cost_new
-                try:
-                    callback(f)
-                except StopIteration:
-                    return x, nfev, "callback"
+                verdict = stop(f)
+                if verdict:
+                    return x, f, J, nfev, verdict
             if converged:
-                return x, nfev, "converged"
+                return x, f, J, nfev, "converged"
             new_radius = radius
             if not rho >= 0.25:  # also when fun(x + step) is not finite
                 new_radius = 0.25 * step_norm
@@ -557,26 +555,24 @@ def _tune_start(model: _QuadModel, t, u0, stop_at):
     def run(u):
         rule = _StopRule(model.P, stop_at)
         try:
-            u, _, status = _gauss_newton(fun, u, rule)
+            u, f, J, _, status = _gauss_newton(fun, u, rule)
         except np.linalg.LinAlgError:
-            return None, "stall", rule.best[-1] if rule.best else rule.misfit(model.residual(u, t)[0])
-        err = rule.misfit(model.residual(u, t)[0])
-        if status == "max_nfev":
-            return u, "max_nfev", err
-        # the rule's verdict, or the loop's cost/step test: no more progress
-        return u, rule.reason or ("target" if err < stop_at else "stall"), err
+            return None, None, "stall", rule.best[-1] if rule.best else rule.misfit(model.residual(u, t)[0])
+        err = rule.misfit(f)
+        if status == "converged":  # the loop's cost/step test: no more progress
+            status = "target" if err < stop_at else "stall"
+        return u, J, status, err
 
-    u, reason, err = run(u0)
+    u, J, reason, err = run(u0)
     if reason == "target":
         try:
-            J = model.residual(u, t)[1]
             _, s, Vt = np.linalg.svd(J, full_matrices=False)
             Vt = Vt[: _rank(s, J.shape)]
             second = run(Vt.T @ (Vt @ u))
         except np.linalg.LinAlgError:
-            second = (None, "stall", math.inf)
-        if second[1] == "target":
-            u, reason, err = second
+            second = (None, None, "stall", math.inf)
+        if second[2] == "target":
+            u, _, reason, err = second
     return u, nfev, reason, err
 
 

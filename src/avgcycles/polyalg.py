@@ -3,6 +3,8 @@
 Variables are ordered (r, z_1, ..., z_m); a monomial is a dense exponent
 tuple of length nvars.  Coefficients below PRUNE_TOL are dropped so that
 round-off from the integral kernels does not accumulate into spurious terms.
+Poly and PolyVec evaluate at one point, term by term, for scripts and
+checks; the pipeline evaluates, and differentiates, only compiled.
 
 CompiledPolyVec is the package's one compiled evaluator: it turns a list of
 sparse exponent -> coefficient maps (a PolyVec's terms, or the coefficient
@@ -41,9 +43,9 @@ class Poly:
     """Sparse polynomial: dict of exponent-tuple -> float coefficient.
 
     Monomials are checked where they enter, by the constructor and
-    `_accum`.  Copies, sums, differences, products, scalings and
-    derivatives combine terms that are already checked, through `_add`,
-    which prunes the same way.
+    `_accum`.  Copies, sums, differences, products and scalings combine
+    terms that are already checked, through `_add`, which prunes the same
+    way.
     """
 
     __slots__ = ("nvars", "terms")
@@ -126,16 +128,6 @@ class Poly:
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
-
-    def diff(self, var: int) -> "Poly":
-        if not (0 <= var < self.nvars):
-            raise ValueError(f"variable index {var} out of range for nvars={self.nvars}")
-        out = Poly(self.nvars)
-        for mono, c in self.terms.items():
-            e = mono[var]
-            if e > 0:
-                out._add(mono[:var] + (e - 1,) + mono[var + 1:], c * e)
-        return out
 
     def __call__(self, point) -> float:
         point = np.asarray(point, dtype=float)
@@ -351,15 +343,6 @@ class Enclosure(NamedTuple):
     value_rad: np.ndarray
     jac: np.ndarray
     jac_rad: np.ndarray
-
-
-def jacobian(F: PolyVec, point):
-    """Jacobian matrix of a square system at a point, and its determinant."""
-    n = len(F)
-    if F.nvars != n:
-        raise ValueError(f"system is not square: {n} equations, {F.nvars} variables")
-    J = CompiledPolyVec.of(F).jacobians(np.asarray(point, dtype=float).reshape(1, -1))[0]
-    return J, float(np.linalg.det(J))
 
 
 def bezout_bound(F: PolyVec) -> int:

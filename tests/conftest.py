@@ -1,11 +1,11 @@
 """Shared test fixtures, the series-product reference for r*f_2 and the per-constraint reference for f_1.
 
-The series reference builds every zone field as one trigkernel.HarmonicSum,
-one harmonic at a time, with the sums, scalings, shifts by e^(lam*s) and
-nu-derivatives defined here, multiplies the bilinear form's series out term
-by term and integrates the products termwise.  It shares no code with
-avgcore's array builder beyond the harmonic linearization and the
-antiderivatives.
+The series reference builds every zone field as one HarmonicSum of the
+tests' own series algebra (trigseries.py), one harmonic at a time, with the
+sums, scalings, shifts by e^(lam*s) and nu-derivatives defined here,
+multiplies the bilinear form's series out term by term and integrates the
+products termwise.  It shares no code with avgcore's array builder beyond
+trigkernel's harmonic linearization and antiderivatives.
 
 The per-constraint reference writes f_1 out as one constraint per
 coefficient, with the weight of each table entry in it, and reads the
@@ -22,7 +22,8 @@ import pytest
 from avgcycles.avgcore import KERNEL_WEIGHT_TOL, _delta_entries, _full_slots, check_f1_zero
 from avgcycles.polyalg import Poly, PolyVec
 from avgcycles.sysspec import FIRST_ORDER, SECOND_ORDER, multi_indices
-from avgcycles.trigkernel import TWO_PI, HarmonicSum, TrigKey, _harmonics, trig_I, trig_J
+from avgcycles.trigkernel import TWO_PI, TrigKey, _harmonics, trig_I, trig_J
+from trigseries import HarmonicSum
 
 
 def _add(f, g):

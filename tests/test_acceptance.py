@@ -42,15 +42,8 @@ from avgcycles.generators import (
 from avgcycles.polyalg import Poly
 from avgcycles.rootfind import SearchBox, find_simple_zeros
 from avgcycles.sysspec import random_spec
-from avgcycles.trigkernel import (
-    TWO_PI,
-    TrigKey,
-    lemma_vanish_predicate,
-    nested_I,
-    nested_J,
-    trig_I,
-    trig_J,
-)
+from avgcycles.trigkernel import TWO_PI, TrigKey, trig_I, trig_J
+from trigseries import lemma_vanish_predicate, nested_I, nested_J
 
 
 class Budget:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec, solve_ivp
+from scipy.integrate import quad, quad_vec, solve_ivp
 
 from avgcycles import avgcore
 from avgcycles.avgcore import (
@@ -298,6 +298,24 @@ class TestQuadraticContraction:
                 got = dict(zip(monos, X[z, z, ell]))
                 worst = max(abs(got.get(mo, 0.0) - ref.terms.get(mo, 0.0)) for mo in set(got) | set(ref.terms))
                 assert worst <= 1e-14 * ref.max_coeff()  # 0 <= 0 on the empty minus zone at 2*pi
+
+
+class TestRunningMap:
+    """Each row of _running_map against its running integral by quadrature."""
+
+    # mu = 0 takes _antider_term's lam = 0 branch at h = 0, mu = -0.8
+    # integration by parts, and mu = 1e-10 the Taylor branch at h = 0
+    @pytest.mark.parametrize("mu", [0.0, -0.8, 1e-10])
+    @pytest.mark.parametrize("s", [0.7, -2.5])
+    def test_rows_match_quadrature(self, mu, s):
+        n = 2
+        cols, M = avgcore._running_map(n, mu)
+        got = M @ np.array([s**k * np.exp(lam * s) for k, lam in cols])
+        for row, h in enumerate(range(-n - 1, n + 2)):
+            # e^(mu*s) int_0^s e^(-mu*u) e^(ihu) du, real and imaginary parts
+            ref = [quad(lambda u: part(np.exp(mu * (s - u) + 1j * h * u)), 0.0, s, epsabs=1e-13, epsrel=1e-13)[0]
+                   for part in (np.real, np.imag)]
+            assert abs(got[row] - complex(*ref)) < 1e-12, (row, h)
 
 
 class TestSeriesReference:

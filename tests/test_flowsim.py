@@ -18,7 +18,7 @@ from avgcycles.flowsim import (
     NoConvergenceError,
     RCrossedZeroError,
     _breakpoints,
-    _integrate,
+    _integrator,
     _zone_sign,
     displacement,
     distance_slope,
@@ -68,8 +68,8 @@ class TestIntegration:
     def test_zone_splitting_continuity(self):
         spec = random_spec(1, 0, 0, math.pi / 3, 1, scale=0.3)
         mid = integrate_theta(spec, 1e-2, [1.0], (0.0, 1.9))
-        full = integrate_theta(spec, 1e-2, mid.x, (1.9, TWO_PI))
-        np.testing.assert_allclose(full.x, return_map(spec, 1e-2, [1.0]), atol=1e-10)
+        full = integrate_theta(spec, 1e-2, mid, (1.9, TWO_PI))
+        np.testing.assert_allclose(full, return_map(spec, 1e-2, [1.0]), atol=1e-10)
 
     def test_r_zero_crossing_raises(self):
         with pytest.raises(RCrossedZeroError):
@@ -117,8 +117,8 @@ class TestBatchedIntegration:
     @pytest.mark.parametrize("span", BATCH_SPANS)
     def test_mixed_batch_matches_rows_alone(self, spec, span):
         E, Z = _mixed_batch(spec)
-        batch = _integrate(spec, E, Z, span)
-        alone = np.array([integrate_theta(spec, e, z, span).x for e, z in zip(E, Z)])
+        batch = _integrator(spec, span)(E, Z)
+        alone = np.array([integrate_theta(spec, e, z, span) for e, z in zip(E, Z)])
         np.testing.assert_allclose(batch, alone, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("spec,eps,error", [
@@ -129,13 +129,13 @@ class TestBatchedIntegration:
             return_map(spec, eps, [1.0])
         E, Z = [1e-3, eps, 2e-3], [[1.0], [1.0], [0.8]]
         with pytest.raises(error):
-            _integrate(spec, E, Z, (0.0, TWO_PI))
+            _integrator(spec, (0.0, TWO_PI))(E, Z)
         # the same rows without the failing one integrate
-        assert _integrate(spec, [1e-3, 2e-3], [[1.0], [0.8]], (0.0, TWO_PI)).shape == (2, 1)
+        assert _integrator(spec, (0.0, TWO_PI))([1e-3, 2e-3], [[1.0], [0.8]]).shape == (2, 1)
 
     def test_initial_r_checked_per_row(self):
         with pytest.raises(RCrossedZeroError):
-            _integrate(zero_spec(1, 0, 0, 1.0), [0.0, 0.0], [[1.0], [-1.0]], (0.0, 1.0))
+            _integrator(zero_spec(1, 0, 0, 1.0), (0.0, 1.0))([0.0, 0.0], [[1.0], [-1.0]])
 
 
 class TestChebyshevPicard:
@@ -143,7 +143,7 @@ class TestChebyshevPicard:
     @pytest.mark.parametrize("span", BATCH_SPANS)
     def test_matches_dop853_reference(self, spec, span):
         E, Z = _mixed_batch(spec)
-        batch = _integrate(spec, E, Z, span)
+        batch = _integrator(spec, span)(E, Z)
         ref = np.array([_dop853_reference(spec, e, z, span) for e, z in zip(E, Z)])
         np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-10)
 

@@ -408,27 +408,28 @@ class TestGaussNewton:
         rng = np.random.default_rng(5)
         A, b = rng.normal(size=(6, 10)), rng.normal(size=6)
         fun, jac = _linear(A, b, lam=1e-9)
-        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), rng.normal(scale=2.0, size=10),
-                                        lambda f: None)
+        x, _, _, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), rng.normal(scale=2.0, size=10),
+                                              lambda f: None)
         assert status == "converged" and nfev < 100
         np.testing.assert_allclose(x, np.linalg.pinv(A) @ b, rtol=0, atol=1e-12)
 
-    def test_stop_iteration_ends_at_the_current_point(self):
+    def test_stop_verdict_ends_at_the_current_point(self):
         fun, jac = _rosenbrock()
         seen = []
 
         def third_stops(f):
             seen.append(f)
-            if len(seen) == 3:
-                raise StopIteration
+            return "stall" if len(seen) == 3 else None
 
-        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), third_stops)
-        assert status == "callback" and len(seen) == 3
+        x, f, J, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), third_stops)
+        assert status == "stall" and len(seen) == 3
         np.testing.assert_array_equal(fun(x), seen[-1])
+        np.testing.assert_array_equal(f, seen[-1])
+        np.testing.assert_array_equal(J, jac(x))
 
     def test_converges_on_a_nonlinear_residual(self):
         fun, jac = _rosenbrock()
-        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), lambda f: None)
+        x, _, _, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([-1.2, 1.0]), lambda f: None)
         assert status == "converged"
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
 
@@ -437,7 +438,7 @@ class TestGaussNewton:
         fun = lambda x: np.array([x[0] ** 2 + 1.0, x[0] * x[1] - 2.0, x[1] - 1.0])  # noqa: E731
         jac = lambda x: np.array([[2.0 * x[0], 0.0], [x[1], x[0]], [0.0, 1.0]])  # noqa: E731
         calls = []
-        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([3.0, -2.0]), calls.append)
+        x, _, _, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), np.array([3.0, -2.0]), calls.append)
         assert status == "converged" and nfev < 200
         assert fun(x) @ fun(x) <= calls[0] @ calls[0]
 
@@ -453,7 +454,7 @@ class TestGaussNewton:
         fun = lambda u: np.concatenate([model.residual(u, t)[0], lam * u])  # noqa: E731
         jac = lambda u: np.vstack([model.residual(u, t)[1], lam * np.eye(model.udim)])  # noqa: E731
         u0 = np.random.default_rng(0).normal(size=model.udim)
-        x, nfev, status = _gauss_newton(lambda u: (fun(u), jac(u)), u0, lambda f: None, max_nfev=40)
+        x, _, _, nfev, status = _gauss_newton(lambda u: (fun(u), jac(u)), u0, lambda f: None, max_nfev=40)
         ref = least_squares(fun, u0, jac=jac, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=40)
         assert (status, nfev) == ("max_nfev", ref.nfev)
         np.testing.assert_allclose(x, ref.x, rtol=0, atol=1e-10)
@@ -461,7 +462,7 @@ class TestGaussNewton:
     def test_max_nfev_is_the_backstop(self):
         fun, jac = _rosenbrock()
         x0 = np.array([-1.2, 1.0])
-        x, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), x0, lambda f: None, max_nfev=1)
+        x, _, _, nfev, status = _gauss_newton(lambda x: (fun(x), jac(x)), x0, lambda f: None, max_nfev=1)
         assert (status, nfev) == ("max_nfev", 1)
         np.testing.assert_array_equal(x, x0)
 

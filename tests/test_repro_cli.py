@@ -1,5 +1,6 @@
-"""Reproduction report assembly and the command-line front end."""
+"""Reproduction report assembly, the command-line front end and the package surface."""
 
+import ast
 import csv
 import json
 import math
@@ -42,6 +43,24 @@ def test_package_exports_resolve_once():
     assert len(set(avgcycles.__all__)) == len(avgcycles.__all__)
     missing = [name for name in avgcycles.__all__ if not hasattr(avgcycles, name)]
     assert not missing
+
+
+def test_every_public_definition_is_used_or_exported():
+    # src/ ships only what the pipeline runs: a public module-level def or
+    # class is referenced by another statement of the package, exported in
+    # avgcycles.__all__, or the console entry point cli.main
+    import avgcycles
+
+    statements = [(path.stem, stmt) for path in sorted((SRC / "avgcycles").glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    refs = [{node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))} for _, stmt in statements]
+    unused = [f"{module}.{stmt.name}" for k, (module, stmt) in enumerate(statements)
+              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_") and stmt.name not in avgcycles.__all__
+              and f"{module}.{stmt.name}" != "cli.main"
+              and not any(stmt.name in names for j, names in enumerate(refs) if j != k)]
+    assert not unused, f"public definitions nothing in src/ uses or exports: {unused}"
 
 
 class TestRunConfig:

@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from avgcycles.trigkernel import (
-    TWO_PI,
-    HarmonicSum,
-    KernelError,
-    TrigKey,
-    gram_matrix,
-    lemma_vanish_predicate,
-    nested_I,
-    trig_monomial,
-    nested_J,
-    trig_I,
-    trig_J,
-)
+from avgcycles.trigkernel import TWO_PI, KernelError, TrigKey, gram_matrix, trig_I, trig_J
+from trigseries import HarmonicSum, lemma_vanish_predicate, nested_I, trig_monomial
 
 
 class TestFrozenValues:
